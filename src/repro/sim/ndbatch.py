@@ -1,21 +1,30 @@
-"""Vectorised multi-execution batch engine (numpy matrix rounds).
+"""Vectorised multi-execution batch engine (numpy tensor rounds).
 
 The round-level batch engine (:mod:`repro.sim.batch`) made thousand-execution
 sweeps routine, but its hot loop is still pure Python: one ``sorted()`` +
 ``fsum`` per process per round per execution.  The algorithms' round structure
 — ``mean ∘ select_k ∘ reduce^j`` over a sorted multiset — is exactly a sort +
-strided slice + mean over the rows of a matrix, so this engine advances an
+strided slice + mean over the rows of a tensor, so this engine advances an
 entire *block* of executions at once:
 
 * all executions sharing a scenario shape (protocol, ``n``, ``t``, round
-  count) are stacked into an ``(executions, n)`` value matrix;
+  count, dimension ``d``) are stacked into an ``(executions, n, d)`` value
+  tensor;
 * each round, candidate masks and quorum index tensors are built from the
   per-execution :class:`~repro.net.adversary.RoundFaultModel` and
   :class:`~repro.net.adversary.OmissionPolicy`;
-* per-recipient views are gathered into an ``(executions, n, m)`` tensor and
-  the approximation step is applied as one ``np.sort(axis=-1)`` + strided
-  slice + mean (:func:`repro.core.rounds.approximation_step_block`) — no
-  per-process Python loop.
+* per-recipient views are gathered into an ``(executions, n, m, d)`` tensor
+  and the approximation step is applied as one sort + strided slice + mean
+  along the multiset axis (:func:`repro.core.rounds.approximation_step_block`)
+  — no per-process Python loop.
+
+One kernel serves both entry points.  The paper's ε-agreement in ℝ is the
+``d = 1`` case of coordinate-wise agreement in ℝ^d (interval validity is box
+validity in ℝ¹), so :func:`run_ndbatch_block` lifts its scalar inputs to an
+``(executions, n, 1)`` tensor and :func:`run_vector_block` passes its vectors
+as they are.  Both share the block construction, the round loop and the
+array side of result assembly; they differ only in the result objects they
+build.
 
 Exact agreement with :mod:`repro.sim.batch`
 -------------------------------------------
@@ -59,9 +68,10 @@ per-execution Python strategy calls (asserted by
 adaptive round policies raise a documented error pointing at the pure-Python
 engine, which supports both.
 
-Results are full :class:`~repro.sim.runner.ExecutionResult` objects (runtime
-tag ``"ndbatch"``) with the same schema as the other engines, so the metrics,
-convergence-analysis and table pipelines apply unchanged.
+Scalar results are full :class:`~repro.sim.runner.ExecutionResult` objects
+(runtime tag ``"ndbatch"``) with the same schema as the other engines, so the
+metrics, convergence-analysis and table pipelines apply unchanged; vector
+results are :class:`~repro.sim.vector.VectorExecutionResult` objects.
 """
 
 from __future__ import annotations
@@ -81,12 +91,7 @@ from repro.core.multidim import (
 from repro.core.problem import ProblemInstance, ValidationReport, validate_outputs
 from repro.core.protocol import ResilienceError
 from repro.core.rounds import AlgorithmBounds, approximation_step_block
-from repro.core.termination import (
-    FixedRounds,
-    RoundPolicy,
-    default_round_policy,
-    default_vector_round_policy,
-)
+from repro.core.termination import RoundPolicy, default_vector_round_policy
 from repro.net.adversary import (
     SENDER_MASK,
     DelayRankOmission,
@@ -145,83 +150,57 @@ def _seeded_keys(seed_mix: np.ndarray, round_number: int, n: int) -> np.ndarray:
 class _Block:
     """Per-execution scenario data and array state of one ndbatch block.
 
-    Scenario construction (fault schedules, masks, group partitions) is
-    always host-side numpy; :meth:`_to_device` then moves the tensors the
-    round loop touches onto the block's array namespace ``xp`` — an identity
-    on the numpy float64 default, a dtype cast for float32, a host→device
-    copy for GPU backends.
+    ``inputs`` is the block's ``(executions, n, d)`` float64 input tensor
+    (``d = 1`` for scalar blocks); ``bounds`` and ``total_rounds`` were
+    checked for the whole block by :func:`_run_block`.  Scenario
+    construction (fault schedules, masks, group partitions) is always
+    host-side numpy; :meth:`_to_device` then moves the tensors the round
+    loop touches onto the block's array namespace ``xp`` — an identity on
+    the numpy float64 default, a dtype cast for float32, a host→device copy
+    for GPU backends.
     """
 
     def __init__(
         self,
         protocol: str,
-        inputs_block: Sequence[Sequence[float]],
+        inputs: np.ndarray,
         t: int,
         epsilon: float,
-        round_policy: Optional[RoundPolicy],
+        bounds: AlgorithmBounds,
+        total_rounds: int,
         fault_models: Sequence[RoundFaultModel],
         omission_policies: Sequence[OmissionPolicy],
-        strict: bool,
-        xp: Optional[ArrayNamespace] = None,
+        xp: ArrayNamespace,
     ) -> None:
-        self.xp = xp if xp is not None else get_namespace("numpy")
-        self.count = len(inputs_block)
-        self.n = len(inputs_block[0])
-        self.t = t
+        self.xp = xp
+        self.count, self.n, self.dimension = inputs.shape
         self.epsilon = epsilon
         self.protocol = protocol
         self.synchronous = protocol in _SYNCHRONOUS
-        self.bounds: AlgorithmBounds = NDBATCH_PROTOCOL_BOUNDS[protocol](self.n, t)
-        if strict and not self.bounds.resilience_ok:
-            raise ResilienceError(
-                f"{self.bounds.name} does not tolerate t={t} faults with n={self.n}"
-            )
+        self.bounds = bounds
+        self.total_rounds = total_rounds
         self.fault_models = list(fault_models)
         self.policies = list(omission_policies)
         n, count = self.n, self.count
 
-        shared_rounds: Optional[int] = None
-        if round_policy is not None:
-            shared_rounds = _upfront_rounds(round_policy, self.bounds, epsilon)
-            if shared_rounds is None:
-                raise EngineCapabilityError(
-                    "ndbatch",
-                    f"adaptive round policies ({round_policy.describe()}: the "
-                    f"engine requires a round count known upfront)",
-                    ("batch", "event"),
-                )
-
+        # Problems record coordinate 0's inputs: scalar results report them,
+        # vector results read only the fault ids.
         self.problems: List[ProblemInstance] = []
-        rounds: List[int] = []
-        for inputs, model, policy in zip(inputs_block, self.fault_models, self.policies):
-            if len(inputs) != n:
-                raise ValueError("all executions in a block must share n")
+        for row, model, policy in zip(inputs[:, :, 0].tolist(), self.fault_models, self.policies):
             self.problems.append(
                 ProblemInstance(
                     n=n,
                     t=t,
                     epsilon=epsilon,
-                    inputs=list(inputs),
+                    inputs=row,
                     faulty=model.faulty_ids(n),
                     byzantine=model.byzantine_ids(n),
                 )
             )
-            if shared_rounds is not None:
-                rounds.append(shared_rounds)
-            else:
-                cell_policy = default_round_policy(self.bounds, inputs, epsilon)
-                rounds.append(_upfront_rounds(cell_policy, self.bounds, epsilon))
             policy.reset()
-        if len(set(rounds)) > 1:
-            raise ValueError(
-                f"executions in one ndbatch block must share the round count, got "
-                f"{sorted(set(rounds))}; group cells by round count first "
-                f"(repro.sim.sweep does this automatically)"
-            )
-        self.total_rounds = rounds[0] if rounds else 0
 
         # --- numpy scenario state --------------------------------------
-        self.inputs_matrix = np.asarray(inputs_block, dtype=np.float64)
+        self.inputs = inputs
         self.crash_round = np.full((count, n), _NEVER, dtype=np.int64)
         self.crash_deliveries = np.zeros((count, n), dtype=np.int64)
         self.strategy_mask = np.zeros((count, n), dtype=bool)
@@ -229,7 +208,7 @@ class _Block:
         self.honest_mask = np.ones((count, n), dtype=bool)
         self.strategy_ids: List[Tuple[int, ...]] = []
 
-        starting = self.inputs_matrix.copy()
+        starting = inputs.copy()
         # Strategies grouped by (sender pid, tensor program): every group is
         # answered by ONE value_tensor call per round on a representative
         # instance, with per-execution variation carried by the PRF seed
@@ -259,6 +238,8 @@ class _Block:
                 if pid < n:
                     self.silent_mask[e, pid] = True
             self.strategy_ids.append(tuple(sorted(model.strategies)))
+            # Forged inputs are scalars (as in round_fault_model): they
+            # broadcast to every coordinate.
             for pid, forged in model.corrupted_inputs.items():
                 if pid < n:
                     starting[e, pid] = float(forged)
@@ -285,7 +266,7 @@ class _Block:
         # supersedes a crash point, as in the round_fault_model adapter).
         self.crash_round = np.where(self.holder_mask, self.crash_round, _NEVER)
         self.crash_deliveries = np.where(self.holder_mask, self.crash_deliveries, 0)
-        self.values = np.where(self.holder_mask, starting, np.nan)
+        self.values = np.where(self.holder_mask[:, :, None], starting, np.nan)
         self.strategy_counts = self.strategy_mask.sum(axis=1).astype(np.int64)
 
         # --- quorum-selection mode partition ---------------------------
@@ -320,6 +301,17 @@ class _Block:
                 probes.append(probe)
             else:
                 self.generic_idx.append(e)
+        if self.generic_idx and self.dimension > 1:
+            sample_policy = self.policies[self.generic_idx[0]]
+            raise EngineCapabilityError(
+                "ndbatch",
+                f"per-recipient omission policies in vector blocks "
+                f"({sample_policy.describe()} answers neither a tensor program nor "
+                f"rank_block, so its quorum draws cannot be shared across "
+                f"coordinates; compose coordinate-wise via "
+                f"repro.sim.vector.run_vector_protocol)",
+                ("event",),
+            )
         self.policy_tensor_groups: List[Tuple[object, np.ndarray, np.ndarray]] = [
             (
                 self.policies[members[0]],
@@ -372,29 +364,141 @@ class _Block:
             self.rank_probe = xp.asarray(self.rank_probe)
 
 
-def _rounds_hint(
-    protocol: str,
-    inputs_block: Sequence[Sequence[float]],
-    t: int,
+def _shared_rounds(
+    bounds: AlgorithmBounds,
+    inputs: np.ndarray,
     epsilon: float,
     round_policy: Optional[RoundPolicy],
 ) -> int:
-    """Best-effort round count for memory planning (never raises).
+    """The round count every execution of a block runs, checked up front.
 
-    Planning happens before the block is validated, so every failure here
-    degrades to a one-round estimate and lets :class:`_Block` raise the
-    real, documented error.
+    The shared-round-count contract is a whole-block property, so it is
+    checked once, before the planner chunks the block: a heterogeneous block
+    raises identically whatever the chunk size.  With no ``round_policy``
+    each execution's count covers its ℓ∞ input spread
+    (:func:`repro.core.termination.default_vector_round_policy`; at ``d = 1``
+    the scalar spread).
     """
-    try:
-        bounds = NDBATCH_PROTOCOL_BOUNDS[protocol](len(inputs_block[0]), t)
-        if round_policy is not None:
-            rounds = _upfront_rounds(round_policy, bounds, epsilon)
-        else:
-            cell_policy = default_round_policy(bounds, inputs_block[0], epsilon)
-            rounds = _upfront_rounds(cell_policy, bounds, epsilon)
-        return int(rounds) if rounds else 1
-    except Exception:
-        return 1
+    if round_policy is not None:
+        rounds = _upfront_rounds(round_policy, bounds, epsilon)
+        if rounds is None:
+            raise EngineCapabilityError(
+                "ndbatch",
+                f"adaptive round policies ({round_policy.describe()}: the "
+                f"engine requires a round count known upfront)",
+                ("batch", "event"),
+            )
+        return rounds
+    # The policy reads the inputs only through their ℓ∞ spread, so it runs
+    # once per distinct spread, on two points that far apart (max − min is
+    # exact, so numpy's spread is the policy's own, bit for bit).
+    spreads = (inputs.max(axis=1) - inputs.min(axis=1)).max(axis=1)
+    counts = {
+        _upfront_rounds(
+            default_vector_round_policy(bounds, ((0.0,), (spread,)), epsilon),
+            bounds,
+            epsilon,
+        )
+        for spread in np.unique(spreads).tolist()
+    }
+    if len(counts) > 1:
+        raise ValueError(
+            f"executions in one ndbatch block must share the round count, got "
+            f"{sorted(counts)}; group cells by round count first "
+            f"(repro.sim.sweep does this automatically)"
+        )
+    return counts.pop()
+
+
+def _run_block(
+    protocol: str,
+    inputs: np.ndarray,
+    t: int,
+    epsilon: float,
+    round_policy: Optional[RoundPolicy],
+    fault_models: Optional[Sequence[Optional[RoundFaultModel]]],
+    omission_policies: Optional[Sequence[Optional[OmissionPolicy]]],
+    seeds: Optional[Sequence[int]],
+    strict: bool,
+    backend: Optional[str],
+    dtype: Optional[str],
+    budget_bytes: Optional[int],
+    chunk_executions: Optional[int],
+    vector: bool,
+) -> list:
+    """The one block runner behind :func:`run_ndbatch_block` and
+    :func:`run_vector_block`.
+
+    ``inputs`` is the block's ``(executions, n, d)`` float64 tensor;
+    ``vector`` selects the result objects :func:`_assemble_results` builds.
+    """
+    if protocol not in NDBATCH_PROTOCOL_BOUNDS:
+        raise EngineCapabilityError(
+            "ndbatch",
+            f"protocol {protocol!r}",
+            capable_engines({f"protocol:{protocol}"}),
+        )
+    count = len(inputs)
+    if count == 0:
+        return []
+    if fault_models is None:
+        fault_models = [None] * count
+    if omission_policies is None:
+        omission_policies = [None] * count
+    if seeds is None:
+        seeds = [0] * count
+    if not (len(fault_models) == len(omission_policies) == len(seeds) == count):
+        raise ValueError("the input block, fault_models, omission_policies and "
+                         "seeds must have equal lengths")
+    models = [model if model is not None else RoundFaultModel() for model in fault_models]
+    policies = [
+        policy if policy is not None else SeededOmission(int(seed))
+        for policy, seed in zip(omission_policies, seeds)
+    ]
+    xp = get_namespace(backend, dtype=dtype)
+    _, n, dimension = inputs.shape
+    bounds = NDBATCH_PROTOCOL_BOUNDS[protocol](n, t)
+    if strict and not bounds.resilience_ok:
+        raise ResilienceError(f"{bounds.name} does not tolerate t={t} faults with n={n}")
+    total_rounds = _shared_rounds(bounds, inputs, epsilon, round_policy)
+
+    started = time.perf_counter()
+    if chunk_executions is not None:
+        if chunk_executions < 1:
+            raise ValueError("chunk_executions must be at least 1")
+        chunk = min(count, int(chunk_executions))
+    else:
+        plan = plan_block(
+            count,
+            n,
+            bounds.sample_size,
+            max(1, total_rounds),
+            dtype=xp.dtype_name,
+            budget_bytes=budget_bytes,
+            dimension=dimension,
+        )
+        chunk = plan.chunk_executions
+    results = []
+    for start in range(0, count, chunk):
+        stop = min(count, start + chunk)
+        block = _Block(
+            protocol,
+            inputs[start:stop],
+            t,
+            epsilon,
+            bounds,
+            total_rounds,
+            models[start:stop],
+            policies[start:stop],
+            xp,
+        )
+        results.extend(_assemble_results(block, vector, *_advance_block(block)))
+    wall = time.perf_counter() - started
+    # Wall time is observational; charge each execution its share of the block.
+    share = wall / count
+    for result in results:
+        result.wall_time_seconds = share
+    return results
 
 
 def run_ndbatch_block(
@@ -419,7 +523,8 @@ def run_ndbatch_block(
     :func:`repro.sim.sweep.run_sweep` does).  Per-execution scenario data —
     inputs, fault models, omission policies — are supplied as parallel
     sequences; policies must be distinct objects per execution (they carry
-    per-execution seeds/state).
+    per-execution seeds/state).  The block runs as the ``d = 1`` case of the
+    ``(executions, n, d)`` kernel.
 
     ``fault_models[e]`` defaults to no faults, ``omission_policies[e]`` to
     ``SeededOmission(seeds[e])`` (``seeds`` defaulting to all zeros), exactly
@@ -437,90 +542,83 @@ def run_ndbatch_block(
     so outcomes are invariant to the chunk size (guarded by
     ``tests/sim/test_planner.py``).
     """
-    if protocol not in NDBATCH_PROTOCOL_BOUNDS:
-        raise EngineCapabilityError(
-            "ndbatch",
-            f"protocol {protocol!r}",
-            capable_engines({f"protocol:{protocol}"}),
-        )
-    count = len(inputs_block)
-    if count == 0:
-        return []
-    if fault_models is None:
-        fault_models = [None] * count
-    if omission_policies is None:
-        omission_policies = [None] * count
-    if seeds is None:
-        seeds = [0] * count
-    if not (len(fault_models) == len(omission_policies) == len(seeds) == count):
-        raise ValueError("inputs_block, fault_models, omission_policies and seeds "
-                         "must have equal lengths")
-    models = [model if model is not None else RoundFaultModel() for model in fault_models]
-    policies = [
-        policy if policy is not None else SeededOmission(int(seed))
-        for policy, seed in zip(omission_policies, seeds)
-    ]
-    xp = get_namespace(backend, dtype=dtype)
+    return _run_block(
+        protocol,
+        np.asarray(inputs_block, dtype=np.float64)[..., None],
+        t,
+        epsilon,
+        round_policy,
+        fault_models,
+        omission_policies,
+        seeds,
+        strict,
+        backend,
+        dtype,
+        budget_bytes,
+        chunk_executions,
+        vector=False,
+    )
 
-    started = time.perf_counter()
-    if chunk_executions is not None:
-        if chunk_executions < 1:
-            raise ValueError("chunk_executions must be at least 1")
-        chunk = min(count, int(chunk_executions))
-    else:
-        n = len(inputs_block[0])
-        bounds = NDBATCH_PROTOCOL_BOUNDS[protocol](n, t)
-        plan = plan_block(
-            count,
-            n,
-            bounds.sample_size,
-            _rounds_hint(protocol, inputs_block, t, epsilon, round_policy),
-            dtype=xp.dtype_name,
-            budget_bytes=budget_bytes,
-        )
-        chunk = plan.chunk_executions
-    if chunk >= count:
-        block = _Block(
-            protocol, inputs_block, t, epsilon, round_policy, models, policies,
-            strict, xp=xp,
-        )
-        results = _advance_block(block)
-    else:
-        # The shared-round-count contract is a whole-block property; check it
-        # up front so a heterogeneous block raises identically whether or not
-        # the planner happened to chunk it.
-        if round_policy is None:
-            hints = {
-                _rounds_hint(protocol, [inputs], t, epsilon, None)
-                for inputs in inputs_block
-            }
-            if len(hints) > 1:
-                raise ValueError(
-                    f"executions in one ndbatch block must share the round "
-                    f"count, got {sorted(hints)}; group cells by round count "
-                    f"first (repro.sim.sweep does this automatically)"
-                )
-        results = []
-        for start in range(0, count, chunk):
-            stop = min(count, start + chunk)
-            block = _Block(
-                protocol,
-                inputs_block[start:stop],
-                t,
-                epsilon,
-                round_policy,
-                models[start:stop],
-                policies[start:stop],
-                strict,
-                xp=xp,
-            )
-            results.extend(_advance_block(block))
-    wall = time.perf_counter() - started
-    # Wall time is observational; charge each execution its share of the block.
-    share = wall / count
-    for result in results:
-        result.wall_time_seconds = share
-    return results
+
+def run_vector_block(
+    protocol: str,
+    vector_inputs_block: Sequence[Sequence[Sequence[float]]],
+    t: int,
+    epsilon: float,
+    round_policy: Optional[RoundPolicy] = None,
+    fault_models: Optional[Sequence[Optional[RoundFaultModel]]] = None,
+    omission_policies: Optional[Sequence[Optional[OmissionPolicy]]] = None,
+    seeds: Optional[Sequence[int]] = None,
+    strict: bool = True,
+    backend: Optional[str] = None,
+    dtype: Optional[str] = None,
+    budget_bytes: Optional[int] = None,
+    chunk_executions: Optional[int] = None,
+) -> List[VectorExecutionResult]:
+    """Run a block of vector-agreement executions on the vectorised engine.
+
+    ``vector_inputs_block[e]`` is one execution's inputs: ``n`` vectors of a
+    shared dimension ``d`` (ragged inputs fail loudly in
+    :func:`repro.core.multidim.normalize_vector_inputs`).  All executions
+    share ``(protocol, n, t, epsilon, d)`` and the round count; scenario
+    arguments mirror :func:`run_ndbatch_block` exactly.
+
+    Every ``d``, ``d = 1`` included, runs the same kernel as
+    :func:`run_ndbatch_block`: one quorum selection per round shared by all
+    coordinates (see "The round loop" below).  With no ``round_policy`` the
+    shared count covers the ℓ∞ input spread
+    (:func:`repro.core.termination.default_vector_round_policy`) — pass the
+    same policy to :func:`repro.sim.vector.run_vector_protocol` when
+    comparing engines.  Memory planning multiplies the value-array terms by
+    ``d`` (:func:`repro.sim.planner.bytes_per_execution`).
+
+    Two scenarios run only at ``d = 1``: non-finite Byzantine reports and
+    omission policies that answer only per-recipient ``quorum`` calls.  At
+    ``d > 1`` they raise :class:`~repro.sim.engine.EngineCapabilityError`
+    pointing at the coordinate-wise composition, which handles both.
+    """
+    normalized = [normalize_vector_inputs(inputs) for inputs in vector_inputs_block]
+    for vectors in normalized[1:]:
+        if len(vectors) != len(normalized[0]):
+            raise ValueError("all executions in a block must share n")
+        if len(vectors[0]) != len(normalized[0][0]):
+            raise ValueError("all executions in a vector block must share the dimension d")
+    return _run_block(
+        protocol,
+        np.asarray(normalized, dtype=np.float64),
+        t,
+        epsilon,
+        round_policy,
+        fault_models,
+        omission_policies,
+        seeds,
+        strict,
+        backend,
+        dtype,
+        budget_bytes,
+        chunk_executions,
+        vector=True,
+    )
 
 
 def run_ndbatch_protocol(
@@ -568,11 +666,44 @@ def run_ndbatch_protocol(
 
 
 # ----------------------------------------------------------------------
-# The vectorised round loop
+# The round loop
 # ----------------------------------------------------------------------
+#
+# Coordinate-wise vector agreement runs d independent scalar executions over
+# the SAME fault plan, delay model and seeds.  Every structural decision of
+# such an execution — who crashes when, which quorums each recipient picks,
+# which processes are Byzantine — is value-independent (crash schedules are
+# data; quorum selection ranks PRF keys or delay ranks, never values), so all
+# d coordinates share one round structure and the loop below carries the
+# trailing d axis only on the value state, the samples and the injected
+# reports:
+#
+# * quorum selection runs once per round for every coordinate — this, not
+#   the kernel, is where the d× win over composition comes from;
+# * Byzantine strategies are evaluated once per coordinate on that
+#   coordinate's observed values (same PRF seeds as the scalar engine), so a
+#   Byzantine sender still "may differ per coordinate" exactly as the
+#   composition allows: value-independent strategies (fixed, equivocate,
+#   random) report identically in every coordinate, observed-dependent ones
+#   (anti-convergence) differ because the observations differ;
+# * the approximation kernel reduces along the multiset axis of an
+#   (executions, n, m, d) gather (``axis=-2``), which is bit-identical to
+#   running it per coordinate.
+#
+# Two paths exist only at d = 1, where the loop is the scalar engine: a
+# non-finite Byzantine report refills its quorum slot from a late sender
+# (per coordinate, quorums would diverge), and omission policies without a
+# bulk ranking answer per-recipient quorum calls (their draws cannot be
+# shared across coordinates).  At d > 1 both raise EngineCapabilityError
+# pointing at the coordinate-wise composition, which handles both.
 
 
-def _advance_block(block: _Block) -> List[ExecutionResult]:
+def _advance_block(block: _Block) -> tuple:
+    """Run the block's rounds; returns the value history and the counters.
+
+    Costs are counted once per execution, shared by all coordinates
+    (:func:`_assemble_results` multiplies them by ``d``).
+    """
     count, n, m = block.count, block.n, block.bounds.sample_size
     total_rounds = block.total_rounds
     xp = block.xp
@@ -642,14 +773,12 @@ def _advance_block(block: _Block) -> List[ExecutionResult]:
 
         if block.synchronous:
             sample = _sync_samples(block, cand, injected)
-            sample_width = n
             failed_round = xp.zeros(count, dtype=bool)
             round_delivered = xp.where(active, updates.sum(axis=1) * n, 0)
         else:
             sample, failed_round, round_delivered = _async_samples(
                 block, cand, cand_count, injected, updates, active, round_number, m
             )
-            sample_width = m
         delivered += round_delivered
 
         apply_mask = updates & active[:, None] & ~failed_round[:, None]
@@ -658,24 +787,25 @@ def _advance_block(block: _Block) -> List[ExecutionResult]:
             # the placeholder fill and the kernel's finiteness scan are
             # provably redundant.
             new_values = approximation_step_block(
-                sample, block.bounds, validate=False, xp=xp
+                sample, block.bounds, validate=False, xp=xp, axis=-2
             )
         else:
             safe_sample = xp.where(
-                apply_mask[:, :, None],
+                apply_mask[:, :, None, None],
                 sample,
-                xp.zeros((1, 1, sample_width), dtype=xp.float_dtype),
+                xp.zeros((1, 1, 1, 1), dtype=xp.float_dtype),
             )
-            new_values = approximation_step_block(safe_sample, block.bounds, xp=xp)
-        block.values = xp.where(apply_mask, new_values, block.values)
+            new_values = approximation_step_block(
+                safe_sample, block.bounds, xp=xp, axis=-2
+            )
+        block.values = xp.where(apply_mask[:, :, None], new_values, block.values)
         history.append(xp.copy(block.values))
 
         completed_now = active & ~failed_round
-        rounds_completed = np.where(completed_now, round_number, rounds_completed)
+        rounds_completed = xp.where(completed_now, round_number, rounds_completed)
         active = completed_now
 
-    return _assemble_results(
-        block,
+    return (
         history,
         active,
         rounds_completed,
@@ -688,50 +818,58 @@ def _advance_block(block: _Block) -> List[ExecutionResult]:
 
 
 def _injected_values(block: _Block, round_number: int) -> np.ndarray:
-    """Eagerly evaluated strategy reports: ``injected[e, sender, recipient]``.
+    """Eagerly evaluated strategy reports: ``injected[e, sender, recipient, c]``.
 
     Tensor-programmed strategies (:meth:`~repro.net.adversary.
     ByzantineValueStrategy.value_tensor`) answer whole ``(pid, program)``
-    groups with one Python call per round — zero per-execution strategy
-    calls; stateless strategies without a tensor form keep the per-execution
-    ``value_block``/``value`` path, issued in the batch engine's order.
-    Non-finite reports are stored as NaN, which the sampling paths treat as
-    omissions (mirroring the message boundary of the protocol skeletons).
-    Only stateless strategies reach this point, so eager evaluation for every
-    recipient is indistinguishable from the batch engine's lazy evaluation.
+    groups with one Python call per round per coordinate — zero
+    per-execution strategy calls — with the same PRF seed vector in every
+    coordinate, exactly what the coordinate-wise composition evaluates with
+    its one strategy instance.  Stateless strategies without a tensor form
+    keep the per-execution ``value_block``/``value`` path, issued in the
+    batch engine's order.  Observed values are each coordinate's own holder
+    values.  Non-finite reports are stored as NaN, which the sampling paths
+    treat as omissions (mirroring the message boundary of the protocol
+    skeletons).  Only stateless strategies reach this point, so eager
+    evaluation for every recipient is indistinguishable from the batch
+    engine's lazy evaluation.
     """
-    count, n = block.count, block.n
+    count, n, d = block.count, block.n, block.dimension
     xp = block.xp
-    injected = np.full((count, n, n), np.nan, dtype=np.float64)
+    injected = np.full((count, n, n, d), np.nan, dtype=np.float64)
     for pid, representative, rows, seeds in block.strategy_tensor_groups:
         # Full-information adversary: each execution observes its holder
         # values (NaN at non-holder slots); one bulk call covers every
         # member execution of the group.
-        observed = xp.where(block.holder_mask[rows], block.values[rows], xp.nan)
-        reports = representative.value_tensor(round_number, n, observed, seeds)
-        if reports is None:
-            raise ValueError(
-                f"strategy {representative.describe()} declares tensor program "
-                f"{representative.tensor_key()!r} but value_tensor returned None"
-            )
-        injected[rows, pid, :] = np.asarray(xp.to_numpy(reports), dtype=np.float64)
+        holders = block.holder_mask[rows]
+        group_values = block.values[rows]
+        for c in range(d):
+            observed = xp.where(holders, group_values[:, :, c], xp.nan)
+            reports = representative.value_tensor(round_number, n, observed, seeds)
+            if reports is None:
+                raise ValueError(
+                    f"strategy {representative.describe()} declares tensor program "
+                    f"{representative.tensor_key()!r} but value_tensor returned None"
+                )
+            injected[rows, pid, :, c] = np.asarray(xp.to_numpy(reports), dtype=np.float64)
     if block.strategy_scalar:
-        observed_lists: Dict[int, List[float]] = {}
+        values = np.asarray(xp.to_numpy(block.values), dtype=np.float64)
+        holder_mask = np.asarray(xp.to_numpy(block.holder_mask))
+        observed_lists: Dict[Tuple[int, int], List[float]] = {}
         for e, sender, strategy in block.strategy_scalar:
-            observed = observed_lists.get(e)
-            if observed is None:
-                row = np.asarray(xp.to_numpy(block.values[e]), dtype=np.float64)
-                mask = np.asarray(xp.to_numpy(block.holder_mask[e]))
-                observed = np.sort(row[mask]).tolist()
-                observed_lists[e] = observed
-            reports = strategy.value_block(round_number, n, observed)
-            if reports is not None:
-                injected[e, sender, :] = np.asarray(reports, dtype=np.float64)
-                continue
-            for recipient in range(n):
-                value = strategy.value(round_number, recipient, observed)
-                if isinstance(value, (int, float)):
-                    injected[e, sender, recipient] = float(value)  # inf -> isfinite no
+            for c in range(d):
+                observed = observed_lists.get((e, c))
+                if observed is None:
+                    observed = np.sort(values[e, holder_mask[e], c]).tolist()
+                    observed_lists[e, c] = observed
+                reports = strategy.value_block(round_number, n, observed)
+                if reports is not None:
+                    injected[e, sender, :, c] = np.asarray(reports, dtype=np.float64)
+                    continue
+                for recipient in range(n):
+                    value = strategy.value(round_number, recipient, observed)
+                    if isinstance(value, (int, float)):
+                        injected[e, sender, recipient, c] = float(value)  # inf -> isfinite no
     # Normalise ±inf to NaN so one mask covers every non-finite report.
     np.copyto(injected, np.nan, where=~np.isfinite(injected))
     return xp.asarray(injected, dtype=xp.float_dtype)
@@ -740,14 +878,23 @@ def _injected_values(block: _Block, round_number: int) -> np.ndarray:
 def _sync_samples(
     block: _Block, cand: np.ndarray, injected: Optional[np.ndarray]
 ) -> np.ndarray:
-    """Size-``n`` synchronous samples with own-value substitution."""
+    """Size-``n`` synchronous samples ``(E, n, n, d)`` with own-value substitution.
+
+    A non-finite report degrades to an omission per coordinate (the
+    recipient keeps its own value in that coordinate), matching the
+    composition, where each coordinate's execution drops the report
+    independently.
+    """
     xp = block.xp
-    own = block.values[:, :, None]  # (E, recipient, 1)
-    holder_values = block.values[:, None, :]  # (E, 1, sender)
-    sample = xp.where(cand & block.holder_mask[:, None, :], holder_values, own)
+    own = block.values[:, :, None, :]  # (E, recipient, 1, d)
+    holder_values = block.values[:, None, :, :]  # (E, 1, sender, d)
+    use_holder = (cand & block.holder_mask[:, None, :])[:, :, :, None]
+    sample = xp.where(use_holder, holder_values, own)
     if injected is not None:
-        reports = xp.swapaxes(injected, 1, 2)  # (E, recipient, sender)
-        use = cand & block.strategy_mask[:, None, :] & xp.isfinite(reports)
+        reports = xp.swapaxes(injected, 1, 2)  # (E, recipient, sender, d)
+        use = (cand & block.strategy_mask[:, None, :])[:, :, :, None] & xp.isfinite(
+            reports
+        )
         sample = xp.where(use, reports, sample)
     return sample
 
@@ -762,26 +909,30 @@ def _async_samples(
     round_number: int,
     m: int,
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Quorum samples ``(E, n, m)``, liveness failures, and delivery counts.
+    """Quorum samples ``(E, n, m, d)``, liveness failures, and delivery counts.
 
     Reproduces the batch engine's per-recipient behaviour: the omission
-    policy picks ``m`` candidates, non-finite Byzantine reports degrade to
-    omissions and the quorum refills from the remaining candidates in
-    ascending sender order, and a recipient that cannot fill its quorum fails
-    the execution at that recipient (earlier recipients' deliveries stand).
+    policy picks ``m`` candidates — ONE :func:`_choose_quorums` call serves
+    every coordinate — and a recipient that cannot fill its quorum fails the
+    execution at that recipient (earlier recipients' deliveries stand).
+    Starvation (fewer candidates than ``m``) is value-independent, hence the
+    same in every coordinate.  A non-finite Byzantine report degrades to an
+    omission and the quorum refills from the remaining candidates in
+    ascending sender order; that refill is per coordinate, so only ``d = 1``
+    blocks run it.
     """
     count, n = block.count, block.n
     xp = block.xp
     chosen = _choose_quorums(block, cand, cand_count, updates, active, round_number, m)
 
     e_idx = xp.arange(count)[:, None, None]
-    sample = block.values[e_idx, chosen]
+    sample = block.values[e_idx, chosen]  # (E, n, m, d)
     if injected is not None:
         q_idx = xp.arange(n)[None, :, None]
         strategy_chosen = block.strategy_mask[e_idx, chosen]
         if strategy_chosen.any():
-            reports = injected[e_idx, chosen, q_idx]
-            sample = xp.where(strategy_chosen, reports, sample)
+            reports = injected[e_idx, chosen, q_idx]  # (E, n, m, d)
+            sample = xp.where(strategy_chosen[:, :, :, None], reports, sample)
 
     # Liveness / refill bookkeeping.  In-model scenarios never enter either
     # branch: the candidate set always has >= m members and only Byzantine
@@ -789,15 +940,27 @@ def _async_samples(
     # finiteness scan entirely).
     relevant = updates & active[:, None]
     starving = relevant & (cand_count < m)
+    short = None
     if injected is not None:
-        short = relevant & (xp.isfinite(sample).sum(axis=2) < m) & ~starving
-    else:
-        short = xp.zeros_like(starving)
+        finite_rows = xp.isfinite(sample).all(axis=-1).all(axis=-1)  # (E, n)
+        short = relevant & ~finite_rows & ~starving
+        if block.dimension > 1 and bool(short.any()):
+            raise EngineCapabilityError(
+                "ndbatch",
+                "non-finite Byzantine reports in vector blocks (a dropped "
+                "report refills its quorum slot per coordinate, which the "
+                "shared-quorum tensor path cannot represent; compose "
+                "coordinate-wise via repro.sim.vector.run_vector_protocol)",
+                ("event",),
+            )
     failed_at = xp.full(count, n, dtype=xp.int64)
-    if starving.any() or short.any():
+    if short is not None and bool(short.any()):
         failed_at = _refill_or_fail(
             block, cand, chosen, sample, starving, short, round_number, m
         )
+    elif bool(starving.any()):
+        position = xp.where(starving, xp.arange(n)[None, :], n)
+        failed_at = position.min(axis=1)
     failed_round = failed_at < n
 
     quorums_filled = xp.where(
@@ -921,7 +1084,7 @@ def _refill_or_fail(
     round_number: int,
     m: int,
 ) -> np.ndarray:
-    """Handle quorum starvation and non-finite-report refills (rare paths).
+    """Handle quorum starvation and non-finite-report refills (rare, ``d = 1``).
 
     Mutates ``sample`` in place for refilled quorums and returns, per
     execution, the first recipient at which the quorum could not be filled
@@ -930,6 +1093,9 @@ def _refill_or_fail(
     sender order; starvation fails the execution at that recipient.
     """
     count, n = block.count, block.n
+    # Views: refills write through to the caller's sample tensor.
+    sample = sample[..., 0]
+    values = block.values[..., 0]
     failed_at = np.full(count, n, dtype=np.int64)
     for e in range(count):
         for recipient in range(n):
@@ -952,7 +1118,7 @@ def _refill_or_fail(
                 sender = int(sender)
                 if sender in chosen_set:
                     continue
-                value = _late_sender_value(block, e, sender, recipient, round_number)
+                value = _late_sender_value(block, values, e, sender, recipient, round_number)
                 if value is not None:
                     collected.append(value)
             if len(collected) < m:
@@ -965,17 +1131,17 @@ def _refill_or_fail(
 
 
 def _late_sender_value(
-    block: _Block, e: int, sender: int, recipient: int, round_number: int
+    block: _Block, values: np.ndarray, e: int, sender: int, recipient: int, round_number: int
 ) -> Optional[float]:
     """Value a late (not-chosen) candidate contributes during a refill."""
     if block.strategy_mask[e, sender]:
         strategy = block.fault_models[e].strategies[sender]
-        observed = np.sort(block.values[e][block.holder_mask[e]]).tolist()
+        observed = np.sort(values[e][block.holder_mask[e]]).tolist()
         value = strategy.value(round_number, recipient, observed)
         if not isinstance(value, (int, float)) or not np.isfinite(value):
             return None
         return float(value)
-    return float(block.values[e, sender])
+    return float(values[e, sender])
 
 
 # ----------------------------------------------------------------------
@@ -985,6 +1151,7 @@ def _late_sender_value(
 
 def _assemble_results(
     block: _Block,
+    vector: bool,
     history: List[np.ndarray],
     active: np.ndarray,
     rounds_completed: np.ndarray,
@@ -993,8 +1160,16 @@ def _assemble_results(
     delivered: np.ndarray,
     rounds_entered: np.ndarray,
     holder_sends: np.ndarray,
-) -> List[ExecutionResult]:
-    count, n = block.count, block.n
+) -> list:
+    """One result per execution: :class:`VectorExecutionResult` if ``vector``,
+    else (``d = 1``) :class:`ExecutionResult` with per-process value
+    histories.
+
+    The array side is shared: the ℓ∞ honest-diameter trajectories, the
+    whole-block validity/agreement fast path and the costs (shared counts
+    times ``d`` — exactly the coordinate-wise composition's totals).
+    """
+    count, n, d = block.count, block.n, block.dimension
     xp = block.xp
     if not (xp.name == "numpy" and xp.dtype_name == "float64"):
         # Result assembly is host-side: per-execution Python objects are
@@ -1010,645 +1185,11 @@ def _assemble_results(
         delivered = np.asarray(xp.to_numpy(delivered))
         rounds_entered = np.asarray(xp.to_numpy(rounds_entered))
         holder_sends = np.asarray(xp.to_numpy(holder_sends))
-    stacked = np.stack(history)  # (rounds + 1, E, n)
-
-    # Spread trajectories of every execution at once: diameter of the honest
-    # values after each round (faulty columns masked out of max/min).
-    honest3 = block.honest_mask[None, :, :]
-    traj_all = (
-        np.where(honest3, stacked, -np.inf).max(axis=2)
-        - np.where(honest3, stacked, np.inf).min(axis=2)
-    ).T  # (E, rounds + 1)
-
-    # Vectorised fast path of repro.core.problem.validate_outputs for the
-    # common all-correct case; executions failing any check fall back to the
-    # shared checker so reports (violation strings included) stay identical.
-    eps_ok_bound = block.epsilon * (1.0 + 1e-9)
-    output_spread = traj_all[np.arange(count), rounds_completed]
-    agreement_ok = output_spread <= eps_ok_bound
-    byz_mask = np.zeros((count, n), dtype=bool)
-    for e, problem in enumerate(block.problems):
-        for pid in problem.byzantine:
-            byz_mask[e, pid] = True
-    validity_ref = np.where(byz_mask, np.nan, block.inputs_matrix)
-    lo = np.nanmin(validity_ref, axis=1)
-    hi = np.nanmax(validity_ref, axis=1)
-    slack = 1e-9 * np.maximum(1.0, np.maximum(np.abs(lo), np.abs(hi)))
-    out_hi = np.where(block.honest_mask, block.values, -np.inf).max(axis=1)
-    out_lo = np.where(block.honest_mask, block.values, np.inf).min(axis=1)
-    validity_ok = (out_lo >= lo - slack) & (out_hi <= hi + slack)
-    fast_ok = active & agreement_ok & validity_ok
-
-    # Bulk conversions to Python scalars up front: element-wise numpy reads
-    # inside the per-execution loop would dominate large blocks.
-    hist_t = np.ascontiguousarray(stacked.transpose(1, 2, 0))  # (E, n, rounds + 1)
-    values_rows = block.values.tolist()
-    traj_rows = traj_all.tolist()
-    spread_list = output_spread.tolist()
-    completed_list = rounds_completed.tolist()
-    messages_list = messages_sent.tolist()
-    bits_list = bits_sent.tolist()
-    delivered_list = delivered.tolist()
-    entered_list = rounds_entered.tolist()
-    holder_sends_rows = holder_sends.tolist()
-
-    results: List[ExecutionResult] = []
-    for e in range(count):
-        problem = block.problems[e]
-        decided = bool(active[e])
-        completed = completed_list[e]
-        honest = problem.honest
-        values_row = values_rows[e]
-
-        outputs: Dict[int, Optional[float]] = {
-            pid: (values_row[pid] if decided else None) for pid in honest
-        }
-        if fast_ok[e]:
-            report = ValidationReport(
-                all_decided=True,
-                epsilon_agreement=True,
-                validity=True,
-                output_spread=spread_list[e],
-                outputs=dict(outputs),
-            )
-        else:
-            report = validate_outputs(problem, outputs)
-
-        rows = hist_t[e].tolist()
-        length = 1 + completed  # honest processes never crash, so never truncate
-        value_histories: Dict[int, List[float]] = {
-            pid: rows[pid][:length] for pid in honest
-        }
-        trajectory = traj_rows[e][:length]
-
-        stats = NetworkStats()
-        stats.messages_sent = messages_list[e]
-        stats.bits_sent = bits_list[e]
-        stats.messages_delivered = delivered_list[e]
-        if stats.messages_sent:
-            stats.messages_by_kind["VALUE"] = stats.messages_sent
-        sends_row = holder_sends_rows[e]
-        strategy_ids = block.strategy_ids[e]
-        for pid in range(n):
-            sent = sends_row[pid]
-            if pid in strategy_ids:
-                sent = n * entered_list[e]
-            if sent:
-                stats.sends_by_process[pid] = sent
-
-        results.append(
-            ExecutionResult(
-                protocol=block.protocol,
-                runtime="ndbatch",
-                problem=problem,
-                report=report,
-                outputs=outputs,
-                stats=stats,
-                rounds_used=completed,
-                trajectory=trajectory,
-                value_histories=value_histories,
-                events_executed=0,
-                wall_time_seconds=0.0,
-            )
-        )
-    return results
-
-
-# ----------------------------------------------------------------------
-# Vector (multidimensional) blocks: (executions, n, d) on the fast path
-# ----------------------------------------------------------------------
-#
-# Coordinate-wise vector agreement (repro.sim.vector) runs d independent
-# scalar executions over the SAME fault plan, delay model and seeds.  Every
-# structural decision of such an execution — who crashes when, which quorums
-# each recipient picks, which processes are Byzantine — is value-independent
-# (crash schedules are data; quorum selection ranks PRF keys or delay ranks,
-# never values), so all d coordinates share one round structure and the
-# whole composition collapses into ONE block whose value state is an
-# (executions, n, d) tensor:
-#
-# * quorum selection runs once per round (shared across coordinates) —
-#   this, not the kernel, is where the d× win over composition comes from;
-# * Byzantine strategies are evaluated once per coordinate on that
-#   coordinate's observed values (same PRF seeds as the scalar engine), so
-#   a Byzantine sender still "may differ per coordinate" exactly as the
-#   composition allows: value-independent strategies (fixed, equivocate,
-#   random) report identically in every coordinate, observed-dependent ones
-#   (anti-convergence) differ because the observations differ;
-# * the approximation kernel reduces along the multiset axis of an
-#   (executions, n, m, d) gather (``axis=-2``), which is bit-identical to
-#   running it per coordinate.
-#
-# Out-of-model corner cases where the shared structure would break —
-# non-finite Byzantine reports (per-coordinate quorum refill) and stateful
-# per-recipient omission policies — raise EngineCapabilityError pointing at
-# the coordinate-wise composition, which handles both.
-
-
-def run_vector_block(
-    protocol: str,
-    vector_inputs_block: Sequence[Sequence[Sequence[float]]],
-    t: int,
-    epsilon: float,
-    round_policy: Optional[RoundPolicy] = None,
-    fault_models: Optional[Sequence[Optional[RoundFaultModel]]] = None,
-    omission_policies: Optional[Sequence[Optional[OmissionPolicy]]] = None,
-    seeds: Optional[Sequence[int]] = None,
-    strict: bool = True,
-    backend: Optional[str] = None,
-    dtype: Optional[str] = None,
-    budget_bytes: Optional[int] = None,
-    chunk_executions: Optional[int] = None,
-) -> List[VectorExecutionResult]:
-    """Run a block of vector-agreement executions on the vectorised engine.
-
-    ``vector_inputs_block[e]`` is one execution's inputs: ``n`` vectors of a
-    shared dimension ``d`` (ragged inputs fail loudly in
-    :func:`repro.core.multidim.normalize_vector_inputs`).  All executions
-    share ``(protocol, n, t, epsilon, d)`` and the round count; scenario
-    arguments mirror :func:`run_ndbatch_block` exactly.
-
-    ``d == 1`` delegates to the scalar block engine and lifts its results,
-    so one-dimensional vector blocks are bit-identical to scalar ndbatch by
-    construction.  ``d > 1`` runs the shared-structure tensor path described
-    above; with no ``round_policy`` the shared count covers the ℓ∞ input
-    spread (:func:`repro.core.termination.default_vector_round_policy`) —
-    pass the same policy to :func:`repro.sim.vector.run_vector_protocol`
-    when comparing engines.  Memory planning multiplies the value-array
-    terms by ``d`` (:func:`repro.sim.planner.bytes_per_execution`).
-    """
-    if protocol not in NDBATCH_PROTOCOL_BOUNDS:
-        raise EngineCapabilityError(
-            "ndbatch",
-            f"protocol {protocol!r}",
-            capable_engines({f"protocol:{protocol}"}),
-        )
-    count = len(vector_inputs_block)
-    if count == 0:
-        return []
-    normalized = [normalize_vector_inputs(inputs) for inputs in vector_inputs_block]
-    n = len(normalized[0])
-    dimension = len(normalized[0][0])
-    for vectors in normalized[1:]:
-        if len(vectors) != n:
-            raise ValueError("all executions in a block must share n")
-        if len(vectors[0]) != dimension:
-            raise ValueError(
-                "all executions in a vector block must share the dimension d"
-            )
-    if fault_models is None:
-        fault_models = [None] * count
-    if omission_policies is None:
-        omission_policies = [None] * count
-    if seeds is None:
-        seeds = [0] * count
-    if not (len(fault_models) == len(omission_policies) == len(seeds) == count):
-        raise ValueError("vector_inputs_block, fault_models, omission_policies and "
-                         "seeds must have equal lengths")
-
-    if dimension == 1:
-        scalar_block = [[vector[0] for vector in vectors] for vectors in normalized]
-        scalar_results = run_ndbatch_block(
-            protocol,
-            scalar_block,
-            t,
-            epsilon,
-            round_policy=round_policy,
-            fault_models=fault_models,
-            omission_policies=omission_policies,
-            seeds=seeds,
-            strict=strict,
-            backend=backend,
-            dtype=dtype,
-            budget_bytes=budget_bytes,
-            chunk_executions=chunk_executions,
-        )
-        return [_lift_scalar_result(result) for result in scalar_results]
-
-    models = [model if model is not None else RoundFaultModel() for model in fault_models]
-    policies = [
-        policy if policy is not None else SeededOmission(int(seed))
-        for policy, seed in zip(omission_policies, seeds)
-    ]
-    xp = get_namespace(backend, dtype=dtype)
-    bounds = NDBATCH_PROTOCOL_BOUNDS[protocol](n, t)
-    if round_policy is not None:
-        shared_rounds = _upfront_rounds(round_policy, bounds, epsilon)
-        if shared_rounds is None:
-            raise EngineCapabilityError(
-                "ndbatch",
-                f"adaptive round policies ({round_policy.describe()}: the "
-                f"engine requires a round count known upfront)",
-                ("batch", "event"),
-            )
-    else:
-        hints = {
-            _upfront_rounds(
-                default_vector_round_policy(bounds, vectors, epsilon), bounds, epsilon
-            )
-            for vectors in normalized
-        }
-        if len(hints) > 1:
-            raise ValueError(
-                f"executions in one ndbatch block must share the round count, "
-                f"got {sorted(hints)}; group cells by round count first "
-                f"(repro.sim.sweep does this automatically)"
-            )
-        shared_rounds = hints.pop()
-    shared_policy = FixedRounds(int(shared_rounds))
-
-    started = time.perf_counter()
-    if chunk_executions is not None:
-        if chunk_executions < 1:
-            raise ValueError("chunk_executions must be at least 1")
-        chunk = min(count, int(chunk_executions))
-    else:
-        plan = plan_block(
-            count,
-            n,
-            bounds.sample_size,
-            max(1, int(shared_rounds)),
-            dtype=xp.dtype_name,
-            budget_bytes=budget_bytes,
-            dimension=dimension,
-        )
-        chunk = plan.chunk_executions
-    results: List[VectorExecutionResult] = []
-    for start in range(0, count, chunk):
-        stop = min(count, start + chunk)
-        results.extend(
-            _run_vector_chunk(
-                protocol,
-                normalized[start:stop],
-                t,
-                epsilon,
-                shared_policy,
-                models[start:stop],
-                policies[start:stop],
-                strict,
-                xp,
-                dimension,
-            )
-        )
-    wall = time.perf_counter() - started
-    share = wall / count
-    for result in results:
-        result.wall_time_seconds = share
-    return results
-
-
-def _lift_scalar_result(result: ExecutionResult) -> VectorExecutionResult:
-    """Lift a scalar :class:`ExecutionResult` to a 1-dimensional vector result.
-
-    The scalar execution IS the d=1 vector execution (scalar ε-agreement is
-    ℓ∞ ε-agreement in R¹, interval validity is box validity), so the report
-    translates field-by-field and the scalar result rides along as the one
-    coordinate result — d=1 vector blocks stay bit-identical to scalar
-    ndbatch by construction.
-    """
-    outputs = {
-        pid: ((value,) if value is not None else None)
-        for pid, value in result.outputs.items()
-    }
-    report = VectorValidationReport(
-        all_decided=result.report.all_decided,
-        linf_agreement=result.report.epsilon_agreement,
-        box_validity=result.report.validity,
-        max_linf_distance=result.report.output_spread,
-        outputs={pid: vector for pid, vector in outputs.items() if vector is not None},
-        violations=list(result.report.violations),
-    )
-    return VectorExecutionResult(
-        protocol=result.protocol,
-        dimension=1,
-        report=report,
-        outputs=outputs,
-        coordinate_results=[result],
-        runtime="ndbatch",
-        stats=result.stats,
-        trajectory=tuple(result.trajectory),
-        rounds=result.rounds_used,
-        wall_time_seconds=result.wall_time_seconds,
-    )
-
-
-def _run_vector_chunk(
-    protocol: str,
-    vectors_chunk: Sequence[Tuple[Tuple[float, ...], ...]],
-    t: int,
-    epsilon: float,
-    round_policy: RoundPolicy,
-    fault_models: Sequence[RoundFaultModel],
-    omission_policies: Sequence[OmissionPolicy],
-    strict: bool,
-    xp: ArrayNamespace,
-    dimension: int,
-) -> List[VectorExecutionResult]:
-    """Advance one chunk of ``(executions, n, d)`` vector executions."""
-    coord0 = [[vector[0] for vector in vectors] for vectors in vectors_chunk]
-    block = _Block(
-        protocol, coord0, t, epsilon, round_policy,
-        fault_models, omission_policies, strict, xp=xp,
-    )
-    if block.generic_idx:
-        sample_policy = block.policies[block.generic_idx[0]]
-        raise EngineCapabilityError(
-            "ndbatch",
-            f"per-recipient omission policies in vector blocks "
-            f"({sample_policy.describe()} answers neither a tensor program nor "
-            f"rank_block, so its quorum draws cannot be shared across "
-            f"coordinates; compose coordinate-wise via "
-            f"repro.sim.vector.run_vector_protocol)",
-            ("event",),
-        )
-    block.dimension = dimension
-    # Replace the structural block's scalar value state with the full
-    # (E, n, d) tensor: corrupted inputs broadcast to every coordinate
-    # (scalar forgeries, as in round_fault_model), non-holders start at NaN.
-    inputs_tensor = np.asarray(vectors_chunk, dtype=np.float64)
-    block.inputs_tensor = inputs_tensor
-    starting = inputs_tensor.copy()
-    for e, model in enumerate(block.fault_models):
-        for pid, forged in model.corrupted_inputs.items():
-            if pid < block.n:
-                starting[e, pid, :] = float(forged)
-    start_dev = xp.asarray(starting, dtype=xp.float_dtype)
-    block.values = xp.where(block.holder_mask[:, :, None], start_dev, xp.nan)
-    return _advance_vector_block(block)
-
-
-def _advance_vector_block(block: _Block) -> List[VectorExecutionResult]:
-    """The scalar round loop over an ``(E, n, d)`` value tensor.
-
-    Mirrors :func:`_advance_block` statement-for-statement; only the value
-    state, samples and injected reports carry the trailing ``d`` axis — the
-    send/update/candidate structure, quorum selection and cost accounting
-    are shared across coordinates (per-coordinate costs are the shared
-    counts times ``d``, applied at assembly).
-    """
-    count, n, m = block.count, block.n, block.bounds.sample_size
-    total_rounds = block.total_rounds
-    xp = block.xp
-    arange_n = xp.arange(n)
-
-    active = xp.ones(count, dtype=bool)
-    rounds_completed = xp.zeros(count, dtype=xp.int64)
-    messages_sent = xp.zeros(count, dtype=xp.int64)
-    bits_sent = xp.zeros(count, dtype=xp.int64)
-    delivered = xp.zeros(count, dtype=xp.int64)
-    rounds_entered = xp.zeros(count, dtype=xp.int64)
-    holder_sends = xp.zeros((count, n), dtype=xp.int64)
-    history = [xp.copy(block.values)]
-    any_strategies = any(block.strategy_ids)
-    clean_values = not any_strategies and not bool(block.silent_mask.any())
-
-    scheduled = xp.where(block.crash_round < _NEVER, block.crash_round, 0)
-    last_crash_round = int(scheduled.max()) if count else 0
-    static_structure = None
-
-    for round_number in range(1, total_rounds + 1):
-        if not active.any():
-            break
-        value_bits = message_bits(Message(kind="VALUE", round=round_number, value=0.0))
-
-        if static_structure is not None:
-            sends, updates, cand, cand_count, round_sends = static_structure
-        else:
-            before_crash = round_number < block.crash_round
-            sends = xp.where(
-                block.holder_mask & before_crash,
-                n,
-                xp.where(
-                    block.holder_mask & (round_number == block.crash_round),
-                    block.crash_deliveries,
-                    0,
-                ),
-            )
-            updates = block.holder_mask & before_crash
-            cand = block.strategy_mask[:, None, :] | (
-                block.holder_mask[:, None, :]
-                & (arange_n[None, :, None] < sends[:, None, :])
-            )
-            cand &= ~block.silent_mask[:, None, :]
-            cand_count = cand.sum(axis=2)
-            round_sends = sends.sum(axis=1) + n * block.strategy_counts
-            if round_number > last_crash_round:
-                static_structure = (sends, updates, cand, cand_count, round_sends)
-
-        messages_sent += xp.where(active, round_sends, 0)
-        bits_sent += xp.where(active, round_sends * value_bits, 0)
-        holder_sends += sends * active[:, None]
-        rounds_entered += active
-
-        injected = None
-        if any_strategies:
-            injected = _vector_injected_values(block, round_number)
-
-        if block.synchronous:
-            sample = _vector_sync_samples(block, cand, injected)
-            failed_round = xp.zeros(count, dtype=bool)
-            round_delivered = xp.where(active, updates.sum(axis=1) * n, 0)
-        else:
-            sample, failed_round, round_delivered = _vector_async_samples(
-                block, cand, cand_count, injected, updates, active, round_number, m
-            )
-        delivered += round_delivered
-
-        apply_mask = updates & active[:, None] & ~failed_round[:, None]
-        if clean_values and not failed_round.any():
-            new_values = approximation_step_block(
-                sample, block.bounds, validate=False, xp=xp, axis=-2
-            )
-        else:
-            safe_sample = xp.where(
-                apply_mask[:, :, None, None],
-                sample,
-                xp.zeros((1, 1, 1, 1), dtype=xp.float_dtype),
-            )
-            new_values = approximation_step_block(
-                safe_sample, block.bounds, xp=xp, axis=-2
-            )
-        block.values = xp.where(apply_mask[:, :, None], new_values, block.values)
-        history.append(xp.copy(block.values))
-
-        completed_now = active & ~failed_round
-        rounds_completed = xp.where(completed_now, round_number, rounds_completed)
-        active = completed_now
-
-    return _assemble_vector_results(
-        block,
-        history,
-        active,
-        rounds_completed,
-        messages_sent,
-        bits_sent,
-        delivered,
-        rounds_entered,
-        holder_sends,
-    )
-
-
-def _vector_injected_values(block: _Block, round_number: int) -> np.ndarray:
-    """Strategy reports per coordinate: ``injected[e, sender, recipient, c]``.
-
-    One :meth:`~repro.net.adversary.ByzantineValueStrategy.value_tensor`
-    call per ``(sender, program)`` group *per coordinate*, with the same PRF
-    seed vector in every coordinate — exactly what the coordinate-wise
-    composition evaluates, since it reuses one strategy instance across its
-    ``d`` scalar executions.  Observed values are the coordinate's own
-    holder values, so observed-dependent strategies differ per coordinate
-    and value-independent ones repeat — "a Byzantine sender may differ per
-    coordinate" is preserved.
-    """
-    count, n, d = block.count, block.n, block.dimension
-    xp = block.xp
-    injected = np.full((count, n, n, d), np.nan, dtype=np.float64)
-    for pid, representative, rows, seeds in block.strategy_tensor_groups:
-        for c in range(d):
-            observed = xp.where(
-                block.holder_mask[rows], block.values[rows][:, :, c], xp.nan
-            )
-            reports = representative.value_tensor(round_number, n, observed, seeds)
-            if reports is None:
-                raise ValueError(
-                    f"strategy {representative.describe()} declares tensor program "
-                    f"{representative.tensor_key()!r} but value_tensor returned None"
-                )
-            injected[rows, pid, :, c] = np.asarray(
-                xp.to_numpy(reports), dtype=np.float64
-            )
-    for e, sender, strategy in block.strategy_scalar:
-        for c in range(d):
-            row = np.asarray(xp.to_numpy(block.values[e][:, c]), dtype=np.float64)
-            mask = np.asarray(xp.to_numpy(block.holder_mask[e]))
-            observed = np.sort(row[mask]).tolist()
-            reports = strategy.value_block(round_number, n, observed)
-            if reports is not None:
-                injected[e, sender, :, c] = np.asarray(reports, dtype=np.float64)
-                continue
-            for recipient in range(n):
-                value = strategy.value(round_number, recipient, observed)
-                if isinstance(value, (int, float)):
-                    injected[e, sender, recipient, c] = float(value)
-    np.copyto(injected, np.nan, where=~np.isfinite(injected))
-    return xp.asarray(injected, dtype=xp.float_dtype)
-
-
-def _vector_sync_samples(
-    block: _Block, cand: np.ndarray, injected: Optional[np.ndarray]
-) -> np.ndarray:
-    """Size-``n`` synchronous samples ``(E, n, n, d)`` with own-value substitution.
-
-    A non-finite report degrades to an omission per coordinate (the
-    recipient keeps its own value in that coordinate), matching the
-    composition, where each coordinate's execution drops the report
-    independently.
-    """
-    xp = block.xp
-    own = block.values[:, :, None, :]  # (E, recipient, 1, d)
-    holder_values = block.values[:, None, :, :]  # (E, 1, sender, d)
-    use_holder = (cand & block.holder_mask[:, None, :])[:, :, :, None]
-    sample = xp.where(use_holder, holder_values, own)
-    if injected is not None:
-        reports = xp.swapaxes(injected, 1, 2)  # (E, recipient, sender, d)
-        use = (cand & block.strategy_mask[:, None, :])[:, :, :, None] & xp.isfinite(
-            reports
-        )
-        sample = xp.where(use, reports, sample)
-    return sample
-
-
-def _vector_async_samples(
-    block: _Block,
-    cand: np.ndarray,
-    cand_count: np.ndarray,
-    injected: Optional[np.ndarray],
-    updates: np.ndarray,
-    active: np.ndarray,
-    round_number: int,
-    m: int,
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Quorum samples ``(E, n, m, d)``, liveness failures, delivery counts.
-
-    Quorum selection is value-independent, so ONE :func:`_choose_quorums`
-    call serves every coordinate.  Starvation (fewer candidates than ``m``)
-    is likewise value-independent and fails the execution at the first
-    starving recipient, identically in all coordinates.  What the shared
-    structure cannot represent is a *non-finite* Byzantine report: the
-    scalar engine refills that quorum slot per coordinate, which would let
-    quorums diverge between coordinates — those scenarios raise and route
-    to the coordinate-wise composition.
-    """
-    count, n = block.count, block.n
-    xp = block.xp
-    chosen = _choose_quorums(block, cand, cand_count, updates, active, round_number, m)
-
-    e_idx = xp.arange(count)[:, None, None]
-    sample = block.values[e_idx, chosen]  # (E, n, m, d)
-    if injected is not None:
-        q_idx = xp.arange(n)[None, :, None]
-        strategy_chosen = block.strategy_mask[e_idx, chosen]
-        if strategy_chosen.any():
-            reports = injected[e_idx, chosen, q_idx]  # (E, n, m, d)
-            sample = xp.where(strategy_chosen[:, :, :, None], reports, sample)
-
-    relevant = updates & active[:, None]
-    starving = relevant & (cand_count < m)
-    if injected is not None:
-        finite_rows = xp.isfinite(sample).all(axis=-1).all(axis=-1)  # (E, n)
-        short = relevant & ~finite_rows & ~starving
-        if bool(short.any()):
-            raise EngineCapabilityError(
-                "ndbatch",
-                "non-finite Byzantine reports in vector blocks (a dropped "
-                "report refills its quorum slot per coordinate, which the "
-                "shared-quorum tensor path cannot represent; compose "
-                "coordinate-wise via repro.sim.vector.run_vector_protocol)",
-                ("event",),
-            )
-    failed_at = xp.full(count, n, dtype=xp.int64)
-    if bool(starving.any()):
-        position = xp.where(starving, xp.arange(n)[None, :], n)
-        failed_at = position.min(axis=1)
-    failed_round = failed_at < n
-
-    quorums_filled = xp.where(
-        failed_round[:, None],
-        (xp.arange(n)[None, :] < failed_at[:, None]) & relevant,
-        relevant,
-    ).sum(axis=1)
-    round_delivered = quorums_filled * m
-    return sample, failed_round, round_delivered
-
-
-def _assemble_vector_results(
-    block: _Block,
-    history: List[np.ndarray],
-    active: np.ndarray,
-    rounds_completed: np.ndarray,
-    messages_sent: np.ndarray,
-    bits_sent: np.ndarray,
-    delivered: np.ndarray,
-    rounds_entered: np.ndarray,
-    holder_sends: np.ndarray,
-) -> List[VectorExecutionResult]:
-    count, n, d = block.count, block.n, block.dimension
-    xp = block.xp
-    if not (xp.name == "numpy" and xp.dtype_name == "float64"):
-        history = [np.asarray(xp.to_numpy(row), dtype=np.float64) for row in history]
-        block.values = np.asarray(xp.to_numpy(block.values), dtype=np.float64)
-        block.honest_mask = np.asarray(xp.to_numpy(block.honest_mask))
-        active = np.asarray(xp.to_numpy(active))
-        rounds_completed = np.asarray(xp.to_numpy(rounds_completed))
-        messages_sent = np.asarray(xp.to_numpy(messages_sent))
-        bits_sent = np.asarray(xp.to_numpy(bits_sent))
-        delivered = np.asarray(xp.to_numpy(delivered))
-        rounds_entered = np.asarray(xp.to_numpy(rounds_entered))
-        holder_sends = np.asarray(xp.to_numpy(holder_sends))
     stacked = np.stack(history)  # (rounds + 1, E, n, d)
 
-    # Per-round ℓ∞ honest diameter: the per-coordinate diameter (faulty
-    # columns masked out of max/min), maximised over coordinates.
+    # Per-round ℓ∞ honest diameter of every execution at once: the
+    # per-coordinate diameter (faulty columns masked out of max/min),
+    # maximised over coordinates.
     honest4 = block.honest_mask[None, :, :, None]
     traj_all = (
         (
@@ -1659,9 +1200,10 @@ def _assemble_vector_results(
         .T
     )  # (E, rounds + 1)
 
-    # Whole-block fast path of validate_vector_outputs for the common
-    # all-correct case; executions failing any check fall back to the shared
-    # checker so reports (violation strings included) stay identical.
+    # Whole-block fast path of the shared checkers (validate_outputs,
+    # validate_vector_outputs) for the common all-correct case; executions
+    # failing any check fall back to the checker so reports (violation
+    # strings included) stay identical.
     eps_ok_bound = block.epsilon * (1.0 + 1e-9)
     output_spread = traj_all[np.arange(count), rounds_completed]
     agreement_ok = output_spread <= eps_ok_bound
@@ -1669,57 +1211,41 @@ def _assemble_vector_results(
     for e, problem in enumerate(block.problems):
         for pid in problem.byzantine:
             byz_mask[e, pid] = True
-    validity_ref = np.where(byz_mask[:, :, None], np.nan, block.inputs_tensor)
+    validity_ref = np.where(byz_mask[:, :, None], np.nan, block.inputs)
     lo = np.nanmin(validity_ref, axis=1)  # (E, d)
     hi = np.nanmax(validity_ref, axis=1)
-    # Box validity concerns the honest outputs only; park non-honest columns
-    # on the box floor so one whole-block check covers every execution.
+    # Validity concerns the honest outputs only; park non-honest columns on
+    # the box floor so one whole-block check covers every execution.
     values_checked = np.where(block.honest_mask[:, :, None], block.values, lo[:, None, :])
     validity_ok = check_box_validity_block(values_checked, lo, hi)
     fast_ok = active & agreement_ok & validity_ok
 
-    values_list = block.values.tolist()
-    inputs_list = block.inputs_tensor.tolist()
+    # Bulk conversions to Python scalars up front: element-wise numpy reads
+    # inside the per-execution loop would dominate large blocks.
+    if vector:
+        values_rows = block.values.tolist()
+        inputs_rows = block.inputs.tolist()
+    else:
+        values_rows = block.values[:, :, 0].tolist()
+        hist_t = np.ascontiguousarray(stacked[..., 0].transpose(1, 2, 0))  # (E, n, rounds + 1)
     traj_rows = traj_all.tolist()
     spread_list = output_spread.tolist()
-    completed_list = np.asarray(rounds_completed).tolist()
-    messages_list = np.asarray(messages_sent).tolist()
-    bits_list = np.asarray(bits_sent).tolist()
-    delivered_list = np.asarray(delivered).tolist()
-    entered_list = np.asarray(rounds_entered).tolist()
-    holder_sends_rows = np.asarray(holder_sends).tolist()
+    completed_list = rounds_completed.tolist()
+    messages_list = messages_sent.tolist()
+    bits_list = bits_sent.tolist()
+    delivered_list = delivered.tolist()
+    entered_list = rounds_entered.tolist()
+    holder_sends_rows = holder_sends.tolist()
 
-    results: List[VectorExecutionResult] = []
+    results = []
     for e in range(count):
         problem = block.problems[e]
         decided = bool(active[e])
         completed = completed_list[e]
         honest = problem.honest
-        values_row = values_list[e]
+        values_row = values_rows[e]
+        length = 1 + completed  # honest processes never crash, so never truncate
 
-        outputs: Dict[int, Optional[Tuple[float, ...]]] = {
-            pid: (tuple(values_row[pid]) if decided else None) for pid in honest
-        }
-        if fast_ok[e]:
-            report = VectorValidationReport(
-                all_decided=True,
-                linf_agreement=True,
-                box_validity=True,
-                max_linf_distance=spread_list[e],
-                outputs={pid: vector for pid, vector in outputs.items()},
-            )
-        else:
-            byzantine = set(problem.byzantine)
-            reference = [
-                tuple(inputs_list[e][pid]) for pid in range(n) if pid not in byzantine
-            ]
-            report = validate_vector_outputs(
-                outputs, reference, block.epsilon, expected_pids=honest
-            )
-
-        # Per-coordinate costs are identical (shared structure), so the
-        # whole execution's costs are the shared counts times d — exactly
-        # the coordinate-wise composition's totals.
         stats = NetworkStats()
         stats.messages_sent = d * messages_list[e]
         stats.bits_sent = d * bits_list[e]
@@ -1735,17 +1261,67 @@ def _assemble_vector_results(
             if sent:
                 stats.sends_by_process[pid] = d * sent
 
+        if vector:
+            vectors: Dict[int, Optional[Tuple[float, ...]]] = {
+                pid: (tuple(values_row[pid]) if decided else None) for pid in honest
+            }
+            if fast_ok[e]:
+                vector_report = VectorValidationReport(
+                    all_decided=True,
+                    linf_agreement=True,
+                    box_validity=True,
+                    max_linf_distance=spread_list[e],
+                    outputs=dict(vectors),
+                )
+            else:
+                byzantine = set(problem.byzantine)
+                reference = [
+                    tuple(inputs_rows[e][pid]) for pid in range(n) if pid not in byzantine
+                ]
+                vector_report = validate_vector_outputs(
+                    vectors, reference, block.epsilon, expected_pids=honest
+                )
+            results.append(
+                VectorExecutionResult(
+                    protocol=block.protocol,
+                    dimension=d,
+                    report=vector_report,
+                    outputs=vectors,
+                    runtime="ndbatch",
+                    stats=stats,
+                    trajectory=tuple(traj_rows[e][:length]),
+                    rounds=completed,
+                )
+            )
+            continue
+
+        outputs: Dict[int, Optional[float]] = {
+            pid: (values_row[pid] if decided else None) for pid in honest
+        }
+        if fast_ok[e]:
+            report = ValidationReport(
+                all_decided=True,
+                epsilon_agreement=True,
+                validity=True,
+                output_spread=spread_list[e],
+                outputs=dict(outputs),
+            )
+        else:
+            report = validate_outputs(problem, outputs)
+        rows = hist_t[e].tolist()
         results.append(
-            VectorExecutionResult(
+            ExecutionResult(
                 protocol=block.protocol,
-                dimension=d,
+                runtime="ndbatch",
+                problem=problem,
                 report=report,
                 outputs=outputs,
-                coordinate_results=[],
-                runtime="ndbatch",
                 stats=stats,
-                trajectory=tuple(traj_rows[e][: 1 + completed]),
-                rounds=completed,
+                rounds_used=completed,
+                trajectory=traj_rows[e][:length],
+                value_histories={pid: rows[pid][:length] for pid in honest},
+                events_executed=0,
+                wall_time_seconds=0.0,
             )
         )
     return results

@@ -818,12 +818,14 @@ def _run_vector_cell(cell: SweepCell, engine: Optional[str] = None) -> CellOutco
     """
     cell.validate()
     chosen = cell.engine if engine is None else engine
-    if chosen == "auto":
-        chosen = _auto_engine_for(cell)
-    require_dimension(chosen, cell.dimension)
     vectors = _cell_vector_inputs(cell)
     bounds = PROTOCOL_BOUNDS[cell.protocol](cell.n, cell.t)
     policy = default_vector_round_policy(bounds, vectors, cell.epsilon)
+    if chosen == "auto":
+        # One execution: work = rounds × n × d for the block-setup cost
+        # model, the rule repro.sim.engine.run applies to scalar cells.
+        chosen = _auto_engine_for(cell, work=policy.rounds * cell.n * cell.dimension)
+    require_dimension(chosen, cell.dimension)
     bundle = build_adversary_bundle(cell)
     if chosen == "ndbatch":
         if run_vector_block is None:
@@ -1165,7 +1167,9 @@ def _ndbatch_dispatch_groups(
     cells :func:`_auto_engine_for` sends to ndbatch whose shape-compatible
     block repays the vectorised engine's per-block setup: its work — cells ×
     rounds × n × dimension — must reach :func:`ndbatch_min_work`.  Any other
-    engine covers none.  Uncovered cells run one by one on their own engine.
+    engine covers none.  Uncovered cells run one by one on their own engine
+    (an auto cell re-applies the cost model to its own work, so a ``d > 1``
+    cell of a block below the threshold runs on batch).
     Blocks are split at ``max_block_size`` and round-robin interleaved
     (:func:`_split_blocks`).  The array backend is resolved here, once, so a
     bad selection fails the sweep up front instead of failing every block.
@@ -1207,12 +1211,15 @@ def _ndbatch_dispatch_groups(
     ]
 
 
-def _auto_engine_for(cell: SweepCell) -> str:
+def _auto_engine_for(cell: SweepCell, work: Optional[int] = None) -> str:
     """Resolve one "auto" cell to the fastest capable engine.
 
     Mirrors :func:`repro.sim.engine.run`'s selection: witness cells go to the
     batch engine (event when their crash plan has mid-multicast prefixes),
     vectorisable direct-protocol cells to ndbatch, everything else to batch.
+    ``work`` feeds :func:`~repro.sim.engine.select_engine`'s block-setup
+    cost model for a cell that runs on its own; block candidates leave it
+    out, because the threshold applies to their whole block.
     """
     bundle = build_adversary_bundle(cell)
     fault_model = None
@@ -1235,6 +1242,7 @@ def _auto_engine_for(cell: SweepCell) -> str:
         vectorised=vectorises(
             cell.protocol, fault_model=fault_model, delay_model=bundle.delay_model
         ),
+        work=work,
     )
 
 

@@ -45,8 +45,10 @@ class VectorExecutionResult:
     ``"event"``, one :class:`~repro.sim.runner.ExecutionResult` per
     coordinate) and by the vectorised block engine
     (:func:`repro.sim.ndbatch.run_vector_block`, ``runtime`` ``"ndbatch"``,
-    whole-block ``stats``/``trajectory``/``rounds`` and no per-coordinate
-    results).
+    whole-block ``stats``/``trajectory``/``rounds``).  Block-engine results
+    carry empty ``coordinate_results`` at every dimension, ``d = 1``
+    included, and a failing execution's ``report`` holds the violation
+    strings of :func:`repro.core.multidim.validate_vector_outputs`.
     """
 
     protocol: str

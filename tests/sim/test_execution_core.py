@@ -74,9 +74,9 @@ class TestRetryKeepsDispatchDecisions:
         assert threshold <= 3 * min(work)
         monkeypatch.setenv(engine_module.ENV_MIN_WORK, str(threshold))
         monkeypatch.setattr(engine_module, "_min_work_memo", None)
-        # Below the threshold a d>1 cell still runs on ndbatch, but as its
-        # own one-execution block: the block sizes show which way the cost
-        # model went.
+        # Above the threshold the grid runs as one run_vector_block call;
+        # below it the cells would run one by one on batch (next test), so
+        # the block sizes show which way the cost model went.
         block_sizes = []
         run_vector_block = sweep_module.run_vector_block
 
@@ -92,6 +92,36 @@ class TestRetryKeepsDispatchDecisions:
         assert block_sizes == plain_blocks
         assert {outcome.engine_used for outcome in plain} == {"ndbatch"}
         assert [o.engine_used for o in retried] == [o.engine_used for o in plain]
+        assert retried == plain
+
+    def test_auto_cost_model_sends_small_vector_cells_to_batch(self, monkeypatch):
+        spec = SweepSpec(
+            protocols=("async-crash",),
+            system_sizes=((7, 2),),
+            workloads=("rendezvous",),
+            seeds=(0, 1),
+            dimensions=(3,),
+            engine="auto",
+        )
+        blocks = _group_ndbatch_blocks(list(spec.cells()))
+        work = [len(indices) * rounds * 7 for rounds, indices, _ in blocks]
+        # A threshold no block clears even scaled by d=3, hence no single
+        # cell either: each cell runs on its own, and the cost model must
+        # send it to batch rather than to a one-execution ndbatch block.
+        monkeypatch.setenv(engine_module.ENV_MIN_WORK, str(3 * max(work) + 1))
+        monkeypatch.setattr(engine_module, "_min_work_memo", None)
+        block_sizes = []
+        run_vector_block = sweep_module.run_vector_block
+
+        def recording(protocol, inputs_block, *args, **kwargs):
+            block_sizes.append(len(inputs_block))
+            return run_vector_block(protocol, inputs_block, *args, **kwargs)
+
+        monkeypatch.setattr(sweep_module, "run_vector_block", recording)
+        plain = run_sweep(spec, workers=1)
+        retried = run_sweep(spec, workers=1, retry=RetryPolicy())
+        assert block_sizes == []
+        assert {outcome.engine_used for outcome in plain} == {"batch"}
         assert retried == plain
 
     def test_mixed_shape_grid_is_packed_under_retry(self, monkeypatch):

@@ -3,11 +3,14 @@
 Correctness of the ``(executions, n, d)`` tensor fast path is pinned two
 ways, mirroring how the scalar engines are pinned against each other:
 
-* **d=1 is bit-identical to the scalar engines.**  A dimension-1 vector
-  block must produce exactly the scalar ndbatch results — outputs, rounds,
-  messages, bits and per-process send counts compared with ``==``, never a
-  tolerance — across seeds, block splits (chunk sizes) and backends
-  (hypothesis property below).
+* **d=1 is bit-identical to the scalar engines.**  Both block entry points
+  run one ``(executions, n, d)`` kernel, so a dimension-1 vector block must
+  produce exactly the scalar ndbatch results — outputs, rounds, message,
+  delivery and bit counts and per-process send counts compared with ``==``,
+  never a tolerance — across protocols, fault models, omission policies,
+  seeds, block splits (chunk sizes) and backends (hypothesis property
+  below).  The two scenarios only d=1 supports run there and are refused
+  at d>1.
 * **d>1 agrees exactly with the coordinate-wise composition.**  The tensor
   path shares one quorum selection per round across coordinates, the event
   composition runs ``d`` independent executions — yet integer costs must
@@ -30,6 +33,17 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core.termination import FixedRounds
+from repro.net.adversary import (
+    AntiConvergenceStrategy,
+    DelayRankOmission,
+    FixedValueStrategy,
+    PartitionDelay,
+    RandomValueStrategy,
+    RoundFaultModel,
+    StaggeredExclusionDelay,
+)
+from repro.net.network import UniformRandomDelay
+from repro.sim.engine import EngineCapabilityError
 from repro.sim.sweep import (
     CELL_COLUMNS,
     SUMMARY_COLUMNS,
@@ -55,52 +69,169 @@ finite_values = st.floats(
     min_value=-100.0, max_value=100.0, allow_nan=False, allow_infinity=False
 )
 
+#: (n, t) pairs inside each protocol's resilience bound.
+D1_SYSTEMS = {
+    "sync-crash": ((4, 1), (7, 2)),
+    "async-crash": ((4, 1), (7, 2)),
+    "sync-byzantine": ((4, 1), (7, 2)),
+    "async-byzantine": ((6, 1), (11, 2)),
+}
+FAULT_KINDS = ("none", "crash", "strategy", "silent")
+
+
+@st.composite
+def d1_faults(draw, n, t):
+    """A fault-model recipe: ``(kind, pids, per-pid parameters)``."""
+    kind = draw(st.sampled_from(FAULT_KINDS))
+    if kind == "none":
+        return kind, (), ()
+    pids = draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=t, unique=True))
+    if kind == "crash":
+        params = tuple(
+            (draw(st.integers(1, 3)), draw(st.integers(0, n))) for _ in pids
+        )
+    elif kind == "strategy":
+        params = tuple(
+            draw(st.sampled_from(["random", "anti", "fixed"])) for _ in pids
+        )
+    else:
+        params = ()
+    return kind, tuple(pids), params
+
+
+def _fault_model(recipe):
+    kind, pids, params = recipe
+    if kind == "crash":
+        return RoundFaultModel(crash_schedule=dict(zip(pids, params)))
+    if kind == "strategy":
+        make = {
+            "random": lambda pid: RandomValueStrategy(-1.0, 1.0, seed=pid),
+            "anti": lambda pid: AntiConvergenceStrategy(stretch=0.5),
+            "fixed": lambda pid: FixedValueStrategy(1e6),
+        }
+        return RoundFaultModel(
+            strategies={pid: make[name](pid) for pid, name in zip(pids, params)}
+        )
+    if kind == "silent":
+        return RoundFaultModel(silent=frozenset(pids))
+    return None
+
+
+def _omission_policy(name, n):
+    if name == "staggered":
+        return DelayRankOmission(StaggeredExclusionDelay(n, exclude=1))
+    if name == "partition":
+        return DelayRankOmission(PartitionDelay(camp_a=range(n // 2)))
+    return None  # SeededOmission(seed)
+
 
 @st.composite
 def d1_blocks(draw):
-    protocol = draw(st.sampled_from(["sync-crash", "async-crash"]))
-    n = draw(st.sampled_from([4, 7]))
+    protocol = draw(st.sampled_from(sorted(D1_SYSTEMS)))
+    n, t = draw(st.sampled_from(D1_SYSTEMS[protocol]))
     executions = draw(st.integers(min_value=1, max_value=4))
     inputs_block = [
         [draw(finite_values) for _ in range(n)] for _ in range(executions)
     ]
     seeds = [draw(st.integers(min_value=0, max_value=2**31)) for _ in range(executions)]
+    faults = [draw(d1_faults(n, t)) for _ in range(executions)]
+    policies = [
+        draw(st.sampled_from(["seeded", "staggered", "partition"]))
+        for _ in range(executions)
+    ]
     rounds = draw(st.integers(min_value=1, max_value=4))
     chunk = draw(st.sampled_from([None, 1, 2]))
-    return protocol, inputs_block, seeds, rounds, chunk
+    return protocol, t, inputs_block, seeds, faults, policies, rounds, chunk
+
+
+def _assert_d1_identical(scalar, vector):
+    """A d=1 vector result equals the scalar one bit for bit (``==``)."""
+    assert len(scalar) == len(vector)
+    for s, v in zip(scalar, vector):
+        assert v.dimension == 1
+        assert v.ok == s.ok
+        assert v.rounds_used == s.rounds_used
+        # Messages sent/delivered, bits and per-process sends, exactly.
+        assert v.stats == s.stats
+        assert v.outputs == {
+            pid: (None if output is None else (output,))
+            for pid, output in s.outputs.items()
+        }
+        assert tuple(v.trajectory) == tuple(s.trajectory)
 
 
 class TestD1BitIdentity:
+    """Both entry points run one kernel; this pins the d=1 lift and assembly."""
+
     @given(case=d1_blocks(), backend=st.sampled_from([None, "numpy"]))
-    @settings(max_examples=40, deadline=None)
+    @settings(max_examples=60, deadline=None)
     def test_d1_vector_blocks_bit_identical_to_scalar_ndbatch(self, case, backend):
-        protocol, inputs_block, seeds, rounds, chunk = case
+        protocol, t, inputs_block, seeds, faults, policies, rounds, chunk = case
         n = len(inputs_block[0])
-        t = 2 if n == 7 else 1
-        scalar = run_ndbatch_block(
-            protocol, inputs_block, t=t, epsilon=EPSILON,
-            round_policy=FixedRounds(rounds), seeds=seeds,
-            backend=backend, chunk_executions=chunk,
+
+        def run(entry, block):
+            return entry(
+                protocol, block, t=t, epsilon=EPSILON,
+                round_policy=FixedRounds(rounds), seeds=seeds,
+                fault_models=[_fault_model(recipe) for recipe in faults],
+                omission_policies=[_omission_policy(name, n) for name in policies],
+                backend=backend, chunk_executions=chunk,
+            )
+
+        scalar = run(run_ndbatch_block, inputs_block)
+        vector = run(
+            run_vector_block, [[[value] for value in inputs] for inputs in inputs_block]
         )
+        _assert_d1_identical(scalar, vector)
+
+
+# ----------------------------------------------------------------------
+# Scenarios that run at d=1 only
+# ----------------------------------------------------------------------
+
+
+def _non_finite_reports():
+    n = 11
+    model = RoundFaultModel(
+        strategies={
+            n - 1: FixedValueStrategy(float("nan")),
+            n - 2: FixedValueStrategy(float("inf")),
+        }
+    )
+    return "async-byzantine", n, 2, dict(fault_models=[model], seeds=[7])
+
+
+def _stateful_delay_model():
+    policy = DelayRankOmission(UniformRandomDelay(low=0.1, high=2.0, seed=9))
+    return "async-crash", 11, 3, dict(omission_policies=[policy])
+
+
+class TestD1OnlyScenarios:
+    """Non-finite Byzantine reports refill per coordinate and stateful
+    per-recipient omission policies cannot share quorum draws across
+    coordinates: both run at d=1 and are refused at d>1."""
+
+    SCENARIOS = [_non_finite_reports, _stateful_delay_model]
+
+    @pytest.mark.parametrize("scenario", SCENARIOS)
+    def test_d1_runs_like_the_scalar_block(self, scenario):
+        protocol, n, t, kwargs = scenario()
+        inputs = [i / (n - 1) for i in range(n)]
+        scalar = run_ndbatch_block(protocol, [inputs], t=t, epsilon=EPSILON, **kwargs)
+        protocol, n, t, kwargs = scenario()
         vector = run_vector_block(
-            protocol, [[[value] for value in inputs] for inputs in inputs_block],
-            t=t, epsilon=EPSILON,
-            round_policy=FixedRounds(rounds), seeds=seeds,
-            backend=backend, chunk_executions=chunk,
+            protocol, [[[x] for x in inputs]], t=t, epsilon=EPSILON, **kwargs
         )
-        assert len(scalar) == len(vector)
-        for s, v in zip(scalar, vector):
-            assert v.dimension == 1
-            assert v.ok == s.ok
-            assert v.rounds_used == s.rounds_used
-            assert v.stats.messages_sent == s.stats.messages_sent
-            assert v.stats.bits_sent == s.stats.bits_sent
-            assert v.stats.sends_by_process == s.stats.sends_by_process
-            assert set(v.outputs) == set(s.outputs)
-            for pid, output in s.outputs.items():
-                # Bit-identical, not approximately equal.
-                assert v.outputs[pid] == (output,)
-            assert tuple(v.trajectory) == tuple(s.trajectory)
+        _assert_d1_identical(scalar, vector)
+
+    @pytest.mark.parametrize("scenario", SCENARIOS)
+    def test_d2_is_refused_towards_the_composition(self, scenario):
+        protocol, n, t, kwargs = scenario()
+        inputs = [[i / (n - 1), 1.0 - i / (n - 1)] for i in range(n)]
+        with pytest.raises(EngineCapabilityError) as raised:
+            run_vector_block(protocol, [inputs], t=t, epsilon=EPSILON, **kwargs)
+        assert raised.value.capable == ("event",)
+        assert "event" in str(raised.value)
 
 
 # ----------------------------------------------------------------------
