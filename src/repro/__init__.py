@@ -25,6 +25,8 @@ Quickstart
 True
 """
 
+from importlib import import_module
+
 from repro.core import (
     AlgorithmBounds,
     AsyncByzantineProcess,
@@ -79,8 +81,6 @@ from repro.sim import (
     EngineCapabilityError,
     ExecutionResult,
     SweepCell,
-    SweepJob,
-    SweepJobResult,
     SweepSpec,
     SweepSummaryFold,
     VectorExecutionResult,
@@ -170,3 +170,10 @@ __all__ = [
     "validate_outputs",
     "witness_bounds",
 ]
+
+
+def __getattr__(name):
+    # The job layer loads on first use, like in repro.sim (see there).
+    if name in ("SweepJob", "SweepJobResult"):
+        return getattr(import_module("repro.sim.job"), name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

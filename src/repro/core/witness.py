@@ -49,7 +49,9 @@ every process must run the same number of iterations — which
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
+from functools import lru_cache
+from types import MappingProxyType
+from typing import Dict, FrozenSet, List, Mapping, Optional, Sequence, Tuple
 
 from repro.core.multiset import midpoint_of_reduced
 from repro.core.protocol import ProtocolConfig, ResilienceError
@@ -68,6 +70,11 @@ __all__ = [
 
 
 REPORT_KIND = "REPORT"
+
+#: Distinct ``(n, t, round_number, participants)`` keys whose iteration
+#: traffic :func:`witness_round_traffic` keeps; a sweep grid touches a few
+#: dozen, so the bound only caps pathological callers.
+ROUND_TRAFFIC_CACHE_SIZE = 1024
 
 
 class WitnessProcess(Process):
@@ -244,11 +251,13 @@ class WitnessRoundTraffic:
     counts / total wire bits; ``sends_per_participant`` is every
     participant's own point-to-point send count; ``completes`` reports
     whether the iteration reaches the update step (enough participants for
-    deliveries, reports and witnesses) or stalls forever.
+    deliveries, reports and witnesses) or stalls forever.  Both mappings are
+    read-only: :func:`witness_round_traffic` hands the same instance to every
+    caller with the same key.
     """
 
-    by_kind: Dict[str, int]
-    bits_by_kind: Dict[str, int]
+    by_kind: Mapping[str, int]
+    bits_by_kind: Mapping[str, int]
     sends_per_participant: int
     completes: bool
 
@@ -285,12 +294,26 @@ def witness_round_traffic(
     ``n − t`` delivered originators, which at round level are the ``n − t``
     smallest participant ids — instances deliver in originator order under
     any uniform schedule).
+
+    The result depends on nothing but those four values, so it is computed
+    once per distinct ``(n, t, round_number, tuple(participants))`` and
+    shared: a batch sweep re-runs the same few iterations in every cell.
+    ``witness_round_traffic.cache_clear()`` empties the cache.
     """
+    return _round_traffic(n, t, round_number, tuple(participants))
+
+
+@lru_cache(maxsize=ROUND_TRAFFIC_CACHE_SIZE)
+def _round_traffic(
+    n: int, t: int, round_number: int, participants: Tuple[int, ...]
+) -> WitnessRoundTraffic:
     count = len(participants)
     by_kind: Dict[str, int] = {}
     bits_by_kind: Dict[str, int] = {}
     if count == 0:
-        return WitnessRoundTraffic(by_kind, bits_by_kind, 0, False)
+        return WitnessRoundTraffic(
+            MappingProxyType(by_kind), MappingProxyType(bits_by_kind), 0, False
+        )
 
     init_bits = sum(
         message_bits(Message(kind="RBC_INIT", value=0.0, tag=(round_number, s)))
@@ -330,7 +353,12 @@ def witness_round_traffic(
         bits_by_kind[REPORT_KIND] = count * n * report_bits
         sends += n
 
-    return WitnessRoundTraffic(by_kind, bits_by_kind, sends, completes)
+    return WitnessRoundTraffic(
+        MappingProxyType(by_kind), MappingProxyType(bits_by_kind), sends, completes
+    )
+
+
+witness_round_traffic.cache_clear = _round_traffic.cache_clear
 
 
 def make_witness_processes(

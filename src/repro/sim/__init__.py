@@ -1,5 +1,7 @@
 """Simulation harness: runners, metrics, workloads, sweeps, experiment utilities."""
 
+from importlib import import_module
+
 from repro.sim.engine import (
     ENGINES,
     ENGINE_CAPABILITIES,
@@ -46,16 +48,6 @@ from repro.sim.experiments import (
     aggregate,
     parameter_grid,
     summarize_results,
-)
-from repro.sim.job import (
-    SweepJob,
-    SweepJobError,
-    SweepJobProgress,
-    SweepJobResult,
-    cell_id,
-    cell_shard,
-    fold_sweep_jsonl,
-    scan_sweep_store,
 )
 from repro.sim.metrics import (
     CostSummary,
@@ -171,3 +163,26 @@ __all__ = [
     "uniform_inputs",
     "worst_contraction",
 ]
+
+#: Names of :mod:`repro.sim.job`, served on first access (PEP 562) so that
+#: importing this package does not import the job module: ``python -m
+#: repro.sim.job`` would otherwise find it already in ``sys.modules``, warn,
+#: and execute it a second time as ``__main__``.
+_JOB_NAMES = frozenset(
+    {
+        "SweepJob",
+        "SweepJobError",
+        "SweepJobProgress",
+        "SweepJobResult",
+        "cell_id",
+        "cell_shard",
+        "fold_sweep_jsonl",
+        "scan_sweep_store",
+    }
+)
+
+
+def __getattr__(name):
+    if name in _JOB_NAMES:
+        return getattr(import_module("repro.sim.job"), name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

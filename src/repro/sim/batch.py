@@ -48,11 +48,14 @@ The engine therefore gives every process a sample drawn from that legal
 schedule family — full delivery under the default (uniform) schedule, or a
 shared ``n − t`` core plus per-recipient extras under an explicit omission
 policy — and charges each iteration's reliable-broadcast/report traffic in
-closed form (:func:`repro.core.witness.witness_round_traffic`), exactly
-matching the event simulator run to quiescence.  Crash faults must fall on
-iteration boundaries (``deliveries == 0``); mid-multicast prefixes have no
-witness round form and stay with the event engine
-(:class:`~repro.sim.engine.EngineCapabilityError` points there).
+closed form (:func:`repro.core.witness.witness_round_traffic`, computed once
+per distinct ``(n, t, round, participants)`` and cached), exactly matching
+the event simulator run to quiescence.  Under full delivery every process
+holds the same sample, so the round runs one update and every process
+adopts it.  Crash faults must fall on iteration boundaries
+(``deliveries == 0``); mid-multicast prefixes have no witness round form and
+stay with the event engine (:class:`~repro.sim.engine.EngineCapabilityError`
+points there).
 Differential agreement — exact rounds, message and bit counts, outputs —
 is pinned by ``tests/sim/test_witness_batch_equivalence.py``.
 
@@ -650,13 +653,15 @@ def _run_witness(
             break
 
         if not explicit_quorum_adversary:
+            # Full delivery: every recipient holds the same sample, so one
+            # update serves them all.
             shared_sample = [round_values[pid] for pid in candidates]
-            samples: Dict[int, List[float]] = {pid: shared_sample for pid in alive}
+            new_values = dict.fromkeys(alive, approximation_step(shared_sample, bounds))
         else:
             core = _witness_quorum(
                 omission_policy, round_number, n, candidates, quorum_size, trusted_policy
             )
-            samples = {}
+            new_values = {}
             for recipient in alive:
                 extra = _witness_quorum(
                     omission_policy,
@@ -667,11 +672,9 @@ def _run_witness(
                     trusted_policy,
                 )
                 chosen = sorted(set(core) | set(extra))
-                samples[recipient] = [round_values[pid] for pid in chosen]
-
-        new_values: Dict[int, float] = {}
-        for recipient in alive:
-            new_values[recipient] = approximation_step(samples[recipient], bounds)
+                new_values[recipient] = approximation_step(
+                    [round_values[pid] for pid in chosen], bounds
+                )
         values.update(new_values)
         for pid, value in new_values.items():
             histories[pid].append(value)

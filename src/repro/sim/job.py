@@ -49,6 +49,14 @@ Typical fleet use (one shard per CI matrix job)::
 
 from __future__ import annotations
 
+if __name__ == "__main__":
+    # ``python -m repro.sim.job``: run the CLI of the canonical module instead
+    # of executing this file's body a second time as ``__main__``, so the
+    # CLI shares its class objects with every other importer of the module.
+    from repro.sim.job import main
+
+    raise SystemExit(main())
+
 import hashlib
 import json
 import os
@@ -1135,7 +1143,3 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
     print(render_fold(job.fold(), SUMMARY_COLUMNS, title=f"sweep job {args.directory}"))
     return 0
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

@@ -562,6 +562,33 @@ class TestCommandLine:
         )
         assert "shard 1/3" in completed.stdout
 
+    def test_module_entry_point_starts_without_runpy_warning(self):
+        # The packages serve the job names lazily, so importing them does
+        # not import repro.sim.job and runpy finds it unimported.
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in ("src", env.get("PYTHONPATH", "")) if p
+        )
+        for command in (
+            ["-m", "repro.sim.job", "--help"],
+            ["-c", "import sys, repro; assert 'repro.sim.job' not in sys.modules"],
+        ):
+            completed = subprocess.run(
+                [sys.executable, "-W", "error::RuntimeWarning", *command],
+                capture_output=True, text=True, env=env,
+            )
+            assert completed.returncode == 0, completed.stderr
+
+        import repro
+        import repro.sim
+        import repro.sim.job
+
+        assert repro.SweepJob is repro.sim.job.SweepJob
+        assert repro.SweepJobResult is repro.sim.job.SweepJobResult
+        assert repro.sim.cell_id is repro.sim.job.cell_id
+        with pytest.raises(AttributeError, match="no_such_name"):
+            repro.sim.no_such_name
+
 
 class TestCompaction:
     def test_compact_rewrites_shards_into_grid_order(self, tmp_path):

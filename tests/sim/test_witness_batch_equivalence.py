@@ -70,14 +70,15 @@ def _scenarios():
     between two simulator runs.
     """
     cells = []
-    for n, t, workload in [
-        (4, 1, uniform_inputs(4, 0.0, 2.0, seed=4)),
-        (5, 1, linear_inputs(5, 0.0, 1.0)),
-        (7, 2, two_cluster_inputs(7, 0.0, 1.0, jitter=0.1, seed=7)),
-        (10, 3, uniform_inputs(10, -1.0, 1.0, seed=10)),
+    for n, t, workload, rounds in [
+        (4, 1, uniform_inputs(4, 0.0, 2.0, seed=4), 4),
+        (5, 1, linear_inputs(5, 0.0, 1.0), 4),
+        (7, 2, two_cluster_inputs(7, 0.0, 1.0, jitter=0.1, seed=7), 4),
+        (10, 3, uniform_inputs(10, -1.0, 1.0, seed=10), 4),
+        # The largest witness size of the sweep benchmark; 9 rounds cross
+        # the round-8 step in the width of the (round, originator) tags.
+        (16, 5, uniform_inputs(16, 0.0, 1.0, seed=16), 9),
     ]:
-        rounds = 4
-
         def dead(n=n, t=t):
             return CrashFaultPlan(
                 {n - 1 - i: CrashPoint(after_sends=0) for i in range(t)}
