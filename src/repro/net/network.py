@@ -37,9 +37,10 @@ attributed to the true sender by the substrate itself.
 from __future__ import annotations
 
 import abc
+import math
 import random
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence
 
 from repro.net.interfaces import Process, ProcessContext
 from repro.net.message import Message, message_bits
@@ -68,8 +69,9 @@ class DelayModel(abc.ABC):
 
     The asynchronous model only requires that honest messages are *eventually*
     delivered; any finite positive delay is legal.  Delay models therefore
-    return strictly positive floats and may use any information they like
-    (sender, recipient, message contents, current time) to emulate an adaptive
+    return finite, strictly positive floats (the network raises ``ValueError``
+    on anything else) and may use any information they like (sender,
+    recipient, message contents, current time) to emulate an adaptive
     message-scheduling adversary.
     """
 
@@ -93,7 +95,7 @@ class DelayModel(abc.ABC):
 
     @abc.abstractmethod
     def delay(self, sender: int, recipient: int, message: Message, now: float) -> float:
-        """Return the delivery delay for this message (must be > 0)."""
+        """Return the delivery delay for this message (finite and > 0)."""
 
     def tensor_key(self) -> Optional[tuple]:
         """Hashable fault-program identity of this model, or ``None``.
@@ -294,11 +296,16 @@ class NetworkStats:
     messages_by_kind: Dict[str, int] = field(default_factory=dict)
     sends_by_process: Dict[int, int] = field(default_factory=dict)
 
-    def record_send(self, sender: int, message: Message) -> None:
-        self.messages_sent += 1
-        self.bits_sent += message_bits(message)
-        self.messages_by_kind[message.kind] = self.messages_by_kind.get(message.kind, 0) + 1
-        self.sends_by_process[sender] = self.sends_by_process.get(sender, 0) + 1
+    def record_send(self, sender: int, message: Message, count: int = 1) -> None:
+        """Count ``count`` point-to-point sends of ``message`` by ``sender``.
+
+        A multicast is recorded with one call, so :func:`message_bits` runs
+        once per message and not once per recipient.
+        """
+        self.messages_sent += count
+        self.bits_sent += count * message_bits(message)
+        self.messages_by_kind[message.kind] = self.messages_by_kind.get(message.kind, 0) + count
+        self.sends_by_process[sender] = self.sends_by_process.get(sender, 0) + count
 
     def record_delivery(self) -> None:
         self.messages_delivered += 1
@@ -391,6 +398,12 @@ class SimulatedNetwork:
         self._started = [False] * self.n
         self._sends_by_process = [0] * self.n
         self._delivery_observers: List[Callable[[DeliveryRecord], None]] = []
+        # Honest processes without an output: all_honest_output() is O(1).
+        self._awaiting_output = sum(
+            1
+            for pid, process in enumerate(self.processes)
+            if pid not in self._faulty and not process.has_output
+        )
 
     # ------------------------------------------------------------------
     # Public interface
@@ -426,7 +439,7 @@ class SimulatedNetwork:
         rng = random.Random(seed)
         for pid in range(self.n):
             delay = rng.uniform(0.0, start_jitter) if start_jitter > 0 else 0.0
-            self.scheduler.schedule_at(delay, self._make_starter(pid), label=f"start:{pid}")
+            self.scheduler.schedule_at(delay, self._make_starter(pid))
 
     def run(
         self,
@@ -451,9 +464,7 @@ class SimulatedNetwork:
 
     def all_honest_output(self) -> bool:
         """Whether every honest process has recorded an output."""
-        return all(
-            self.processes[pid].has_output for pid in range(self.n) if pid not in self._faulty
-        )
+        return self._awaiting_output == 0
 
     def honest_outputs(self) -> List[Any]:
         """Outputs of the honest processes, in process-id order."""
@@ -499,51 +510,64 @@ class SimulatedNetwork:
     def _send(self, sender: int, recipient: int, message: Message) -> None:
         if not 0 <= recipient < self.n:
             raise ValueError(f"invalid recipient {recipient}")
-        if self._crashed[sender]:
-            return
-        if self.fault_plan.crashes_before_send(
-            sender, self._sends_by_process[sender], self.scheduler.now
-        ):
-            self.crash(sender)
-            return
-        self._sends_by_process[sender] += 1
-        self.stats.record_send(sender, message)
-        delay = self.delay_model.delay(sender, recipient, message, self.scheduler.now)
-        if delay <= 0:
-            raise ValueError("delay models must return strictly positive delays")
-        self.scheduler.schedule(
-            delay,
-            self._make_delivery(sender, recipient, message),
-            label=f"{message.kind}:{sender}->{recipient}",
-        )
+        self._send_to(sender, (recipient,), message)
 
     def _multicast(self, sender: int, message: Message) -> None:
-        # A multicast is n point-to-point sends in increasing recipient order;
-        # a crash fault plan may stop the sender part-way through, so that
-        # only a prefix of the recipients ever receives the message.
-        for recipient in range(self.n):
-            if self._crashed[sender]:
+        # A multicast is n point-to-point sends in increasing recipient order.
+        self._send_to(sender, range(self.n), message)
+
+    def _send_to(self, sender: int, recipients: Iterable[int], message: Message) -> None:
+        """Send ``message`` to each of ``recipients`` in order.
+
+        Every send asks the fault plan first, so a crash fault plan may stop
+        the sender part-way through and only a prefix of the recipients ever
+        receives the message.  The sends are counted afterwards with one
+        :meth:`NetworkStats.record_send`.
+        """
+        if self._crashed[sender]:
+            return
+        now = self.scheduler.now
+        first = sent = self._sends_by_process[sender]
+        crashes_before_send = self.fault_plan.crashes_before_send
+        delay_of = self.delay_model.delay
+        schedule_at = self.scheduler.schedule_at
+        make_delivery = self._make_delivery
+        for recipient in recipients:
+            if crashes_before_send(sender, sent, now):
+                self.crash(sender)
                 break
-            self._send(sender, recipient, message)
+            delay = delay_of(sender, recipient, message, now)
+            if not 0 < delay < math.inf:
+                raise ValueError("delay models must return finite, strictly positive delays")
+            schedule_at(now + delay, make_delivery(sender, recipient, message))
+            sent += 1
+        if sent > first:
+            self._sends_by_process[sender] = sent
+            self.stats.record_send(sender, message, sent - first)
 
     def _make_delivery(self, sender: int, recipient: int, message: Message) -> Callable[[], None]:
         def deliver() -> None:
             if self._halted[recipient] or self._crashed[recipient]:
                 return
             self.stats.record_delivery()
-            record = DeliveryRecord(
-                time=self.scheduler.now, sender=sender, recipient=recipient, message=message
-            )
-            if self._keep_trace:
-                self.trace.append(record)
-            for observer in self._delivery_observers:
-                observer(record)
+            if self._keep_trace or self._delivery_observers:
+                record = DeliveryRecord(
+                    time=self.scheduler.now, sender=sender, recipient=recipient, message=message
+                )
+                if self._keep_trace:
+                    self.trace.append(record)
+                for observer in self._delivery_observers:
+                    observer(record)
             self.processes[recipient].on_message(self._contexts[recipient], sender, message)
 
         return deliver
 
     def _record_output(self, pid: int, value: Any) -> None:
-        self.processes[pid].record_output(value)
+        process = self.processes[pid]
+        had_output = process.has_output
+        process.record_output(value)
+        if not had_output and process.has_output and pid not in self._faulty:
+            self._awaiting_output -= 1
 
     def _halt(self, pid: int) -> None:
         self._halted[pid] = True

@@ -19,8 +19,9 @@ from __future__ import annotations
 
 import heapq
 import itertools
-from dataclasses import dataclass, field
-from typing import Callable, List, Optional
+import math
+from dataclasses import dataclass
+from typing import Callable, List, Optional, Tuple
 
 __all__ = ["Event", "EventScheduler", "SchedulerError"]
 
@@ -29,19 +30,19 @@ class SchedulerError(RuntimeError):
     """Raised on scheduler misuse (e.g. scheduling an event in the past)."""
 
 
-@dataclass(order=True)
+@dataclass(eq=False, slots=True)
 class Event:
-    """A single scheduled event.
+    """A single scheduled event: its timestamp, sequence number and action.
 
-    Events compare by ``(time, sequence)`` so that the event queue is a stable
-    priority queue: events scheduled earlier at the same timestamp run first.
+    Events are never compared.  The queue holds ``(time, sequence, event)``
+    tuples, so the heap orders them by ``(time, sequence)``: events
+    scheduled earlier at the same timestamp run first.
     """
 
     time: float
     sequence: int
-    action: Callable[[], None] = field(compare=False)
-    cancelled: bool = field(default=False, compare=False)
-    label: str = field(default="", compare=False)
+    action: Callable[[], None]
+    cancelled: bool = False
 
     def cancel(self) -> None:
         """Mark the event as cancelled; it will be skipped when popped."""
@@ -50,6 +51,10 @@ class Event:
 
 class EventScheduler:
     """A deterministic event queue with simulated time.
+
+    The queue is a binary heap of ``(time, sequence, event)`` tuples.  The
+    sequence numbers are unique, so ``heapq`` orders entries by comparing a
+    float and an int and never reaches the event itself.
 
     Examples
     --------
@@ -64,7 +69,7 @@ class EventScheduler:
     """
 
     def __init__(self) -> None:
-        self._queue: List[Event] = []
+        self._queue: List[Tuple[float, int, Event]] = []
         self._sequence = itertools.count()
         self._now = 0.0
         self._executed = 0
@@ -95,20 +100,33 @@ class EventScheduler:
     # Scheduling
     # ------------------------------------------------------------------
 
-    def schedule(self, delay: float, action: Callable[[], None], label: str = "") -> Event:
-        """Schedule ``action`` to run ``delay`` time units from now."""
-        if delay < 0:
-            raise SchedulerError(f"cannot schedule an event {delay} time units in the past")
-        return self.schedule_at(self._now + delay, action, label=label)
+    def schedule(self, delay: float, action: Callable[[], None]) -> Event:
+        """Schedule ``action`` to run ``delay`` time units from now.
 
-    def schedule_at(self, time: float, action: Callable[[], None], label: str = "") -> Event:
-        """Schedule ``action`` to run at absolute simulated time ``time``."""
-        if time < self._now:
+        ``delay`` must be finite and non-negative: a NaN would compare false
+        against every timestamp and break the heap order, and an infinite
+        delay would mean the event never runs.
+        """
+        if not 0 <= delay < math.inf:
             raise SchedulerError(
-                f"cannot schedule an event at time {time}; current time is {self._now}"
+                f"cannot schedule an event {delay} time units from now; "
+                "delays must be finite and non-negative"
             )
-        event = Event(time=time, sequence=next(self._sequence), action=action, label=label)
-        heapq.heappush(self._queue, event)
+        return self.schedule_at(self._now + delay, action)
+
+    def schedule_at(self, time: float, action: Callable[[], None]) -> Event:
+        """Schedule ``action`` to run at absolute simulated time ``time``.
+
+        ``time`` must be finite and not earlier than :attr:`now`.
+        """
+        if not self._now <= time < math.inf:
+            raise SchedulerError(
+                f"cannot schedule an event at time {time}; current time is {self._now} "
+                "and times must be finite"
+            )
+        sequence = next(self._sequence)
+        event = Event(time, sequence, action)
+        heapq.heappush(self._queue, (time, sequence, event))
         return event
 
     # ------------------------------------------------------------------
@@ -117,11 +135,12 @@ class EventScheduler:
 
     def step(self) -> bool:
         """Execute the next non-cancelled event.  Returns ``False`` if idle."""
-        while self._queue:
-            event = heapq.heappop(self._queue)
+        queue = self._queue
+        while queue:
+            time, _, event = heapq.heappop(queue)
             if event.cancelled:
                 continue
-            self._now = event.time
+            self._now = time
             self._executed += 1
             event.action()
             return True
@@ -157,8 +176,8 @@ class EventScheduler:
             if max_events is not None and self._executed - executed_before >= max_events:
                 break
             if until_time is not None:
-                next_event = self._peek()
-                if next_event is None or next_event.time > until_time:
+                next_time = self._peek_time()
+                if next_time is None or next_time > until_time:
                     break
             if not self.step():
                 break
@@ -166,8 +185,9 @@ class EventScheduler:
                 break
         return self._executed - executed_before
 
-    def _peek(self) -> Optional[Event]:
-        """Return the next non-cancelled event without executing it."""
-        while self._queue and self._queue[0].cancelled:
-            heapq.heappop(self._queue)
-        return self._queue[0] if self._queue else None
+    def _peek_time(self) -> Optional[float]:
+        """Timestamp of the next non-cancelled event, or ``None`` if idle."""
+        queue = self._queue
+        while queue and queue[0][2].cancelled:
+            heapq.heappop(queue)
+        return queue[0][0] if queue else None

@@ -2,17 +2,28 @@
 
 from __future__ import annotations
 
+import math
+
 import pytest
 
-from repro.net.adversary import CrashFaultPlan, CrashPoint
+from repro.core.termination import FixedRounds
+from repro.net.adversary import (
+    ByzantineFaultPlan,
+    ComposedFaultPlan,
+    CrashFaultPlan,
+    CrashPoint,
+    EquivocatingStrategy,
+    RoundEchoByzantine,
+)
 from repro.net.interfaces import Process, ProcessContext
-from repro.net.message import Message
+from repro.net.message import Message, message_bits
 from repro.net.network import (
     ConstantDelay,
     ExponentialRandomDelay,
     SimulatedNetwork,
     UniformRandomDelay,
 )
+from repro.sim.runner import PROTOCOL_FACTORIES
 
 
 class EchoProcess(Process):
@@ -153,6 +164,21 @@ class TestDelayModels:
         with pytest.raises(ValueError):
             network.run()
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_network_rejects_non_finite_delays(self, bad):
+        # One sender's messages get a non-finite delay: NaN would break the
+        # event order, and an infinite delay would never deliver.
+        class OneBadSender(ConstantDelay):
+            def delay(self, sender, recipient, message, now):
+                return bad if sender == 1 else 1.0
+
+        processes = [EchoProcess() for _ in range(3)]
+        network = SimulatedNetwork(processes, delay_model=OneBadSender(), keep_trace=True)
+        network.start()
+        with pytest.raises(ValueError):
+            network.run()
+        assert all(math.isfinite(record.time) for record in network.trace)
+
 
 class TestCrashFaults:
     def test_initially_dead_process_sends_nothing(self):
@@ -174,6 +200,12 @@ class TestCrashFaults:
         assert any(s == 0 for s, _ in processes[1].received)
         assert all(s != 0 for s, _ in processes[2].received)
         assert all(s != 0 for s, _ in processes[3].received)
+        # Only the two sends that happened are counted, each at full size.
+        stats = network.stats
+        assert stats.messages_sent == 2
+        assert stats.bits_sent == 2 * message_bits(Message(kind="HELLO", value=5.0))
+        assert stats.messages_by_kind == {"HELLO": 2}
+        assert stats.sends_by_process == {0: 2}
 
     def test_crashed_process_receives_nothing(self):
         plan = CrashFaultPlan({2: CrashPoint(after_sends=0)})
@@ -201,6 +233,76 @@ class TestCrashFaults:
         # The three honest processes each received only 3 greetings, so they
         # never reached their output condition of n=4 messages.
         assert not network.all_honest_output()
+
+    @pytest.mark.parametrize(
+        "protocol, n, t, fault_plan, round_policy",
+        [
+            ("async-crash", 7, 3, CrashFaultPlan({6: CrashPoint(9), 5: CrashPoint(0)}), None),
+            (
+                "async-byzantine",
+                6,
+                1,
+                ByzantineFaultPlan({2: RoundEchoByzantine(EquivocatingStrategy(-5.0, 5.0))}),
+                None,
+            ),
+            (
+                "witness",
+                7,
+                2,
+                ComposedFaultPlan(
+                    [
+                        CrashFaultPlan({6: CrashPoint(10)}),
+                        ByzantineFaultPlan(
+                            {
+                                0: RoundEchoByzantine(
+                                    EquivocatingStrategy(-1.0, 2.0), value_kinds=("RBC_INIT",)
+                                )
+                            }
+                        ),
+                    ]
+                ),
+                None,
+            ),
+            ("async-crash", 5, 2, CrashFaultPlan({4: CrashPoint(2)}), FixedRounds(0)),
+            ("witness", 4, 1, None, FixedRounds(0)),
+        ],
+    )
+    def test_all_honest_output_matches_a_scan_after_every_event(
+        self, protocol, n, t, fault_plan, round_policy
+    ):
+        inputs = [i / (n - 1) for i in range(n)]
+        processes = PROTOCOL_FACTORIES[protocol](inputs, t, 1e-2, round_policy=round_policy)
+        network = SimulatedNetwork(
+            processes, delay_model=UniformRandomDelay(seed=n), fault_plan=fault_plan
+        )
+
+        def scanned():
+            return all(network.processes[pid].has_output for pid in network.honest)
+
+        assert network.all_honest_output() == scanned()
+        network.start(start_jitter=1.0, seed=t)
+        steps = 0
+        while network.scheduler.step():
+            steps += 1
+            assert network.all_honest_output() == scanned(), f"after event {steps}"
+        assert network.all_honest_output()
+
+    def test_all_honest_output_counts_each_process_once(self):
+        # An output recorded before the network exists, and repeated
+        # outputs, must not move the count of undecided honest processes.
+        class OutputOnEveryMessage(EchoProcess):
+            def on_message(self, ctx, sender, message):
+                self.received.append((sender, message.value))
+                ctx.output(len(self.received))
+
+        processes = [OutputOnEveryMessage() for _ in range(3)]
+        processes[0].record_output(0)
+        network = SimulatedNetwork(processes)
+        assert not network.all_honest_output()
+        network.start()
+        while network.scheduler.step():
+            assert network.all_honest_output() == all(p.has_output for p in processes)
+        assert network.all_honest_output()
 
 
 class TestHalting:

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import pytest
 
 from repro.net.scheduler import EventScheduler, SchedulerError
@@ -57,6 +59,40 @@ class TestScheduling:
         scheduler.run()
         with pytest.raises(SchedulerError):
             scheduler.schedule_at(1.0, lambda: None)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_delay_rejected(self, bad):
+        scheduler = EventScheduler()
+        with pytest.raises(SchedulerError):
+            scheduler.schedule(bad, lambda: None)
+        assert scheduler.pending == 0
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_time_rejected(self, bad):
+        scheduler = EventScheduler()
+        with pytest.raises(SchedulerError):
+            scheduler.schedule_at(bad, lambda: None)
+        assert scheduler.pending == 0
+
+    def test_time_never_goes_backwards(self):
+        # A NaN among the delays used to reorder the heap: events ran at
+        # 1.0, 0.5, 2.0, nan, 3.0.  The NaN is now refused and the rest run
+        # in time order.
+        scheduler = EventScheduler()
+        times = []
+        for delay in (3.0, math.nan, 1.0, 2.0, 0.5):
+            try:
+                scheduler.schedule(delay, lambda: times.append(scheduler.now))
+            except SchedulerError:
+                pass
+        scheduler.run()
+        assert times == [0.5, 1.0, 2.0, 3.0]
+
+    def test_schedule_returns_the_queued_event(self):
+        scheduler = EventScheduler()
+        scheduler.schedule(1.0, lambda: None)
+        event = scheduler.schedule(0.5, lambda: None)
+        assert (event.time, event.sequence, event.cancelled) == (0.5, 1, False)
 
 
 class TestExecutionControls:

@@ -16,7 +16,7 @@ from repro.sim import NDBATCH_PROTOCOLS, run_ndbatch_protocol
 from repro.sim.batch import BATCH_PROTOCOLS, run_batch_protocol
 from repro.sim.engine import numpy_available
 from repro.sim.runner import PROTOCOL_FACTORIES, SYNCHRONOUS_PROTOCOLS, run_protocol
-from repro.sim.sweep import SweepSpec, run_sweep
+from repro.sim.sweep import ADVERSARY_SPECS, SweepSpec, run_sweep
 from repro.sim.workloads import uniform_inputs
 
 SEED = 1234
@@ -37,22 +37,120 @@ def metrics_of(result):
     )
 
 
+def schedule_of(result):
+    """The event-engine measurements that move whenever the schedule moves."""
+    stats = result.stats
+    return dict(
+        events_executed=result.events_executed,
+        messages_sent=stats.messages_sent,
+        messages_delivered=stats.messages_delivered,
+        bits_sent=stats.bits_sent,
+        messages_by_kind=stats.messages_by_kind,
+        sends_by_process=stats.sends_by_process,
+        rounds_used=result.rounds_used,
+        outputs=result.outputs,
+    )
+
+
 class TestEventEngineDeterminism:
-    @pytest.mark.parametrize("protocol", sorted(PROTOCOL_FACTORIES))
-    def test_repeated_runs_are_identical(self, protocol):
+    #: Recorded literals for :meth:`execute`.  Comparing two runs of the same
+    #: code cannot catch a change to the simulator that moves the schedule
+    #: (event order, crash prefixes, counters); these numbers do.
+    RECORDED = {
+        "async-byzantine": dict(
+            events_executed=1215,
+            messages_sent=1210,
+            messages_delivered=1188,
+            bits_sent=90992,
+            messages_by_kind={"VALUE": 1210},
+            sends_by_process=dict.fromkeys(range(11), 110),
+            rounds_used=10,
+            outputs=dict.fromkeys(range(11), 0.49955122436028054),
+        ),
+        "async-crash": dict(
+            events_executed=340,
+            messages_sent=343,
+            messages_delivered=329,
+            bits_sent=25676,
+            messages_by_kind={"VALUE": 343},
+            sends_by_process=dict.fromkeys(range(7), 49),
+            rounds_used=7,
+            outputs=dict.fromkeys(range(7), 0.6003313960468236),
+        ),
+        "sync-byzantine": dict(
+            events_executed=497,
+            messages_sent=490,
+            messages_delivered=490,
+            bits_sent=36848,
+            messages_by_kind={"VALUE": 490},
+            sends_by_process=dict.fromkeys(range(7), 70),
+            rounds_used=10,
+            outputs=dict.fromkeys(range(7), 0.7466017677540366),
+        ),
+        "sync-crash": dict(
+            events_executed=252,
+            messages_sent=245,
+            messages_delivered=245,
+            bits_sent=18277,
+            messages_by_kind={"VALUE": 245},
+            sends_by_process=dict.fromkeys(range(7), 35),
+            rounds_used=5,
+            outputs=dict.fromkeys(range(7), 0.6167871353146999),
+        ),
+        "witness": dict(
+            events_executed=7839,
+            messages_sent=7840,
+            messages_delivered=7832,
+            bits_sent=628656,
+            messages_by_kind={
+                "RBC_INIT": 490, "RBC_ECHO": 3430, "RBC_READY": 3430, "REPORT": 490,
+            },
+            sends_by_process=dict.fromkeys(range(7), 1120),
+            rounds_used=10,
+            outputs=dict.fromkeys(range(7), 0.7466017677540366),
+        ),
+    }
+
+    @staticmethod
+    def execute(protocol):
         n, t = (11, 2) if protocol == "async-byzantine" else (7, 2)
         inputs = uniform_inputs(n, seed=SEED)
+        delays = None
+        if protocol not in SYNCHRONOUS_PROTOCOLS:
+            delays = UniformRandomDelay(low=0.2, high=1.8, seed=SEED)
+        return run_protocol(
+            protocol, inputs, t=t, epsilon=1e-3,
+            delay_model=delays, start_jitter=0.5,
+        )
 
-        def execute():
-            delays = None
-            if protocol not in SYNCHRONOUS_PROTOCOLS:
-                delays = UniformRandomDelay(low=0.2, high=1.8, seed=SEED)
-            return run_protocol(
-                protocol, inputs, t=t, epsilon=1e-3,
-                delay_model=delays, start_jitter=0.5,
-            )
+    @pytest.mark.parametrize("protocol", sorted(PROTOCOL_FACTORIES))
+    def test_repeated_runs_are_identical(self, protocol):
+        assert metrics_of(self.execute(protocol)) == metrics_of(self.execute(protocol))
 
-        assert metrics_of(execute()) == metrics_of(execute())
+    @pytest.mark.parametrize("protocol", sorted(PROTOCOL_FACTORIES))
+    def test_schedule_matches_recorded_values(self, protocol):
+        assert schedule_of(self.execute(protocol)) == self.RECORDED[protocol]
+
+    def test_mid_multicast_crash_schedule_matches_recorded_values(self):
+        # crash-staggered at seed 1 crashes process 6 after 1 send and
+        # process 5 after 11: both part-way through a 7-recipient multicast.
+        bundle = ADVERSARY_SPECS["crash-staggered"]("witness", 7, 2, 1)
+        result = run_protocol(
+            "witness", uniform_inputs(7, seed=SEED), t=2, epsilon=1e-3,
+            fault_plan=bundle.fault_plan,
+        )
+        assert schedule_of(result) == dict(
+            events_executed=4294,
+            messages_sent=4289,
+            messages_delivered=3066,
+            bits_sent=338005,
+            messages_by_kind={
+                "RBC_INIT": 358, "RBC_ECHO": 1796, "RBC_READY": 1785, "REPORT": 350,
+            },
+            sends_by_process={0: 861, 1: 854, 2: 854, 3: 854, 4: 854, 5: 11, 6: 1},
+            rounds_used=10,
+            outputs=dict.fromkeys(range(5), 0.7466017677540366),
+        )
 
 
 class TestBatchEngineDeterminism:
