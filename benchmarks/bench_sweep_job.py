@@ -8,8 +8,8 @@ benchmark measures what that durability costs and what resume saves:
 
 * **Job overhead** — a fresh `SweepJob.run()` versus a raw
   ``run_sweep(jsonl_path=...)`` over the same grid (the job adds manifest
-  I/O, per-cell SHA-256 IDs and a per-line flush; the fraction must stay
-  small against the simulation work).
+  I/O, a scan of the existing stores for completed cells and a per-line
+  flush; the fraction must stay small against the simulation work).
 * **Resume speedup** — the store is truncated to its first half plus a
   partial trailing line (the normal end state of a kill), then resumed;
   re-executing only the missing half must be close to twice as fast as

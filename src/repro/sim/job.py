@@ -13,9 +13,14 @@ This module wraps the same execution core in a production *job* abstraction:
   it is.  A spec mismatch fails loudly (:class:`SweepJobError`).
 * **Content-addressed cells** — every cell has a stable ID,
   :func:`cell_id`: a SHA-256 digest of its canonical JSON form
-  ``(protocol, n, t, epsilon, adversary, workload, seed, engine)``.  IDs are
-  identical across processes, hosts and ``PYTHONHASHSEED`` values, which is
-  what makes resume and sharding coordination-free.
+  ``(protocol, n, t, epsilon, adversary, workload, seed, engine)``, plus
+  ``dimension`` when it is not 1 and ``adversary_params`` when it is not
+  empty.  IDs are identical across processes, hosts and ``PYTHONHASHSEED``
+  values, which is what makes resume and sharding coordination-free.  They
+  are computed only where a cell crosses a file or host boundary: shard
+  slices, quarantine records and chaos rules.  Within one process the
+  stores are deduplicated and checked for completed cells by the cell's
+  value (:class:`CellSet`), which needs no digest.
 * **Resume** — ``job.run(resume=True)`` scans the existing store
   (:func:`scan_sweep_store`), *repairs* a truncated trailing line — the
   normal end state of a killed run — by truncating the store back to its
@@ -94,6 +99,7 @@ from repro.sim.sweep import (
     _iter_indexed_outcomes,
     _outcome_from_payload,
     _outcome_to_json_line,
+    _summary_key,
     iter_sweep_jsonl,
 )
 
@@ -105,6 +111,7 @@ __all__ = [
     "SweepJobProgress",
     "CompactionResult",
     "StoreScan",
+    "CellSet",
     "cell_id",
     "cell_shard",
     "scan_sweep_store",
@@ -196,6 +203,62 @@ def _normalize_manifest(manifest: Dict) -> Dict:
     return manifest
 
 
+class CellSet:
+    """A set of sweep cells keyed by value, smaller than a set of their IDs.
+
+    Membership is cell equality.  On every cell a grid or a store produces,
+    two cells are equal exactly when their :func:`cell_id` values are
+    (``tests/property/test_cell_ids.py`` pins it), so in-process dedup and
+    completion checks need no SHA-256 digest.  Equality is numeric, so an
+    ``epsilon`` of ``1`` and one of ``1.0`` name the same cell here although
+    their IDs differ.
+
+    Each distinct seed-less key (the fields a summary row folds over) gets a
+    small group number, and a cell is kept as the one integer
+    ``seed << 32 | group`` (seeds are integers, as :class:`SweepCell`
+    declares).  A set of those integers grows exactly like a set of
+    16-character ID strings but holds smaller elements, so it costs less per
+    cell at every size; a set of :class:`SweepCell` objects would cost
+    several times more, which matters for million-cell stores.
+    """
+
+    __slots__ = ("_groups", "_members")
+
+    def __init__(self, cells: Iterable[SweepCell] = ()) -> None:
+        self._groups: Dict[Tuple, int] = {}
+        self._members: Set[int] = set()
+        for cell in cells:
+            self.add(cell)
+
+    def add(self, cell: SweepCell) -> bool:
+        """Add ``cell``; return whether it was not in the set before."""
+        group = self._groups.setdefault(_summary_key(cell), len(self._groups))
+        member = cell.seed << 32 | group
+        if member in self._members:
+            return False
+        self._members.add(member)
+        return True
+
+    def update(self, other: "CellSet") -> None:
+        """Add every cell of ``other``."""
+        renumber = {
+            number: self._groups.setdefault(key, len(self._groups))
+            for key, number in other._groups.items()
+        }
+        if all(number == new for number, new in renumber.items()):
+            self._members |= other._members
+            return
+        for member in other._members:
+            self._members.add(member >> 32 << 32 | renumber[member & 0xFFFFFFFF])
+
+    def __contains__(self, cell: SweepCell) -> bool:
+        group = self._groups.get(_summary_key(cell))
+        return group is not None and (cell.seed << 32 | group) in self._members
+
+    def __len__(self) -> int:
+        return len(self._members)
+
+
 class StoreScan(NamedTuple):
     """Result of scanning one JSONL store for completed work.
 
@@ -204,31 +267,31 @@ class StoreScan(NamedTuple):
     or garbage) is unusable and safe to truncate away before appending.
     """
 
-    completed_ids: Set[str]
+    completed: CellSet
     valid_bytes: int
     valid_lines: int
     corrupt: bool
 
 
-def scan_sweep_store(path: str) -> StoreScan:
+def scan_sweep_store(
+    path: str, on_outcome: Optional[Callable[[CellOutcome], None]] = None
+) -> StoreScan:
     """Scan a sweep JSONL store, tolerating a truncated or corrupt tail.
 
     Reads line by line in binary mode (byte offsets must be exact for the
-    repair truncation), collecting the :func:`cell_id` of every complete,
-    decodable outcome line.  The scan stops trusting the file at the first
-    line that is incomplete (no trailing newline — the normal end state of
-    a killed run) or undecodable; ``corrupt`` reports whether such a tail
-    exists beyond ``valid_bytes``.
+    repair truncation), collecting the cell of every complete, decodable
+    outcome line and passing its outcome to ``on_outcome``, so one pass
+    both checks a store and reads it.  The scan stops trusting the file at
+    the first line that is incomplete (no trailing newline — the normal end
+    state of a killed run) or undecodable; ``corrupt`` reports whether such
+    a tail exists beyond ``valid_bytes``.
     """
-    completed: Set[str] = set()
+    completed = CellSet()
     valid_bytes = 0
     valid_lines = 0
     corrupt = False
     with open(path, "rb") as handle:
-        while True:
-            line = handle.readline()
-            if not line:
-                break
+        for line in handle:
             if not line.endswith(b"\n"):
                 corrupt = True  # partial trailing line: write was interrupted
                 break
@@ -242,10 +305,23 @@ def scan_sweep_store(path: str) -> StoreScan:
                     # truncation re-executes everything past this point.
                     corrupt = True
                     break
-                completed.add(cell_id(outcome.cell))
+                completed.add(outcome.cell)
                 valid_lines += 1
-            valid_bytes = handle.tell()
+                if on_outcome is not None:
+                    on_outcome(outcome)
+            valid_bytes += len(line)
     return StoreScan(completed, valid_bytes, valid_lines, corrupt)
+
+
+def _first_outcomes(paths: Iterable, seen: CellSet) -> Iterator[CellOutcome]:
+    """Each cell's outcome from the first of ``paths`` that stores it.
+
+    ``seen`` collects the cells streamed so far.
+    """
+    for path in paths:
+        for outcome in iter_sweep_jsonl(str(path)):
+            if seen.add(outcome.cell):
+                yield outcome
 
 
 def fold_sweep_jsonl(
@@ -255,10 +331,11 @@ def fold_sweep_jsonl(
 ) -> SweepSummaryFold:
     """Stream one or many (shard) stores into a :class:`SweepSummaryFold`.
 
-    Outcomes are deduplicated by :func:`cell_id` across files (first
-    occurrence wins), so aggregating a directory that holds both an old
-    unsharded store and newer shard stores cannot double-count a cell.
-    Memory stays proportional to summary groups + one ID per cell seen.
+    Outcomes are deduplicated by cell across files (first occurrence wins),
+    so aggregating a directory that holds both an old unsharded store and
+    newer shard stores cannot double-count a cell.  The dedup keys cells by
+    value (:class:`CellSet`) and computes no cell ID; memory stays
+    proportional to summary groups + one integer per cell seen.
 
     ``quarantine_paths`` folds in quarantine stores written by the resilient
     layer (:mod:`repro.sim.resilient`): cells with a failure record but no
@@ -268,18 +345,12 @@ def fold_sweep_jsonl(
     later retry counts as its outcome, not as quarantined.
     """
     fold = fold if fold is not None else SweepSummaryFold()
-    seen: Set[str] = set()
-    for path in paths:
-        for outcome in iter_sweep_jsonl(str(path)):
-            identity = cell_id(outcome.cell)
-            if identity in seen:
-                continue
-            seen.add(identity)
-            fold.update(outcome)
+    seen = CellSet()
+    fold.update_many(_first_outcomes(paths, seen))
     for identity, failure in read_quarantine_map(
         str(path) for path in quarantine_paths
     ).items():
-        if identity not in seen:
+        if failure.cell not in seen:
             fold.note_quarantined(identity, failure.fault_class, cell=failure.cell)
     return fold
 
@@ -317,7 +388,7 @@ class CompactionResult:
 
     #: The single canonical store everything was rewritten into.
     store_path: str
-    #: Outcome records in the compacted store (= distinct stored cell IDs).
+    #: Outcome records in the compacted store (= distinct stored cells).
     records: int
     #: Store files removed after their records were folded in (shard stores,
     #: merge leftovers); does not include the canonical store itself.
@@ -516,17 +587,17 @@ class SweepJob:
         index, count = self._validate_shard(shard)
         return [cell for cell in grid if cell_shard(cell, count) == index]
 
-    def completed_ids(self) -> Set[str]:
-        """Cell IDs with a decodable outcome in any store of this job."""
-        completed: Set[str] = set()
+    def stored_cells(self) -> CellSet:
+        """Cells with a decodable outcome in any store of this job."""
+        stored = CellSet()
         for path in self.store_paths():
-            completed |= scan_sweep_store(str(path)).completed_ids
-        return completed
+            stored.update(scan_sweep_store(str(path)).completed)
+        return stored
 
     def is_complete(self) -> bool:
         """Whether every grid cell has an outcome across the job's stores."""
-        completed = self.completed_ids()
-        return all(cell_id(cell) in completed for cell in self.spec.cells())
+        stored = self.stored_cells()
+        return all(cell in stored for cell in self.spec.cells())
 
     # ---- execution ---------------------------------------------------
 
@@ -565,7 +636,7 @@ class SweepJob:
         target = self.store_path(shard)
         repaired = False
         had_outcomes = False
-        completed: Set[str] = set()
+        completed = CellSet()
         if target.exists() and target.stat().st_size > 0:
             if overwrite:
                 target.write_text("", encoding="utf-8")
@@ -583,25 +654,26 @@ class SweepJob:
                     with open(target, "r+b") as handle:
                         handle.truncate(scan.valid_bytes)
                     repaired = True
-                completed |= scan.completed_ids
+                completed.update(scan.completed)
                 had_outcomes = scan.valid_lines > 0
+        quarantined_before = CellSet()
         if resume and not overwrite:
             for path in self.store_paths():
                 if path != target:
-                    completed |= scan_sweep_store(str(path)).completed_ids
-        quarantined_before = (
-            read_quarantine_map(str(path) for path in self.quarantine_paths())
-            if resume and not overwrite
-            else {}
-        )
+                    completed.update(scan_sweep_store(str(path)).completed)
+            quarantined_before = CellSet(
+                failure.cell
+                for failure in read_quarantine_map(
+                    str(path) for path in self.quarantine_paths()
+                ).values()
+            )
         grid = self.cells(shard)
         pending: List[SweepCell] = []
         quarantined_excluded = 0
         for cell in grid:
-            identity = cell_id(cell)
-            if identity in completed:
+            if cell in completed:
                 continue
-            if identity in quarantined_before and not retry_quarantined:
+            if cell in quarantined_before and not retry_quarantined:
                 quarantined_excluded += 1
                 continue
             pending.append(cell)
@@ -710,19 +782,18 @@ class SweepJob:
                 cells_per_second=rate,
                 eta_seconds=eta,
             )
-        completed = self.completed_ids()
-        quarantined = {
-            identity
-            for identity in read_quarantine_map(
+        stored = self.stored_cells()
+        quarantined = sum(
+            failure.cell not in stored
+            for failure in read_quarantine_map(
                 str(path) for path in self.quarantine_paths()
-            )
-            if identity not in completed
-        }
+            ).values()
+        )
         return SweepJobProgress(
             total_cells=total,
             slice_cells=total,
-            completed_cells=len(completed),
-            quarantined_cells=len(quarantined),
+            completed_cells=len(stored),
+            quarantined_cells=quarantined,
             executed_this_run=0,
             elapsed_seconds=0.0,
             cells_per_second=0.0,
@@ -823,38 +894,47 @@ class SweepJob:
                 "SweepJob.run to return"
             )
         store_paths = self.store_paths()
+        # One read per store: the scan checks the tail and hands over every
+        # outcome, of which the first store's wins per cell.
+        stored: Dict[SweepCell, CellOutcome] = {}
+        duplicates = 0
+
+        def keep(outcome: CellOutcome) -> None:
+            nonlocal duplicates
+            if stored.setdefault(outcome.cell, outcome) is not outcome:
+                duplicates += 1
+
         for path in store_paths:
-            if scan_sweep_store(str(path)).corrupt:
+            if scan_sweep_store(str(path), on_outcome=keep).corrupt:
                 raise SweepJobError(
                     f"cannot compact: {path} has a truncated/corrupt tail "
                     "(a killed or still-running sweep?) — finish or resume "
                     "the job first (run(resume=True) repairs the tail)"
                 )
-        grid_ids = {cell_id(cell): cell for cell in self.spec.cells()}
-        by_id: Dict[str, CellOutcome] = {}
-        duplicates = 0
-        for path in store_paths:
-            for outcome in iter_sweep_jsonl(str(path)):
-                identity = cell_id(outcome.cell)
-                if identity not in grid_ids:
-                    raise SweepJobError(
-                        f"cannot compact: {path} holds an outcome for cell "
-                        f"{identity} ({outcome.cell}) that is not in this "
-                        "job's grid — the store belongs to a different sweep"
-                    )
-                if identity in by_id:
-                    duplicates += 1
-                    continue
-                by_id[identity] = outcome
+        records = len(stored)
         canonical = self.store_path()
         temporary = canonical.with_suffix(".jsonl.tmp")
         with open(temporary, "w", encoding="utf-8") as handle:
             for cell in self.spec.cells():
-                outcome = by_id.get(cell_id(cell))
+                outcome = stored.pop(cell, None)
                 if outcome is not None:
                     handle.write(_outcome_to_json_line(outcome, include_wall_time=False))
             handle.flush()
             os.fsync(handle.fileno())
+        if stored:
+            # The grid walk took the outcome of every grid cell, so what is
+            # left, in store order, belongs to another sweep.
+            temporary.unlink()
+            foreign = next(iter(stored))
+            path = next(
+                path for path in store_paths
+                if foreign in scan_sweep_store(str(path)).completed
+            )
+            raise SweepJobError(
+                f"cannot compact: {path} holds an outcome for cell "
+                f"{cell_id(foreign)} ({foreign}) that is not in this "
+                "job's grid — the store belongs to a different sweep"
+            )
         os.replace(temporary, canonical)
         removed = []
         for path in store_paths:
@@ -863,7 +943,7 @@ class SweepJob:
                 removed.append(str(path))
         return CompactionResult(
             store_path=str(canonical),
-            records=len(by_id),
+            records=records,
             removed_paths=tuple(removed),
             duplicates_dropped=duplicates,
         )
@@ -871,22 +951,15 @@ class SweepJob:
     # ---- reading & aggregation ----------------------------------------
 
     def iter_outcomes(self) -> Iterator[CellOutcome]:
-        """Stream every stored outcome, deduplicated by cell ID across stores."""
-        seen: Set[str] = set()
-        for path in self.store_paths():
-            for outcome in iter_sweep_jsonl(str(path)):
-                identity = cell_id(outcome.cell)
-                if identity in seen:
-                    continue
-                seen.add(identity)
-                yield outcome
+        """Stream every stored outcome, deduplicated by cell across stores."""
+        yield from _first_outcomes(self.store_paths(), CellSet())
 
     def outcomes(self) -> List[CellOutcome]:
         """Every stored outcome, in grid order (missing cells are absent)."""
-        by_id = {cell_id(outcome.cell): outcome for outcome in self.iter_outcomes()}
+        stored = {outcome.cell: outcome for outcome in self.iter_outcomes()}
         ordered = []
         for cell in self.spec.cells():
-            outcome = by_id.get(cell_id(cell))
+            outcome = stored.get(cell)
             if outcome is not None:
                 ordered.append(outcome)
         return ordered
@@ -920,13 +993,19 @@ def spec_from_manifest(payload: Dict) -> SweepSpec:
     flags at all — the manifest *is* the grid.
     """
     spec = payload["spec"]
+    # Kept as the JSON number it was written as: cell IDs digest ``1`` and
+    # ``1.0`` differently, so float() would give an integer-epsilon grid new
+    # IDs and shard slices.
+    epsilon = spec["epsilon"]
+    if isinstance(epsilon, bool) or not isinstance(epsilon, (int, float)):
+        raise SweepJobError(f"manifest epsilon must be a number, got {epsilon!r}")
     return SweepSpec(
         protocols=tuple(spec["protocols"]),
         system_sizes=tuple((int(n), int(t)) for n, t in spec["system_sizes"]),
         adversaries=tuple(spec["adversaries"]),
         workloads=tuple(spec["workloads"]),
         seeds=tuple(int(seed) for seed in spec["seeds"]),
-        epsilon=float(spec["epsilon"]),
+        epsilon=epsilon,
         engine=spec["engine"],
         # Absent in v1 manifests: those grids were scalar by construction.
         dimensions=tuple(int(d) for d in spec.get("dimensions", [1])),

@@ -247,6 +247,10 @@ class CellFailure:
             # Keyed only for d > 1, matching the store's canonical cell form
             # (scalar quarantine lines stay byte-identical to schema v1).
             cell_payload["dimension"] = cell.dimension
+        if cell.adversary_params:
+            # Same omit-when-empty form as the store: the job layer matches
+            # a record to stored outcomes by the cell's value.
+            cell_payload["adversary_params"] = dict(cell.adversary_params)
         return {
             "cell": cell_payload,
             "cell_id": self.cell_id,

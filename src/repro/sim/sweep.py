@@ -1590,6 +1590,19 @@ def records_from_sweep(outcomes: Sequence[CellOutcome]) -> List[ExperimentRecord
     return [outcome.as_record() for outcome in outcomes]
 
 
+def _summary_key(cell: SweepCell) -> Tuple:
+    """A cell's fields except its seed: the key of its summary group.
+
+    :class:`SweepSummaryFold` folds every seed of one key into one row, and
+    :class:`repro.sim.job.CellSet` numbers the keys it holds.
+    """
+    return (
+        cell.protocol, cell.n, cell.t, cell.epsilon,
+        cell.adversary, cell.workload, cell.engine, cell.dimension,
+        cell.adversary_params,
+    )
+
+
 @dataclass
 class _GroupFold:
     """Streaming aggregate of one summary group (constant memory per group)."""
@@ -1694,13 +1707,7 @@ class SweepSummaryFold:
 
     def update(self, outcome: CellOutcome) -> None:
         """Fold one outcome into its summary group."""
-        cell = outcome.cell
-        key = (
-            cell.protocol, cell.n, cell.t, cell.epsilon,
-            cell.adversary, cell.workload, cell.engine, cell.dimension,
-            cell.adversary_params,
-        )
-        self._groups.setdefault(key, _GroupFold()).update(outcome)
+        self._groups.setdefault(_summary_key(outcome.cell), _GroupFold()).update(outcome)
         self._total += 1
 
     def update_many(self, outcomes: Iterable[CellOutcome]) -> "SweepSummaryFold":

@@ -117,6 +117,28 @@ class TestManifest:
         with pytest.raises(SweepJobError, match="different sweep"):
             SweepJob(other, tmp_path / "job", workers=1).run()
 
+    def test_integer_epsilon_survives_the_manifest(self, tmp_path):
+        from repro.sim.job import main, spec_from_manifest
+
+        spec = SweepSpec(
+            protocols=("sync-crash",), system_sizes=((4, 1),),
+            seeds=(0, 1, 2), epsilon=1, engine="batch",
+        )
+        job = SweepJob(spec, tmp_path / "job", workers=1)
+        job.run()
+        rebuilt = SweepJob(spec_from_manifest(job.load_manifest()), tmp_path / "job")
+        assert [cell_id(cell) for cell in rebuilt.spec.cells()] == [
+            cell_id(cell) for cell in spec.cells()
+        ]
+        for index in range(2):
+            assert [cell_id(cell) for cell in rebuilt.cells((index, 2))] == [
+                cell_id(cell) for cell in job.cells((index, 2))
+            ]
+        # The CLI resumes through the manifest: nothing runs twice.
+        assert main(["run", "--dir", str(tmp_path / "job")]) == 0
+        assert len(store_lines(job)) == spec.cell_count
+        assert job.compact().records == spec.cell_count
+
     def test_corrupt_manifest_is_an_error_not_a_crash(self, tmp_path):
         job = SweepJob(SPEC, tmp_path / "job", workers=1)
         job.run()
@@ -314,7 +336,7 @@ class TestStoreScan:
         assert scan.corrupt
         assert scan.valid_lines == 6
         assert scan.valid_bytes == len(prefix.encode("utf-8"))
-        assert len(scan.completed_ids) == 6
+        assert len(scan.completed) == 6
 
     def test_tolerant_reader_skips_partial_tail_with_warning(self, tmp_path):
         job = SweepJob(SPEC, tmp_path / "job", workers=1)
@@ -406,6 +428,68 @@ class TestMerge:
         fold = a.fold()
         assert fold.quarantined_count == 1
         assert fold.quarantined_by_fault() == {"raise": 1}
+
+
+class TestRetryQuarantined:
+    def test_rerun_executes_the_quarantined_cell_and_clears_it(self, tmp_path, monkeypatch):
+        from repro.sim.chaos import ChaosPlan, ChaosRule, FAULT_RAISE
+        from repro.sim.resilient import RetryPolicy
+
+        monkeypatch.delenv("REPRO_CHAOS", raising=False)
+        spec = SweepSpec(
+            protocols=("async-crash",), system_sizes=((7, 2),), seeds=tuple(range(6))
+        )
+        cells = list(spec.cells())
+        fast = RetryPolicy(max_attempts=2, backoff_base_seconds=0.001)
+        plan = ChaosPlan(rules=(ChaosRule(fault=FAULT_RAISE, cells=(cell_id(cells[3]),)),))
+        poisoned = SweepJob(spec, tmp_path / "job", workers=1, retry=fast, chaos=plan)
+        assert poisoned.run().quarantined == 1
+        job = SweepJob(spec, tmp_path / "job", workers=1, retry=fast)
+        assert job.progress().quarantined_cells == 1
+        rerun = job.run(retry_quarantined=True)
+        assert rerun.executed == 1
+        assert job.progress().quarantined_cells == 0
+        fold = job.fold()
+        assert fold.quarantined_count == 0
+        assert fold.total_outcomes == spec.cell_count
+        assert job.is_complete()
+
+
+class TestStoreReplayCost:
+    def test_replay_hashes_no_cell_and_compact_reads_each_line_once(
+        self, tmp_path, monkeypatch
+    ):
+        import repro.sim.job as job_module
+        import repro.sim.sweep as sweep_module
+
+        monkeypatch.delenv("REPRO_CHAOS", raising=False)
+        job = SweepJob(SPEC, tmp_path / "job", workers=1)
+        for index in range(4):
+            job.run(shard=(index, 4))
+        assert len(job.store_paths()) == 4 and not job.quarantine_paths()
+        calls = {"cell_id": 0, "decode": 0}
+
+        def counting(name, function):
+            def counted(*args):
+                calls[name] += 1
+                return function(*args)
+
+            return counted
+
+        monkeypatch.setattr(job_module, "cell_id", counting("cell_id", job_module.cell_id))
+        decode = counting("decode", sweep_module._outcome_from_payload)
+        for module in (job_module, sweep_module):
+            monkeypatch.setattr(module, "_outcome_from_payload", decode)
+        job = SweepJob(SPEC, tmp_path / "job", workers=1)
+        assert job.run().executed == 0
+        before = job.fold()
+        job.progress()
+        decoded = calls["decode"]
+        assert job.compact().records == SPEC.cell_count
+        assert calls["decode"] - decoded == SPEC.cell_count
+        after = job.fold()
+        assert calls["cell_id"] == 0
+        assert after.records() == before.records()
 
 
 class TestProgress:

@@ -10,6 +10,7 @@ run of the healthy subgrid, and the sweep never blocks on a dead worker.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 import time
@@ -110,8 +111,12 @@ class TestQuarantineStore:
 
     def test_payload_roundtrip(self):
         cells, _ = grid_and_ids()
-        failure = self.failure(cells[0])
-        assert CellFailure.from_payload(failure.as_payload()) == failure
+        parameterised = dataclasses.replace(
+            cells[0], adversary="staggered", adversary_params=(("stride", 2),)
+        )
+        for cell in (cells[0], parameterised):
+            failure = self.failure(cell)
+            assert CellFailure.from_payload(failure.as_payload()) == failure
 
     def test_write_iter_and_last_wins(self, tmp_path):
         cells, _ = grid_and_ids()
