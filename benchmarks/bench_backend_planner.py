@@ -1,14 +1,15 @@
-"""E16 — Backend shim + block memory planner: a million-execution crash grid.
+"""E16 — Block dtype + memory planner: a million-execution crash grid.
 
 The vectorised engine used to materialise a block's tensors whole, so block
 size — not hardware — capped how many executions one host could take per
 call.  The block memory planner (:mod:`repro.sim.planner`) turns the block
 into a stream: :func:`~repro.sim.ndbatch.run_ndbatch_block` plans the
 largest execution chunk whose modelled peak footprint fits a bytes budget
-and advances the block chunk by chunk.  The array-backend shim
-(:mod:`repro.core.backend`) rides along: the same kernel runs on the numpy
-float64 default (bit-identical to the pre-shim engine) or opt-in float32
-(half the block memory).
+and advances the block chunk by chunk.  The block float dtype rides along:
+the same numpy kernel runs at the float64 default or the opt-in float32
+(half the block's value memory, ``dtype="float32"``).  The file and
+``BENCH_backend_planner.json`` keep their names from when the kernel also
+ran on other array libraries.
 
 Recorded in ``BENCH_backend_planner.json`` (committed, uploaded as a CI
 artifact): wall time and executions/second of a 10⁶-execution async-crash

@@ -40,8 +40,6 @@ __all__ = [
     "check_l2_agreement",
     "check_box_validity",
     "check_box_validity_block",
-    "check_linf_agreement_block",
-    "linf_diameter_block",
     "normalize_vector_inputs",
     "VectorValidationReport",
     "validate_vector_outputs",
@@ -153,58 +151,23 @@ def check_box_validity(
     return True
 
 
-def linf_diameter_block(outputs, xp=None):
-    """Per-execution ℓ∞ diameter of an ``(E, n, d)`` output block → ``(E,)``.
-
-    The maximum pairwise Chebyshev distance over a set of vectors equals the
-    largest per-coordinate range, so the whole block reduces with two
-    axis-``1`` reductions — no pairwise loop.  Mirrors
-    :func:`linf_distance` maximised over pairs, bit for bit on float64.
-    """
-    if xp is None:
-        import numpy as np
-
-        xp = np
-    values = xp.asarray(outputs)
-    return (values.max(axis=1) - values.min(axis=1)).max(axis=-1)
-
-
-def check_linf_agreement_block(outputs, epsilon: float, xp=None):
-    """Whole-block form of :func:`check_linf_agreement` → ``(E,)`` booleans.
-
-    ``outputs`` is an ``(E, n, d)`` block of honest output vectors; entry
-    ``e`` is ``True`` iff execution ``e``'s vectors are pairwise within
-    ``ε`` in every coordinate, under the same ``ε·(1 + 1e-9)`` slack as the
-    scalar check.
-    """
-    if xp is None:
-        import numpy as np
-
-        xp = np
-    slack = epsilon * (1.0 + 1e-9)
-    return linf_diameter_block(outputs, xp=xp) <= slack
-
-
-def check_box_validity_block(outputs, lows, highs, tolerance: float = 1e-9, xp=None):
+def check_box_validity_block(outputs, lows, highs, tolerance: float = 1e-9):
     """Whole-block form of :func:`check_box_validity` → ``(E,)`` booleans.
 
     ``outputs`` is an ``(E, n, d)`` block of honest output vectors;
     ``lows``/``highs`` are ``(E, d)`` per-execution bounding boxes of the
     validity-reference inputs.  The per-coordinate slack is the scalar
-    check's ``tolerance · max(1, |low|, |high|)``.
+    check's ``tolerance · max(1, |low|, |high|)``.  Requires numpy (imported
+    lazily).
     """
-    if xp is None:
-        import numpy as np
+    import numpy as np
 
-        xp = np
-    values = xp.asarray(outputs)
-    lo = xp.asarray(lows)[:, None, :]
-    hi = xp.asarray(highs)[:, None, :]
-    slack = tolerance * xp.maximum(1.0, xp.maximum(xp.abs(lo), xp.abs(hi)))
+    values = np.asarray(outputs)
+    lo = np.asarray(lows)[:, None, :]
+    hi = np.asarray(highs)[:, None, :]
+    slack = tolerance * np.maximum(1.0, np.maximum(np.abs(lo), np.abs(hi)))
     inside = (values >= lo - slack) & (values <= hi + slack)
-    # Chained single-axis reductions (not a tuple axis) keep every duck-typed
-    # backend's `all` signature happy.
-    return inside.all(axis=-1).all(axis=-1)
+    return inside.all(axis=(1, 2))
 
 
 @dataclass

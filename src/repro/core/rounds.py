@@ -133,7 +133,11 @@ def approximation_step(sample: Sequence[float], bounds: AlgorithmBounds) -> floa
 
 
 def approximation_step_block(
-    samples, bounds: AlgorithmBounds, validate: bool = True, xp=None, axis: int = -1
+    samples,
+    bounds: AlgorithmBounds,
+    validate: bool = True,
+    dtype="float64",
+    axis: int = -1,
 ):
     """Array form of :func:`approximation_step` over a block of samples.
 
@@ -162,35 +166,25 @@ def approximation_step_block(
     (the vectorised engine's crash-only blocks, where every gathered value
     is an honest holder's) may pass ``validate=False`` to skip the scan.
 
-    ``xp`` is an optional :class:`~repro.core.backend.ArrayNamespace`: the
-    kernel then runs on that backend (numpy/CuPy/torch) at the namespace's
-    float dtype.  ``None`` (the default) is the pre-shim numpy float64 path,
-    bit for bit — it requires numpy (imported lazily so :mod:`repro.core`
-    keeps working on interpreters without it).
+    ``dtype`` is the float dtype the kernel computes in: ``"float64"`` (the
+    default) or the ndbatch engine's opt-in ``"float32"``.  The kernel
+    requires numpy, imported lazily so :mod:`repro.core` keeps working on
+    interpreters without it.
     """
-    if xp is None:
-        import numpy as np
+    import numpy as np
 
-        values = np.asarray(samples, dtype=np.float64)
-        finite = np.isfinite
-        sort = np.sort
-        moveaxis = np.moveaxis
-    else:
-        values = xp.asarray(samples, dtype=xp.float_dtype)
-        finite = xp.isfinite
-        sort = xp.sort
-        moveaxis = xp.moveaxis
+    values = np.asarray(samples, dtype=dtype)
     if axis != -1 and axis != values.ndim - 1:
-        values = moveaxis(values, axis, -1)
+        values = np.moveaxis(values, axis, -1)
     m = values.shape[-1]
     j = bounds.reduce_j
     if m < 2 * j + 1:
         raise ValueError(
             f"cannot remove {j} extremes from each side of a multiset of size {m}"
         )
-    if validate and not finite(values).all():
+    if validate and not np.isfinite(values).all():
         raise ValueError("multiset operations require finite values")
-    ordered = sort(values, axis=-1)
+    ordered = np.sort(values, axis=-1)
     reduced = ordered[..., j : m - j] if j > 0 else ordered
     if bounds.select_k is None:
         return (reduced[..., 0] + reduced[..., -1]) / 2.0

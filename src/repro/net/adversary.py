@@ -270,10 +270,9 @@ class FixedValueStrategy(ByzantineValueStrategy):
         return ("fixed", self.reported_value)
 
     def value_tensor(self, round_number: int, n: int, observed, seed_mix):
-        from repro.core.backend import array_namespace
+        import numpy as np
 
-        xp = array_namespace(seed_mix)
-        return xp.broadcast_to(xp.float64(self.reported_value), (len(seed_mix), n))
+        return np.broadcast_to(np.float64(self.reported_value), (len(seed_mix), n))
 
     def describe(self) -> str:
         return f"FixedValueStrategy({self.reported_value})"
@@ -301,11 +300,10 @@ class EquivocatingStrategy(ByzantineValueStrategy):
         return ("equivocate", self.low, self.high)
 
     def value_tensor(self, round_number: int, n: int, observed, seed_mix):
-        from repro.core.backend import array_namespace
+        import numpy as np
 
-        xp = array_namespace(seed_mix)
-        row = xp.where(xp.arange(n) % 2 == 0, self.low, self.high)
-        return xp.broadcast_to(row, (len(seed_mix), n))
+        row = np.where(np.arange(n) % 2 == 0, self.low, self.high)
+        return np.broadcast_to(row, (len(seed_mix), n))
 
     def describe(self) -> str:
         return f"EquivocatingStrategy({self.low}, {self.high})"
@@ -349,20 +347,18 @@ class RandomValueStrategy(ByzantineValueStrategy):
         return self._seed_mix
 
     def value_tensor(self, round_number: int, n: int, observed, seed_mix):
-        from repro.core.backend import array_namespace
+        import numpy as np
 
-        xp = array_namespace(seed_mix, observed)
-        xp.require_uint64("RandomValueStrategy's counter-based PRF draws")
-        recipients = xp.arange(n, dtype=xp.uint64) * xp.uint64(KEY_RECIPIENT)
+        recipients = np.arange(n, dtype=np.uint64) * np.uint64(KEY_RECIPIENT)
         keys = _np_mix64(
-            xp.asarray(seed_mix, dtype=xp.uint64)[:, None]
-            ^ xp.uint64((round_number * KEY_ROUND) & MASK64)
+            np.asarray(seed_mix, dtype=np.uint64)[:, None]
+            ^ np.uint64((round_number * KEY_ROUND) & MASK64)
             ^ recipients[None, :]
         )
         # uint64 → float64 rounds to nearest, exactly like Python's float(int),
         # and the scaling applies operations in the scalar path's order, so the
         # draws are bit-identical across the scalar and numpy paths.
-        return self.low + (self.high - self.low) * (keys.astype(xp.float64) * 2.0**-64)
+        return self.low + (self.high - self.low) * (keys.astype(np.float64) * 2.0**-64)
 
     def describe(self) -> str:
         return f"RandomValueStrategy([{self.low}, {self.high}], seed={self.seed})"
@@ -407,25 +403,24 @@ class AntiConvergenceStrategy(ByzantineValueStrategy):
         return ("anti-convergence", self.stretch, self.parity)
 
     def value_tensor(self, round_number: int, n: int, observed, seed_mix):
-        from repro.core.backend import array_namespace
+        import numpy as np
 
-        xp = array_namespace(observed, seed_mix)
         count = len(seed_mix)
-        obs = xp.asarray(observed, dtype=xp.float64)
+        obs = np.asarray(observed, dtype=np.float64)
         if obs.ndim != 2 or obs.shape[1] == 0:
-            return xp.zeros((count, n))
+            return np.zeros((count, n))
         # Observed values are finite by invariant, so masked min/max over an
         # inf fill equals Python's min()/max() over the non-NaN entries bit
         # for bit; all-NaN rows (nothing observed) report 0.0 like the
         # scalar path.
-        valid = ~xp.isnan(obs)
-        low = xp.where(valid, obs, xp.inf).min(axis=1)
-        high = xp.where(valid, obs, -xp.inf).max(axis=1)
-        has_observed = xp.isfinite(low)
-        low = xp.where(has_observed, low - self.stretch, 0.0)
-        high = xp.where(has_observed, high + self.stretch, 0.0)
-        even = (xp.arange(n) + self.parity) % 2 == 0
-        return xp.where(even[None, :], low[:, None], high[:, None])
+        valid = ~np.isnan(obs)
+        low = np.where(valid, obs, np.inf).min(axis=1)
+        high = np.where(valid, obs, -np.inf).max(axis=1)
+        has_observed = np.isfinite(low)
+        low = np.where(has_observed, low - self.stretch, 0.0)
+        high = np.where(has_observed, high + self.stretch, 0.0)
+        even = (np.arange(n) + self.parity) % 2 == 0
+        return np.where(even[None, :], low[:, None], high[:, None])
 
     def describe(self) -> str:
         return f"AntiConvergenceStrategy(stretch={self.stretch}, parity={self.parity})"
@@ -850,22 +845,19 @@ class SeededDelay(DelayModel):
         """Whole-block delay tensor ``delays[e, recipient, sender]``.
 
         Vectorised over the per-execution seed axis; every row is
-        bit-identical to probing :meth:`delay` pair by pair.  Backend
-        follows ``seed_mix`` (uint64 arithmetic required).
+        bit-identical to probing :meth:`delay` pair by pair.  Requires numpy.
         """
-        from repro.core.backend import array_namespace
+        import numpy as np
 
-        xp = array_namespace(seed_mix)
-        xp.require_uint64("SeededDelay's counter-based PRF draws")
-        recipients = xp.arange(n, dtype=xp.uint64) * xp.uint64(KEY_RECIPIENT)
-        senders = xp.arange(n, dtype=xp.uint64) * xp.uint64(KEY_SENDER)
+        recipients = np.arange(n, dtype=np.uint64) * np.uint64(KEY_RECIPIENT)
+        senders = np.arange(n, dtype=np.uint64) * np.uint64(KEY_SENDER)
         keys = _np_mix64(
-            xp.asarray(seed_mix, dtype=xp.uint64)[:, None, None]
-            ^ xp.uint64((round_number * KEY_ROUND) & MASK64)
+            np.asarray(seed_mix, dtype=np.uint64)[:, None, None]
+            ^ np.uint64((round_number * KEY_ROUND) & MASK64)
             ^ recipients[None, :, None]
             ^ senders[None, None, :]
         )
-        return self.low + (self.high - self.low) * (keys.astype(xp.float64) * 2.0**-64)
+        return self.low + (self.high - self.low) * (keys.astype(np.float64) * 2.0**-64)
 
     def delay_block(self, round_number: int, n: int):
         """The round's full delay matrix ``delays[recipient][sender]``.
@@ -1009,18 +1001,15 @@ def mix64(x: int) -> int:
 
 
 def _np_mix64(x):
-    """Vectorised :func:`mix64` over uint64 arrays — the single array
+    """Vectorised :func:`mix64` over numpy uint64 arrays — the single array
     implementation behind every PRF tensor (rank keys, value draws, delay
-    draws), bit-identical to the scalar mixer by construction.  Runs on any
-    backend with numpy-semantics uint64 arithmetic (numpy, cupy); backends
-    without it (torch) are refused loudly."""
-    from repro.core.backend import array_namespace
+    draws), bit-identical to the scalar mixer by construction (numpy's
+    uint64 arithmetic wraps modulo 2**64, like the scalar mixer's masks)."""
+    import numpy as np
 
-    xp = array_namespace(x)
-    xp.require_uint64("the PRF mix kernel (_np_mix64)")
-    shift = xp.uint64(33)
-    x = (x ^ (x >> shift)) * xp.uint64(MIX64_MULT1)
-    x = (x ^ (x >> shift)) * xp.uint64(MIX64_MULT2)
+    shift = np.uint64(33)
+    x = (x ^ (x >> shift)) * np.uint64(MIX64_MULT1)
+    x = (x ^ (x >> shift)) * np.uint64(MIX64_MULT2)
     return x ^ (x >> shift)
 
 
@@ -1062,26 +1051,23 @@ def seeded_rank_key_block(seed_mix, round_number: int, n: int):
     whole block of seeds — keeping the two engines' quorums identical by
     construction rather than by parallel maintenance.
 
-    Requires an array backend with uint64 arithmetic — numpy by default,
-    cupy when ``seed_mix`` lives on a device (imported lazily; scalar
-    callers fall back to :func:`seeded_rank_key`).
+    Requires numpy (imported lazily; scalar callers fall back to
+    :func:`seeded_rank_key`).
     """
-    from repro.core.backend import array_namespace
+    import numpy as np
 
     if n > SENDER_MASK:
         raise ValueError(
             f"quorum rank keys embed the sender id in {SENDER_BITS} bits; "
             f"n={n} processes exceed that"
         )
-    xp = array_namespace(seed_mix)
-    xp.require_uint64("seeded_rank_key_block's counter-based PRF keys")
-    seed = xp.asarray(seed_mix, dtype=xp.uint64)
-    round_part = xp.uint64((round_number * KEY_ROUND) & MASK64)
-    recipients = xp.arange(n, dtype=xp.uint64) * xp.uint64(KEY_RECIPIENT)
-    senders = xp.arange(n, dtype=xp.uint64) * xp.uint64(KEY_SENDER)
+    seed = np.asarray(seed_mix, dtype=np.uint64)
+    round_part = np.uint64((round_number * KEY_ROUND) & MASK64)
+    recipients = np.arange(n, dtype=np.uint64) * np.uint64(KEY_RECIPIENT)
+    senders = np.arange(n, dtype=np.uint64) * np.uint64(KEY_SENDER)
     slot = _np_mix64(seed[..., None] ^ round_part ^ recipients)
     mixed = _np_mix64(slot[..., :, None] ^ senders)
-    return (mixed & xp.uint64(MASK64 ^ SENDER_MASK)) | xp.arange(n, dtype=xp.uint64)
+    return (mixed & np.uint64(MASK64 ^ SENDER_MASK)) | np.arange(n, dtype=np.uint64)
 
 
 class SeededOmission(OmissionPolicy):

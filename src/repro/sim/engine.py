@@ -801,7 +801,6 @@ def run(
     strict: bool = True,
     engine: str = "auto",
     runtime: Optional[str] = None,
-    backend: Optional[str] = None,
     dtype: Optional[str] = None,
 ):
     """Run one execution on the fastest capable engine (or an explicit one).
@@ -823,11 +822,11 @@ def run(
     runtime:
         Only meaningful for the event engine (``"des"``, ``"asyncio"``,
         ``"lockstep"``); forwarded to :func:`repro.sim.runner.run_protocol`.
-    backend / dtype:
-        Array-backend selection (:func:`repro.core.backend.get_namespace`),
-        only meaningful for the ndbatch engine — the other engines run pure
-        Python, so an explicit non-default selection they would silently
-        ignore raises :class:`EngineCapabilityError` instead.
+    dtype:
+        The ndbatch block's float dtype (``"float64"`` or ``"float32"``; see
+        :func:`repro.sim.ndbatch.run_ndbatch_block`).  The other engines run
+        pure Python, so an explicit selection they would silently ignore
+        raises :class:`EngineCapabilityError` instead.
 
     Returns the engine's :class:`~repro.sim.runner.ExecutionResult`; the
     ``runtime`` field of the result records which engine actually ran.
@@ -881,13 +880,12 @@ def run(
         require_capability(engine, features)
         chosen = engine
 
-    if (backend is not None or dtype is not None) and chosen != "ndbatch":
+    if dtype is not None and chosen != "ndbatch":
         raise EngineCapabilityError(
             chosen,
-            f"array backend/dtype selection (backend={backend!r}, "
-            f"dtype={dtype!r}): it runs pure Python and would silently "
-            "ignore the override; force engine='ndbatch' (if the scenario "
-            "vectorises) or drop backend/dtype",
+            f"float dtype selection (dtype={dtype!r}): it runs pure Python "
+            "and would silently ignore the override; force engine='ndbatch' "
+            "(if the scenario vectorises) or drop dtype",
             ("ndbatch",),
         )
 
@@ -920,7 +918,6 @@ def run(
             delay_model=delay_model,
             seed=seed,
             strict=strict,
-            backend=backend,
             dtype=dtype,
         )
     from repro.sim.batch import run_batch_protocol

@@ -1107,11 +1107,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     """CLI front door for sweep jobs — one shard worker per invocation.
 
     ``run`` executes (a shard of) a job, resumable by default; ``progress``
-    and ``summary`` inspect an existing job directory.  Array backend,
-    dtype and planner budget are taken from the ``REPRO_ARRAY_BACKEND`` /
-    ``REPRO_ARRAY_DTYPE`` / ``REPRO_BLOCK_BUDGET_BYTES`` environment
-    variables (see :mod:`repro.core.backend`, :mod:`repro.sim.planner`), so
-    a CI matrix can vary them without changing the manifest.
+    and ``summary`` inspect an existing job directory.  The block float
+    dtype and planner budget are taken from the ``REPRO_ARRAY_DTYPE`` /
+    ``REPRO_BLOCK_BUDGET_BYTES`` environment variables (see
+    :mod:`repro.sim.planner`), so a CI matrix can vary them without changing
+    the manifest.
     """
     import argparse
 

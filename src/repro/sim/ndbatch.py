@@ -81,7 +81,6 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.core.backend import ArrayNamespace, get_namespace
 from repro.core.multidim import (
     VectorValidationReport,
     check_box_validity_block,
@@ -106,7 +105,7 @@ from repro.net.message import Message, message_bits
 from repro.net.network import DelayModel, FaultPlan, NetworkStats
 from repro.sim.batch import DIRECT_PROTOCOL_BOUNDS, _upfront_rounds
 from repro.sim.engine import EngineCapabilityError, capable_engines
-from repro.sim.planner import plan_block
+from repro.sim.planner import plan_block, resolve_dtype
 from repro.sim.runner import ExecutionResult
 from repro.sim.vector import VectorExecutionResult
 
@@ -152,12 +151,11 @@ class _Block:
 
     ``inputs`` is the block's ``(executions, n, d)`` float64 input tensor
     (``d = 1`` for scalar blocks); ``bounds`` and ``total_rounds`` were
-    checked for the whole block by :func:`_run_block`.  Scenario
-    construction (fault schedules, masks, group partitions) is always
-    host-side numpy; :meth:`_to_device` then moves the tensors the round
-    loop touches onto the block's array namespace ``xp`` — an identity on
-    the numpy float64 default, a dtype cast for float32, a host→device copy
-    for GPU backends.
+    checked for the whole block by :func:`_run_block`.  ``dtype`` is the
+    resolved float dtype name (:func:`repro.sim.planner.resolve_dtype`).
+    Only the value state runs at that dtype: schedules, masks and PRF seeds
+    keep their exact integer dtypes, so float32 changes no quorum, only the
+    value arithmetic.
     """
 
     def __init__(
@@ -170,9 +168,9 @@ class _Block:
         total_rounds: int,
         fault_models: Sequence[RoundFaultModel],
         omission_policies: Sequence[OmissionPolicy],
-        xp: ArrayNamespace,
+        dtype: str,
     ) -> None:
-        self.xp = xp
+        self.dtype = np.dtype(dtype)
         self.count, self.n, self.dimension = inputs.shape
         self.epsilon = epsilon
         self.protocol = protocol
@@ -266,7 +264,9 @@ class _Block:
         # supersedes a crash point, as in the round_fault_model adapter).
         self.crash_round = np.where(self.holder_mask, self.crash_round, _NEVER)
         self.crash_deliveries = np.where(self.holder_mask, self.crash_deliveries, 0)
-        self.values = np.where(self.holder_mask[:, :, None], starting, np.nan)
+        self.values = np.where(self.holder_mask[:, :, None], starting, np.nan).astype(
+            self.dtype, copy=False
+        )
         self.strategy_counts = self.strategy_mask.sum(axis=1).astype(np.int64)
 
         # --- quorum-selection mode partition ---------------------------
@@ -330,38 +330,6 @@ class _Block:
         self.seed_mix = np.array(
             [mix64(self.policies[e].seed) for e in self.seeded_idx], dtype=np.uint64
         ).reshape(len(self.seeded_idx))
-        self._to_device()
-
-    def _to_device(self) -> None:
-        """Move the round loop's tensors onto the block's array namespace.
-
-        A no-op on the numpy float64 default (every ``xp.<op>`` below *is*
-        the numpy function, so the default path stays bit-identical to the
-        pre-shim engine).  float32 casts only the value state — schedules,
-        masks and PRF seeds keep their exact integer dtypes, so quorum
-        selection is unchanged and only value arithmetic loses precision.
-        """
-        xp = self.xp
-        if xp.name == "numpy" and xp.dtype_name == "float64":
-            return
-        if self.seeded_idx or self.policy_tensor_groups or self.strategy_tensor_groups:
-            xp.require_uint64("the ndbatch block's counter-based PRF tensors")
-        self.values = xp.asarray(self.values, dtype=xp.float_dtype)
-        if xp.name == "numpy":
-            return
-        # GPU backends: the mask/schedule tensors the round loop combines
-        # with the value state join it on the device (host scenario data —
-        # problems, strategies, group index lists — stays on the host).
-        self.crash_round = xp.asarray(self.crash_round)
-        self.crash_deliveries = xp.asarray(self.crash_deliveries)
-        self.strategy_mask = xp.asarray(self.strategy_mask)
-        self.silent_mask = xp.asarray(self.silent_mask)
-        self.honest_mask = xp.asarray(self.honest_mask)
-        self.holder_mask = xp.asarray(self.holder_mask)
-        self.strategy_counts = xp.asarray(self.strategy_counts)
-        self.seed_mix = xp.asarray(self.seed_mix)
-        if self.rank_probe is not None:
-            self.rank_probe = xp.asarray(self.rank_probe)
 
 
 def _shared_rounds(
@@ -420,7 +388,6 @@ def _run_block(
     omission_policies: Optional[Sequence[Optional[OmissionPolicy]]],
     seeds: Optional[Sequence[int]],
     strict: bool,
-    backend: Optional[str],
     dtype: Optional[str],
     budget_bytes: Optional[int],
     chunk_executions: Optional[int],
@@ -455,7 +422,7 @@ def _run_block(
         policy if policy is not None else SeededOmission(int(seed))
         for policy, seed in zip(omission_policies, seeds)
     ]
-    xp = get_namespace(backend, dtype=dtype)
+    dtype = resolve_dtype(dtype)
     _, n, dimension = inputs.shape
     bounds = NDBATCH_PROTOCOL_BOUNDS[protocol](n, t)
     if strict and not bounds.resilience_ok:
@@ -473,7 +440,7 @@ def _run_block(
             n,
             bounds.sample_size,
             max(1, total_rounds),
-            dtype=xp.dtype_name,
+            dtype=dtype,
             budget_bytes=budget_bytes,
             dimension=dimension,
         )
@@ -490,7 +457,7 @@ def _run_block(
             total_rounds,
             models[start:stop],
             policies[start:stop],
-            xp,
+            dtype,
         )
         results.extend(_assemble_results(block, vector, *_advance_block(block)))
     wall = time.perf_counter() - started
@@ -511,7 +478,6 @@ def run_ndbatch_block(
     omission_policies: Optional[Sequence[Optional[OmissionPolicy]]] = None,
     seeds: Optional[Sequence[int]] = None,
     strict: bool = True,
-    backend: Optional[str] = None,
     dtype: Optional[str] = None,
     budget_bytes: Optional[int] = None,
     chunk_executions: Optional[int] = None,
@@ -531,9 +497,10 @@ def run_ndbatch_block(
     mirroring :func:`repro.sim.batch.run_batch_protocol`, so the two engines
     realise identical scenarios for identical arguments.
 
-    ``backend``/``dtype`` select the array namespace and float precision for
-    the whole block (:func:`repro.core.backend.get_namespace`; numpy float64
-    default, bit-identical to the pre-shim engine).  The block streams
+    ``dtype`` selects the block's float precision: ``"float64"`` (default)
+    or ``"float32"``, which halves the value-array memory; unset, it comes
+    from ``REPRO_ARRAY_DTYPE`` (:func:`repro.sim.planner.resolve_dtype`).
+    Results are float64 Python values either way.  The block streams
     through fixed-size execution chunks sized by the memory planner
     (:func:`repro.sim.planner.plan_block`) against ``budget_bytes`` (default
     a share of available RAM), so arbitrarily large blocks run in bounded
@@ -552,7 +519,6 @@ def run_ndbatch_block(
         omission_policies,
         seeds,
         strict,
-        backend,
         dtype,
         budget_bytes,
         chunk_executions,
@@ -570,7 +536,6 @@ def run_vector_block(
     omission_policies: Optional[Sequence[Optional[OmissionPolicy]]] = None,
     seeds: Optional[Sequence[int]] = None,
     strict: bool = True,
-    backend: Optional[str] = None,
     dtype: Optional[str] = None,
     budget_bytes: Optional[int] = None,
     chunk_executions: Optional[int] = None,
@@ -613,7 +578,6 @@ def run_vector_block(
         omission_policies,
         seeds,
         strict,
-        backend,
         dtype,
         budget_bytes,
         chunk_executions,
@@ -633,14 +597,13 @@ def run_ndbatch_protocol(
     delay_model: Optional[DelayModel] = None,
     seed: int = 0,
     strict: bool = True,
-    backend: Optional[str] = None,
     dtype: Optional[str] = None,
 ) -> ExecutionResult:
     """Run one execution on the vectorised engine (a block of size one).
 
     Parameters mirror :func:`repro.sim.batch.run_batch_protocol` exactly
-    (plus the array-backend selection of :func:`run_ndbatch_block`), so
-    callers can switch engines by switching the function.
+    (plus the float ``dtype`` of :func:`run_ndbatch_block`), so callers can
+    switch engines by switching the function.
     """
     if fault_plan is not None and fault_model is not None:
         raise ValueError("pass either fault_plan or fault_model, not both")
@@ -660,7 +623,6 @@ def run_ndbatch_protocol(
         omission_policies=[omission_policy],
         seeds=[seed],
         strict=strict,
-        backend=backend,
         dtype=dtype,
     )[0]
 
@@ -706,24 +668,23 @@ def _advance_block(block: _Block) -> tuple:
     """
     count, n, m = block.count, block.n, block.bounds.sample_size
     total_rounds = block.total_rounds
-    xp = block.xp
-    arange_n = xp.arange(n)
+    arange_n = np.arange(n)
 
-    active = xp.ones(count, dtype=bool)
-    rounds_completed = xp.zeros(count, dtype=xp.int64)
-    messages_sent = xp.zeros(count, dtype=xp.int64)
-    bits_sent = xp.zeros(count, dtype=xp.int64)
-    delivered = xp.zeros(count, dtype=xp.int64)
-    rounds_entered = xp.zeros(count, dtype=xp.int64)
-    holder_sends = xp.zeros((count, n), dtype=xp.int64)
-    history = [xp.copy(block.values)]
+    active = np.ones(count, dtype=bool)
+    rounds_completed = np.zeros(count, dtype=np.int64)
+    messages_sent = np.zeros(count, dtype=np.int64)
+    bits_sent = np.zeros(count, dtype=np.int64)
+    delivered = np.zeros(count, dtype=np.int64)
+    rounds_entered = np.zeros(count, dtype=np.int64)
+    holder_sends = np.zeros((count, n), dtype=np.int64)
+    history = [np.copy(block.values)]
     any_strategies = any(block.strategy_ids)
     clean_values = not any_strategies and not bool(block.silent_mask.any())
 
     # The crash model's send/update/candidate structure changes only while a
     # crash point lies ahead; past the last scheduled crash it is identical
     # every round, so it is computed once and reused.
-    scheduled = xp.where(block.crash_round < _NEVER, block.crash_round, 0)
+    scheduled = np.where(block.crash_round < _NEVER, block.crash_round, 0)
     last_crash_round = int(scheduled.max()) if count else 0
     static_structure = None
 
@@ -737,10 +698,10 @@ def _advance_block(block: _Block) -> tuple:
         else:
             # Who sends, who updates (the crash model's prefix semantics).
             before_crash = round_number < block.crash_round
-            sends = xp.where(
+            sends = np.where(
                 block.holder_mask & before_crash,
                 n,
-                xp.where(
+                np.where(
                     block.holder_mask & (round_number == block.crash_round),
                     block.crash_deliveries,
                     0,
@@ -760,8 +721,8 @@ def _advance_block(block: _Block) -> tuple:
 
         # Message accounting happens at round entry, exactly like the batch
         # engine (a round that fails liveness mid-way keeps its sends).
-        messages_sent += xp.where(active, round_sends, 0)
-        bits_sent += xp.where(active, round_sends * value_bits, 0)
+        messages_sent += np.where(active, round_sends, 0)
+        bits_sent += np.where(active, round_sends * value_bits, 0)
         holder_sends += sends * active[:, None]
         rounds_entered += active
 
@@ -773,8 +734,8 @@ def _advance_block(block: _Block) -> tuple:
 
         if block.synchronous:
             sample = _sync_samples(block, cand, injected)
-            failed_round = xp.zeros(count, dtype=bool)
-            round_delivered = xp.where(active, updates.sum(axis=1) * n, 0)
+            failed_round = np.zeros(count, dtype=bool)
+            round_delivered = np.where(active, updates.sum(axis=1) * n, 0)
         else:
             sample, failed_round, round_delivered = _async_samples(
                 block, cand, cand_count, injected, updates, active, round_number, m
@@ -787,22 +748,22 @@ def _advance_block(block: _Block) -> tuple:
             # the placeholder fill and the kernel's finiteness scan are
             # provably redundant.
             new_values = approximation_step_block(
-                sample, block.bounds, validate=False, xp=xp, axis=-2
+                sample, block.bounds, validate=False, dtype=block.dtype, axis=-2
             )
         else:
-            safe_sample = xp.where(
+            safe_sample = np.where(
                 apply_mask[:, :, None, None],
                 sample,
-                xp.zeros((1, 1, 1, 1), dtype=xp.float_dtype),
+                np.zeros((1, 1, 1, 1), dtype=block.dtype),
             )
             new_values = approximation_step_block(
-                safe_sample, block.bounds, xp=xp, axis=-2
+                safe_sample, block.bounds, dtype=block.dtype, axis=-2
             )
-        block.values = xp.where(apply_mask[:, :, None], new_values, block.values)
-        history.append(xp.copy(block.values))
+        block.values = np.where(apply_mask[:, :, None], new_values, block.values)
+        history.append(np.copy(block.values))
 
         completed_now = active & ~failed_round
-        rounds_completed = xp.where(completed_now, round_number, rounds_completed)
+        rounds_completed = np.where(completed_now, round_number, rounds_completed)
         active = completed_now
 
     return (
@@ -835,7 +796,6 @@ def _injected_values(block: _Block, round_number: int) -> np.ndarray:
     engine's lazy evaluation.
     """
     count, n, d = block.count, block.n, block.dimension
-    xp = block.xp
     injected = np.full((count, n, n, d), np.nan, dtype=np.float64)
     for pid, representative, rows, seeds in block.strategy_tensor_groups:
         # Full-information adversary: each execution observes its holder
@@ -844,17 +804,17 @@ def _injected_values(block: _Block, round_number: int) -> np.ndarray:
         holders = block.holder_mask[rows]
         group_values = block.values[rows]
         for c in range(d):
-            observed = xp.where(holders, group_values[:, :, c], xp.nan)
+            observed = np.where(holders, group_values[:, :, c], np.nan)
             reports = representative.value_tensor(round_number, n, observed, seeds)
             if reports is None:
                 raise ValueError(
                     f"strategy {representative.describe()} declares tensor program "
                     f"{representative.tensor_key()!r} but value_tensor returned None"
                 )
-            injected[rows, pid, :, c] = np.asarray(xp.to_numpy(reports), dtype=np.float64)
+            injected[rows, pid, :, c] = np.asarray(reports, dtype=np.float64)
     if block.strategy_scalar:
-        values = np.asarray(xp.to_numpy(block.values), dtype=np.float64)
-        holder_mask = np.asarray(xp.to_numpy(block.holder_mask))
+        values = np.asarray(block.values, dtype=np.float64)
+        holder_mask = block.holder_mask
         observed_lists: Dict[Tuple[int, int], List[float]] = {}
         for e, sender, strategy in block.strategy_scalar:
             for c in range(d):
@@ -872,7 +832,7 @@ def _injected_values(block: _Block, round_number: int) -> np.ndarray:
                         injected[e, sender, recipient, c] = float(value)  # inf -> isfinite no
     # Normalise ±inf to NaN so one mask covers every non-finite report.
     np.copyto(injected, np.nan, where=~np.isfinite(injected))
-    return xp.asarray(injected, dtype=xp.float_dtype)
+    return np.asarray(injected, dtype=block.dtype)
 
 
 def _sync_samples(
@@ -885,17 +845,16 @@ def _sync_samples(
     composition, where each coordinate's execution drops the report
     independently.
     """
-    xp = block.xp
     own = block.values[:, :, None, :]  # (E, recipient, 1, d)
     holder_values = block.values[:, None, :, :]  # (E, 1, sender, d)
     use_holder = (cand & block.holder_mask[:, None, :])[:, :, :, None]
-    sample = xp.where(use_holder, holder_values, own)
+    sample = np.where(use_holder, holder_values, own)
     if injected is not None:
-        reports = xp.swapaxes(injected, 1, 2)  # (E, recipient, sender, d)
-        use = (cand & block.strategy_mask[:, None, :])[:, :, :, None] & xp.isfinite(
+        reports = np.swapaxes(injected, 1, 2)  # (E, recipient, sender, d)
+        use = (cand & block.strategy_mask[:, None, :])[:, :, :, None] & np.isfinite(
             reports
         )
-        sample = xp.where(use, reports, sample)
+        sample = np.where(use, reports, sample)
     return sample
 
 
@@ -922,17 +881,16 @@ def _async_samples(
     blocks run it.
     """
     count, n = block.count, block.n
-    xp = block.xp
     chosen = _choose_quorums(block, cand, cand_count, updates, active, round_number, m)
 
-    e_idx = xp.arange(count)[:, None, None]
+    e_idx = np.arange(count)[:, None, None]
     sample = block.values[e_idx, chosen]  # (E, n, m, d)
     if injected is not None:
-        q_idx = xp.arange(n)[None, :, None]
+        q_idx = np.arange(n)[None, :, None]
         strategy_chosen = block.strategy_mask[e_idx, chosen]
         if strategy_chosen.any():
             reports = injected[e_idx, chosen, q_idx]  # (E, n, m, d)
-            sample = xp.where(strategy_chosen[:, :, :, None], reports, sample)
+            sample = np.where(strategy_chosen[:, :, :, None], reports, sample)
 
     # Liveness / refill bookkeeping.  In-model scenarios never enter either
     # branch: the candidate set always has >= m members and only Byzantine
@@ -942,7 +900,7 @@ def _async_samples(
     starving = relevant & (cand_count < m)
     short = None
     if injected is not None:
-        finite_rows = xp.isfinite(sample).all(axis=-1).all(axis=-1)  # (E, n)
+        finite_rows = np.isfinite(sample).all(axis=-1).all(axis=-1)  # (E, n)
         short = relevant & ~finite_rows & ~starving
         if block.dimension > 1 and bool(short.any()):
             raise EngineCapabilityError(
@@ -953,19 +911,19 @@ def _async_samples(
                 "coordinate-wise via repro.sim.vector.run_vector_protocol)",
                 ("event",),
             )
-    failed_at = xp.full(count, n, dtype=xp.int64)
+    failed_at = np.full(count, n, dtype=np.int64)
     if short is not None and bool(short.any()):
         failed_at = _refill_or_fail(
             block, cand, chosen, sample, starving, short, round_number, m
         )
     elif bool(starving.any()):
-        position = xp.where(starving, xp.arange(n)[None, :], n)
+        position = np.where(starving, np.arange(n)[None, :], n)
         failed_at = position.min(axis=1)
     failed_round = failed_at < n
 
-    quorums_filled = xp.where(
+    quorums_filled = np.where(
         failed_round[:, None],
-        (xp.arange(n)[None, :] < failed_at[:, None]) & relevant,
+        (np.arange(n)[None, :] < failed_at[:, None]) & relevant,
         relevant,
     ).sum(axis=1)
     round_delivered = quorums_filled * m
@@ -983,23 +941,22 @@ def _choose_quorums(
 ) -> np.ndarray:
     """Quorum index tensor ``chosen[e, recipient, :m]`` for one round."""
     count, n = block.count, block.n
-    xp = block.xp
-    chosen = xp.zeros((count, n, m), dtype=xp.int64)
+    chosen = np.zeros((count, n, m), dtype=np.int64)
 
     if block.seeded_idx:
         idx = block.seeded_idx
         keys = _seeded_keys(block.seed_mix, round_number, n)
-        xp.copyto(keys, _UINT64_MAX, where=~cand[idx])
+        np.copyto(keys, _UINT64_MAX, where=~cand[idx])
         # Selection by value sort: the sender id lives in each key's low
         # bits, so sorting the keys and masking those bits out yields the
         # chosen senders directly — cheaper than argsort's indirection and
         # exactly the scalar engine's (PRF value, sender) order.
-        smallest = xp.sort(keys, axis=2)[:, :, :m]
-        picked = (smallest & xp.uint64(SENDER_MASK)).astype(xp.int64)
+        smallest = np.sort(keys, axis=2)[:, :, :m]
+        picked = (smallest & np.uint64(SENDER_MASK)).astype(np.int64)
         # Starving rows (fewer candidates than m) pick up the sentinel's low
         # bits; clamp so the gather stays in bounds — those rows fail the
         # execution before their samples are ever used.
-        chosen[idx] = xp.minimum(picked, n - 1)
+        chosen[idx] = np.minimum(picked, n - 1)
 
     for representative, members, seeds in block.policy_tensor_groups:
         ranks = representative.rank_tensor(round_number, n, seeds)
@@ -1012,18 +969,18 @@ def _choose_quorums(
                 f"program {representative.tensor_key()!r} but rank_tensor "
                 f"returned None"
             )
-        ranks = xp.asarray(ranks)
+        ranks = np.asarray(ranks)
         sub_cand = cand[members]
-        if getattr(ranks.dtype, "kind", "f") in "iu":
+        if ranks.dtype.kind in "iu":
             # PRF rank keys (tie-free by construction): mask non-candidates
             # with the maximal key, then a stable argsort is selection.
-            masked = xp.where(sub_cand, ranks, xp.iinfo(ranks.dtype).max)
+            masked = np.where(sub_cand, ranks, np.iinfo(ranks.dtype).max)
         else:
             # NaN sorts after every number including +inf, so a legitimately
             # infinite rank still outranks a non-candidate; stable argsort
             # reproduces the scalar path's by-sender tie-breaking.
-            masked = xp.where(sub_cand, ranks.astype(np.float64, copy=False), xp.nan)
-        order = xp.argsort(masked, axis=2, kind="stable")
+            masked = np.where(sub_cand, ranks.astype(np.float64, copy=False), np.nan)
+        order = np.argsort(masked, axis=2, kind="stable")
         chosen[members] = order[:, :, :m]
 
     if block.ranked_idx:
@@ -1032,20 +989,18 @@ def _choose_quorums(
             ranks = block.rank_probe
             block.rank_probe = None
         else:
-            ranks = xp.asarray(
-                np.array(
-                    [block.policies[e].rank_block(round_number, n) for e in idx],
-                    dtype=np.float64,
-                )
+            ranks = np.array(
+                [block.policies[e].rank_block(round_number, n) for e in idx],
+                dtype=np.float64,
             )
         # NaN (not inf) masks the non-candidates: numpy sorts NaN after every
         # number including +inf, so a legitimately infinite rank (e.g. an
         # infinite delay) still outranks a non-candidate — matching the
         # scalar path, which only ever sorts actual candidates.
-        masked = xp.where(cand[idx], ranks, xp.nan)
+        masked = np.where(cand[idx], ranks, np.nan)
         # Real-valued ranks (e.g. delays) do tie; the scalar path breaks ties
         # by sender id, which the stable sort reproduces exactly.
-        order = xp.argsort(masked, axis=2, kind="stable")
+        order = np.argsort(masked, axis=2, kind="stable")
         chosen[idx] = order[:, :, :m]
 
     for e in block.generic_idx:
@@ -1056,7 +1011,7 @@ def _choose_quorums(
         for recipient in range(n):
             if not updates[e, recipient] or cand_count[e, recipient] < m:
                 continue
-            candidates = np.nonzero(np.asarray(xp.to_numpy(cand[e, recipient])))[0].tolist()
+            candidates = np.nonzero(cand[e, recipient])[0].tolist()
             picked = list(policy.quorum(round_number, recipient, candidates, m))
             if not trusted:
                 picked_set = set(picked)
@@ -1170,22 +1125,9 @@ def _assemble_results(
     times ``d`` — exactly the coordinate-wise composition's totals).
     """
     count, n, d = block.count, block.n, block.dimension
-    xp = block.xp
-    if not (xp.name == "numpy" and xp.dtype_name == "float64"):
-        # Result assembly is host-side: per-execution Python objects are
-        # built from host float64 data regardless of where (and at what
-        # precision) the block ran.
-        history = [np.asarray(xp.to_numpy(row), dtype=np.float64) for row in history]
-        block.values = np.asarray(xp.to_numpy(block.values), dtype=np.float64)
-        block.honest_mask = np.asarray(xp.to_numpy(block.honest_mask))
-        active = np.asarray(xp.to_numpy(active))
-        rounds_completed = np.asarray(xp.to_numpy(rounds_completed))
-        messages_sent = np.asarray(xp.to_numpy(messages_sent))
-        bits_sent = np.asarray(xp.to_numpy(bits_sent))
-        delivered = np.asarray(xp.to_numpy(delivered))
-        rounds_entered = np.asarray(xp.to_numpy(rounds_entered))
-        holder_sends = np.asarray(xp.to_numpy(holder_sends))
-    stacked = np.stack(history)  # (rounds + 1, E, n, d)
+    # Results are float64 whatever the block dtype (float32 widens exactly).
+    stacked = np.stack(history).astype(np.float64, copy=False)  # (rounds + 1, E, n, d)
+    final_values = block.values.astype(np.float64, copy=False)
 
     # Per-round ℓ∞ honest diameter of every execution at once: the
     # per-coordinate diameter (faulty columns masked out of max/min),
@@ -1216,17 +1158,17 @@ def _assemble_results(
     hi = np.nanmax(validity_ref, axis=1)
     # Validity concerns the honest outputs only; park non-honest columns on
     # the box floor so one whole-block check covers every execution.
-    values_checked = np.where(block.honest_mask[:, :, None], block.values, lo[:, None, :])
+    values_checked = np.where(block.honest_mask[:, :, None], final_values, lo[:, None, :])
     validity_ok = check_box_validity_block(values_checked, lo, hi)
     fast_ok = active & agreement_ok & validity_ok
 
     # Bulk conversions to Python scalars up front: element-wise numpy reads
     # inside the per-execution loop would dominate large blocks.
     if vector:
-        values_rows = block.values.tolist()
+        values_rows = final_values.tolist()
         inputs_rows = block.inputs.tolist()
     else:
-        values_rows = block.values[:, :, 0].tolist()
+        values_rows = final_values[:, :, 0].tolist()
         hist_t = np.ascontiguousarray(stacked[..., 0].transpose(1, 2, 0))  # (E, n, rounds + 1)
     traj_rows = traj_all.tolist()
     spread_list = output_spread.tolist()

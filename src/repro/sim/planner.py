@@ -6,9 +6,10 @@ size (not hardware) capped throughput: a 10⁶-execution cell block would
 allocate hundreds of gigabytes at once.  The planner turns that into a
 streaming problem:
 
-* :func:`plan_block` takes a block's shape ``(count, n, m, rounds)`` and a
-  bytes budget (default: a conservative share of available host RAM,
-  overridable via ``REPRO_BLOCK_BUDGET_BYTES``) and returns the largest
+* :func:`plan_block` takes a block's shape ``(count, n, m, rounds)``, its
+  float dtype (:func:`resolve_dtype`) and a bytes budget (default: a
+  conservative share of available host RAM, overridable via
+  ``REPRO_BLOCK_BUDGET_BYTES``) and returns the largest
   execution-chunk size whose peak footprint fits — the engine then streams
   the block through fixed-size chunks instead of materialising
   ``(executions, n, m)`` whole.  Chunking cannot change outcomes (each
@@ -35,6 +36,8 @@ from typing import Optional, Sequence, Tuple
 
 __all__ = [
     "ENV_BUDGET",
+    "ENV_DTYPE",
+    "FLOAT_DTYPES",
     "BlockPlan",
     "ShapeCost",
     "available_memory_bytes",
@@ -42,10 +45,17 @@ __all__ = [
     "decide_pad_or_split",
     "default_budget_bytes",
     "plan_block",
+    "resolve_dtype",
 ]
 
 #: Environment override for the bytes budget (an integer byte count).
 ENV_BUDGET = "REPRO_BLOCK_BUDGET_BYTES"
+#: Environment variable selecting the block float dtype (kwarg overrides it).
+ENV_DTYPE = "REPRO_ARRAY_DTYPE"
+
+#: Float dtypes a block may run under.  float64 is the default; float32
+#: halves the value-array footprint and tracks float64 within ~1e-6.
+FLOAT_DTYPES = ("float64", "float32")
 
 #: Fraction of available memory the default budget claims.  One sweep
 #: process is rarely alone on a host (pool workers, the OS page cache), so
@@ -65,8 +75,7 @@ def available_memory_bytes() -> int:
     Prefers ``MemAvailable`` from ``/proc/meminfo`` (what the kernel would
     actually hand out without swapping); falls back to total RAM via
     ``os.sysconf`` on hosts without procfs, and to a 2 GiB guess when
-    neither exists.  Device-memory budgets for GPU backends should be passed
-    explicitly (``budget_bytes=``) — the planner does not probe devices.
+    neither exists.
     """
     try:
         with open("/proc/meminfo", "rb") as handle:
@@ -106,6 +115,28 @@ def default_budget_bytes() -> int:
         return budget
     fraction = int(available_memory_bytes() * DEFAULT_MEMORY_FRACTION)
     return max(_MIN_BUDGET_BYTES, fraction)
+
+
+def resolve_dtype(dtype: Optional[str] = None) -> str:
+    """The block float dtype name: ``dtype``, else ``REPRO_ARRAY_DTYPE``, else
+    ``"float64"``.
+
+    Case and surrounding whitespace are ignored.  A name outside
+    :data:`FLOAT_DTYPES` raises :class:`ValueError` naming both ways to
+    select one.  Needs no numpy, so a sweep can reject a bad dtype before it
+    decides which engines run.
+    """
+    chosen = dtype if dtype is not None else os.environ.get(ENV_DTYPE)
+    if chosen is None or not str(chosen).strip():
+        return "float64"
+    name = str(chosen).strip().lower()
+    if name not in FLOAT_DTYPES:
+        raise ValueError(
+            f"unknown array dtype {name!r}; supported dtypes: "
+            f"{', '.join(FLOAT_DTYPES)} (selected via the dtype kwarg or "
+            f"{ENV_DTYPE})"
+        )
+    return name
 
 
 def _itemsize(dtype: str) -> int:

@@ -362,6 +362,8 @@ class _Unit:
     attempts: int = 0
     demoted_from: str = ""
     ready_at: float = 0.0
+    #: The cell ID of the unit's first cell, set only under a retry policy:
+    #: backoff jitter and quarantine records are all that read it.
     key: str = ""
 
     def effective_engine(self) -> str:
@@ -370,11 +372,6 @@ class _Unit:
         if self.engine is not None:
             return self.engine
         return self.cells[0].engine
-
-    def cell_ids(self) -> List[str]:
-        from repro.sim.job import cell_id
-
-        return [cell_id(cell) for cell in self.cells]
 
 
 def _cells_units(
@@ -487,6 +484,8 @@ def _split_unit(unit: _Unit, now: float, retry: RetryPolicy) -> List[_Unit]:
     unit splits on its own engine.  Children inherit the cumulative attempt
     count but start a fresh failure budget.
     """
+    from repro.sim.job import cell_id
+
     if unit.group is not None:
         engine = demotion_target("ndbatch")
         demoted_from = "ndbatch"
@@ -502,7 +501,7 @@ def _split_unit(unit: _Unit, now: float, retry: RetryPolicy) -> List[_Unit]:
             attempts=unit.attempts,
             demoted_from=demoted_from,
         )
-        child.key = child.cell_ids()[0]
+        child.key = cell_id(cell)
         child.ready_at = now + retry.backoff_seconds(child.key, 1)
         children.append(child)
     return children
@@ -548,7 +547,7 @@ def _on_unit_failure(
         return [demoted], []
     failure = CellFailure(
         cell=unit.cells[0],
-        cell_id=unit.cell_ids()[0],
+        cell_id=unit.key,
         error_type=info["error_type"],
         message=info["message"],
         traceback_digest=info["traceback_digest"],
@@ -739,7 +738,6 @@ def iter_resilient_outcomes(
     retry: Optional[RetryPolicy],
     chaos: Optional[ChaosPlan] = None,
     on_failure: Optional[Callable[[CellFailure], None]] = None,
-    backend: Optional[str] = None,
     dtype: Optional[str] = None,
     budget_bytes: Optional[int] = None,
 ) -> Iterator[Tuple[int, "CellOutcome"]]:  # noqa: F821
@@ -747,8 +745,12 @@ def iter_resilient_outcomes(
 
     The sweep execution core.  The cells split into work units once:
     ndbatch chunk groups (``repro.sim.sweep._ndbatch_dispatch_groups``,
-    which receives ``backend``/``dtype``/``budget_bytes``) and per-cell units
-    for the rest.  With a ``retry`` policy every unit flows through the
+    which receives ``dtype``/``budget_bytes``) and per-cell units for the
+    rest.  ``dtype`` is resolved first, for every engine
+    (:func:`repro.sim.planner.resolve_dtype`: kwarg, else
+    ``REPRO_ARRAY_DTYPE``, else float64), so an unknown dtype raises
+    :class:`ValueError` before any unit runs, even on a grid no ndbatch
+    block covers.  With a ``retry`` policy every unit flows through the
     retry → split/demote → quarantine state machine, the pool detects and
     survives dead workers, and hung units are killed at their wall-clock
     deadline instead of blocking the sweep forever.  Quarantined cells are
@@ -764,8 +766,11 @@ def iter_resilient_outcomes(
     deterministic regardless — a retried or re-dispatched cell recomputes
     the identical outcome.
     """
+    from repro.sim.job import cell_id
+    from repro.sim.planner import resolve_dtype
     from repro.sim.sweep import _ndbatch_dispatch_groups, _resolve_workers
 
+    dtype = resolve_dtype(dtype)
     cells = list(cells)
     if not cells:
         return
@@ -773,7 +778,7 @@ def iter_resilient_outcomes(
     units = [
         _Unit(indices=indices, cells=[cells[i] for i in indices], group=group)
         for indices, group in _ndbatch_dispatch_groups(
-            cells, engine, max_block_size, backend, dtype, budget_bytes
+            cells, engine, max_block_size, dtype, budget_bytes
         )
     ]
     covered = {index for unit in units for index in unit.indices}
@@ -782,7 +787,8 @@ def iter_resilient_outcomes(
     counter = iter(range(1 << 62))
     heap: List[Tuple[float, int, _Unit]] = []
     for unit in units:
-        unit.key = unit.cell_ids()[0]
+        if retry is not None:
+            unit.key = cell_id(unit.cells[0])
         heapq.heappush(heap, (0.0, next(counter), unit))
 
     timeouts = retry is not None and retry.timeout_seconds is not None

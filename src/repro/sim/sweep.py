@@ -61,7 +61,6 @@ from typing import (
 )
 
 from repro.analysis.convergence import compare_to_bound
-from repro.core.backend import get_namespace
 from repro.core.rounds import (
     AlgorithmBounds,
     async_byzantine_bounds,
@@ -1043,8 +1042,8 @@ def _run_ndbatch_chunk(chunk) -> List[CellOutcome]:
     """Execute one shape-compatible block of cells on the vectorised engine.
 
     ``chunk`` is ``(rounds, cells, inputs_block, options)``; ``options`` holds
-    the ``backend``/``dtype``/``budget_bytes`` keys forwarded to
-    :func:`repro.sim.ndbatch.run_ndbatch_block` (array-backend selection and
+    the ``dtype``/``budget_bytes`` keys forwarded to
+    :func:`repro.sim.ndbatch.run_ndbatch_block` (the block's float dtype and
     the memory planner's bytes budget).
     """
     rounds, cells, inputs_block, options = chunk
@@ -1112,7 +1111,7 @@ def _run_ndbatch_group(group) -> List[CellOutcome]:
 
 def _pack_chunk_groups(
     chunks: Sequence[Tuple],
-    dtype: Optional[str],
+    dtype: str,
     budget_bytes: Optional[int],
 ) -> Tuple[Tuple[int, ...], ...]:
     """Fuse equal-program, mixed-shape chunks into dispatch groups.
@@ -1145,15 +1144,14 @@ def _pack_chunk_groups(
                 ),
             )
         )
-    return pack_dispatch_groups(shapes, dtype=dtype or "float64", budget_bytes=budget_bytes)
+    return pack_dispatch_groups(shapes, dtype=dtype, budget_bytes=budget_bytes)
 
 
 def _ndbatch_dispatch_groups(
     cells: Sequence[SweepCell],
     engine: str,
     max_block_size: int,
-    backend: Optional[str] = None,
-    dtype: Optional[str] = None,
+    dtype: str = "float64",
     budget_bytes: Optional[int] = None,
 ) -> List[Tuple[List[int], Tuple[Tuple, ...]]]:
     """The block share of a cell list's work-unit decomposition.
@@ -1161,7 +1159,10 @@ def _ndbatch_dispatch_groups(
     Returns one ``(cell_indices, group)`` pair per dispatch unit: ``group`` is
     a tuple of ndbatch chunks ``(rounds, cells, inputs_block, options)``
     fused by :func:`_pack_chunk_groups`, ``cell_indices`` the chunks' cells in
-    order, and ``options`` carries ``backend``/``dtype``/``budget_bytes``.
+    order, and ``options`` carries ``dtype``/``budget_bytes``.  ``dtype`` is
+    a resolved name (:func:`repro.sim.planner.resolve_dtype`): the caller
+    checks it before any cell runs, so a bad selection fails the sweep up
+    front instead of failing (or quarantining) every block.
 
     ``engine="ndbatch"`` covers every cell.  ``engine="auto"`` covers the
     cells :func:`_auto_engine_for` sends to ndbatch whose shape-compatible
@@ -1171,8 +1172,7 @@ def _ndbatch_dispatch_groups(
     (an auto cell re-applies the cost model to its own work, so a ``d > 1``
     cell of a block below the threshold runs on batch).
     Blocks are split at ``max_block_size`` and round-robin interleaved
-    (:func:`_split_blocks`).  The array backend is resolved here, once, so a
-    bad selection fails the sweep up front instead of failing every block.
+    (:func:`_split_blocks`).
     """
     if engine == "ndbatch":
         blocks = _group_ndbatch_blocks(cells)
@@ -1195,8 +1195,7 @@ def _ndbatch_dispatch_groups(
         raise ImportError(
             "engine='ndbatch' requires numpy; install numpy or use engine='batch'"
         )
-    get_namespace(backend, dtype=dtype)
-    options = {"backend": backend, "dtype": dtype, "budget_bytes": budget_bytes}
+    options = {"dtype": dtype, "budget_bytes": budget_bytes}
     split = _split_blocks(blocks, max_block_size)
     chunks = [
         (rounds, [cells[i] for i in indices], inputs_block, options)
@@ -1254,7 +1253,6 @@ def _iter_indexed_outcomes(
     retry: Optional["RetryPolicy"] = None,  # noqa: F821
     chaos: Optional["ChaosPlan"] = None,  # noqa: F821
     on_failure: Optional[Callable] = None,
-    backend: Optional[str] = None,
     dtype: Optional[str] = None,
     budget_bytes: Optional[int] = None,
 ) -> Iterator[Tuple[int, CellOutcome]]:
@@ -1291,7 +1289,6 @@ def _iter_indexed_outcomes(
         retry,
         chaos=chaos,
         on_failure=on_failure,
-        backend=backend,
         dtype=dtype,
         budget_bytes=budget_bytes,
     )
@@ -1323,7 +1320,6 @@ def run_sweep(
     chaos: Optional["ChaosPlan"] = None,  # noqa: F821
     quarantine_path: Optional[str] = None,
     on_failure: Optional[Callable] = None,
-    backend: Optional[str] = None,
     dtype: Optional[str] = None,
     budget_bytes: Optional[int] = None,
 ) -> Union[List[CellOutcome], int]:
@@ -1381,15 +1377,15 @@ def run_sweep(
     aborting the sweep.  Quarantined cells are absent from the returned list
     and from the written count.
 
-    ``backend``/``dtype`` select the array namespace the ndbatch/auto
-    engines execute tensor blocks on
-    (:func:`repro.core.backend.get_namespace`; default numpy float64,
-    bit-identical to the historic engine), and ``budget_bytes`` caps the
-    block memory planner (:func:`repro.sim.planner.plan_block`).
-    Batch/event cells ignore all three — they run pure Python.  The job
-    layer (:class:`repro.sim.job.SweepJob`) reaches the same knobs through
-    the ``REPRO_ARRAY_BACKEND`` / ``REPRO_ARRAY_DTYPE`` /
-    ``REPRO_BLOCK_BUDGET_BYTES`` environment variables instead.
+    ``dtype`` selects the float dtype of the ndbatch/auto engines' tensor
+    blocks (``"float64"`` default or ``"float32"``; unset, it comes from
+    ``REPRO_ARRAY_DTYPE``), and ``budget_bytes`` caps the block memory
+    planner (:func:`repro.sim.planner.plan_block`).  An unknown dtype raises
+    :class:`ValueError` before any cell runs, whatever the engine.
+    Batch/event cells ignore both — they run pure Python.  The job layer
+    (:class:`repro.sim.job.SweepJob`) reaches the same knobs through the
+    ``REPRO_ARRAY_DTYPE`` / ``REPRO_BLOCK_BUDGET_BYTES`` environment
+    variables instead.
     """
     from repro.sim.chaos import ChaosPlan, maybe_truncate_write
     from repro.sim.job import cell_id
@@ -1432,7 +1428,6 @@ def run_sweep(
                 retry=retry,
                 chaos=chaos,
                 on_failure=record_failure,
-                backend=backend,
                 dtype=dtype,
                 budget_bytes=budget_bytes,
             ):

@@ -99,7 +99,6 @@ def run_vector_protocol(
     runtime: Optional[str] = None,
     strict: bool = True,
     engine: Optional[str] = None,
-    backend: Optional[str] = None,
     dtype: Optional[str] = None,
 ) -> VectorExecutionResult:
     """Run vector approximate agreement coordinate by coordinate.
@@ -109,7 +108,7 @@ def run_vector_protocol(
     The returned report checks ℓ∞ ε-agreement and box validity against the
     non-Byzantine processes' input vectors.
 
-    Engine-selection kwargs (``engine=``/``backend=``/``dtype=``) are
+    Engine-selection kwargs (``engine=``/``dtype=``) are
     rejected loudly rather than silently ignored: this composition always
     runs on the event simulator, one full execution per coordinate.  For
     vectorised execution use :func:`repro.sim.ndbatch.run_vector_block` (or
@@ -118,7 +117,7 @@ def run_vector_protocol(
     """
     rejected = [
         name
-        for name, value in (("engine", engine), ("backend", backend), ("dtype", dtype))
+        for name, value in (("engine", engine), ("dtype", dtype))
         if value is not None
     ]
     if rejected:
@@ -126,7 +125,7 @@ def run_vector_protocol(
             "event",
             f"{'/'.join(f'{name}=' for name in rejected)} overrides "
             f"(run_vector_protocol composes one event-simulator execution per "
-            f"coordinate; for engine/backend selection run the vectorised "
+            f"coordinate; for engine/dtype selection run the vectorised "
             f"block path, repro.sim.ndbatch.run_vector_block, or a sweep "
             f"cell with dimension > 1)",
             ("ndbatch",),

@@ -223,3 +223,20 @@ class TestApproximationStepBlock:
         assert float(approximation_step_block(sample, bounds)) == pytest.approx(
             approximation_step(sample, bounds)
         )
+
+    def test_float32_dtype_runs_the_kernel_in_float32(self):
+        np = pytest.importorskip("numpy")
+        from repro.core.rounds import approximation_step_block
+
+        bounds = async_crash_bounds(5, 1)  # m = 4
+        samples = np.random.default_rng(7).random((3, 5, 4))
+        result = approximation_step_block(samples, bounds, dtype="float32")
+        assert result.dtype == np.float32
+        reference = approximation_step_block(samples, bounds)
+        assert reference.dtype == np.float64
+        np.testing.assert_allclose(result, reference, rtol=1e-6, atol=1e-6)
+        # The multiset may sit on any axis at either dtype.
+        moved = approximation_step_block(
+            np.moveaxis(samples, -1, 1), bounds, dtype="float32", axis=1
+        )
+        np.testing.assert_array_equal(moved, result)

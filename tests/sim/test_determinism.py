@@ -11,13 +11,22 @@ from __future__ import annotations
 
 import pytest
 
+from repro.core.termination import FixedRounds
+from repro.net.adversary import (
+    AntiConvergenceStrategy,
+    DelayRankOmission,
+    RandomValueStrategy,
+    RoundFaultModel,
+    SeededDelay,
+    StaggeredExclusionDelay,
+)
 from repro.net.network import UniformRandomDelay
 from repro.sim import NDBATCH_PROTOCOLS, run_ndbatch_protocol
 from repro.sim.batch import BATCH_PROTOCOLS, run_batch_protocol
 from repro.sim.engine import numpy_available
 from repro.sim.runner import PROTOCOL_FACTORIES, SYNCHRONOUS_PROTOCOLS, run_protocol
 from repro.sim.sweep import ADVERSARY_SPECS, SweepSpec, run_sweep
-from repro.sim.workloads import uniform_inputs
+from repro.sim.workloads import rendezvous_positions, uniform_inputs
 
 SEED = 1234
 
@@ -167,15 +176,216 @@ class TestBatchEngineDeterminism:
 
 @pytest.mark.skipif(not numpy_available(), reason="the vectorised engine requires numpy")
 class TestNdbatchEngineDeterminism:
+    #: Recorded literals for :meth:`execute` per ``(protocol, dtype)``: the
+    #: round, message and bit counts and every honest output as
+    #: ``float.hex``, in process order.  Two runs of the same code agree
+    #: even after a refactor that moves the block arithmetic; these
+    #: literals do not.
+    RECORDED = {
+        ("async-byzantine", "float64"): dict(
+            rounds=3, messages=363, bits=26983,
+            outputs=(
+                "0x1.3426fd8eb8263p-1", "0x1.3426fd8eb8263p-1", "0x1.3426fd8eb8263p-1",
+                "0x1.3426fd8eb8263p-1", "0x1.29492f0875802p-1", "0x1.3426fd8eb8263p-1",
+                "0x1.3426fd8eb8263p-1", "0x1.3426fd8eb8263p-1", "0x1.3426fd8eb8263p-1",
+            ),
+        ),
+        ("async-byzantine", "float32"): dict(
+            rounds=3, messages=363, bits=26983,
+            outputs=(
+                "0x1.3426fe0000000p-1", "0x1.3426fe0000000p-1", "0x1.3426fe0000000p-1",
+                "0x1.3426fe0000000p-1", "0x1.29492e0000000p-1", "0x1.3426fe0000000p-1",
+                "0x1.3426fe0000000p-1", "0x1.3426fe0000000p-1", "0x1.3426fe0000000p-1",
+            ),
+        ),
+        ("async-crash", "float64"): dict(
+            rounds=3, messages=119, bits=8841,
+            outputs=(
+                "0x1.378550128929dp-1", "0x1.378550128929dp-1", "0x1.378550128929dp-1",
+                "0x1.378550128929dp-1", "0x1.378550128929dp-1",
+            ),
+        ),
+        ("async-crash", "float32"): dict(
+            rounds=3, messages=119, bits=8841,
+            outputs=(
+                "0x1.3785500000000p-1", "0x1.3785500000000p-1", "0x1.3785500000000p-1",
+                "0x1.3785500000000p-1", "0x1.3785500000000p-1",
+            ),
+        ),
+        ("sync-byzantine", "float64"): dict(
+            rounds=3, messages=147, bits=10927,
+            outputs=(
+                "0x1.6c6950c3103dap-1", "0x1.6c6950c3103dap-1", "0x1.6c6950c3103dap-1",
+                "0x1.6c6950c3103dap-1", "0x1.494ec639301edp-1",
+            ),
+        ),
+        ("sync-byzantine", "float32"): dict(
+            rounds=3, messages=147, bits=10927,
+            outputs=(
+                "0x1.6c69500000000p-1", "0x1.6c69500000000p-1", "0x1.6c69500000000p-1",
+                "0x1.6c69500000000p-1", "0x1.494ec60000000p-1",
+            ),
+        ),
+        ("sync-crash", "float64"): dict(
+            rounds=3, messages=119, bits=8841,
+            outputs=(
+                "0x1.3ced3e7bdcd77p-1", "0x1.3ced3e7bdcd77p-1", "0x1.3ced3e7bdcd77p-1",
+                "0x1.3ced3e7bdcd77p-1", "0x1.3d27302eba254p-1",
+            ),
+        ),
+        ("sync-crash", "float32"): dict(
+            rounds=3, messages=119, bits=8841,
+            outputs=(
+                "0x1.3ced3e0000000p-1", "0x1.3ced3e0000000p-1", "0x1.3ced3e0000000p-1",
+                "0x1.3ced3e0000000p-1", "0x1.3d27300000000p-1",
+            ),
+        ),
+    }
+
+    #: Recorded literals for :meth:`execute_vector_block` per dtype: one d=3
+    #: Byzantine block (anti-convergence and random tensor strategies) under
+    #: delay-rank quorums, two executions, outputs as ``float.hex`` triples.
+    VECTOR_RECORDED = {
+        "float64": (
+            dict(
+                rounds=2, messages=726, bits=53724,
+                outputs=(
+                    ("0x1.78c844d101f4ep+5", "0x1.10e8f0c8ae3d6p+5", "0x1.a6a799089468dp+5"),
+                    ("0x1.7b8f8e4f28cffp+5", "0x1.060ae782e26efp+5", "0x1.a6a799089468dp+5"),
+                    ("0x1.373fafd19e314p+5", "0x1.060ae782e26efp+5", "0x1.a6a799089468dp+5"),
+                    ("0x1.7b8f8e4f28cffp+5", "0x1.10e8f0c8ae3d6p+5", "0x1.a6a799089468dp+5"),
+                    ("0x1.373fafd19e314p+5", "0x1.060ae782e26efp+5", "0x1.a6a799089468dp+5"),
+                    ("0x1.7b8f8e4f28cffp+5", "0x1.060ae782e26efp+5", "0x1.a6a799089468dp+5"),
+                    ("0x1.7b8f8e4f28cffp+5", "0x1.10e8f0c8ae3d6p+5", "0x1.a6a799089468dp+5"),
+                    ("0x1.821dac565550cp+5", "0x1.1369919a69e90p+5", "0x1.a6a799089468dp+5"),
+                    ("0x1.373fafd19e314p+5", "0x1.060ae782e26efp+5", "0x1.8e490bfc4649ap+5"),
+                    ("0x1.821dac565550cp+5", "0x1.1369919a69e90p+5", "0x1.a6a799089468dp+5"),
+                ),
+            ),
+            dict(
+                rounds=2, messages=726, bits=53724,
+                outputs=(
+                    ("0x1.371bb7c43ee66p+5", "0x1.9a8393f9db570p+5", "0x1.05db0364d4992p+6"),
+                    ("0x1.815d96e9bdbd5p+5", "0x1.9a8393f9db570p+5", "0x1.20440d8458dbcp+6"),
+                    ("0x1.9206b8325d9a0p+5", "0x1.9a8393f9db570p+5", "0x1.20440d8458dbcp+6"),
+                    ("0x1.815d96e9bdbd5p+5", "0x1.9a8393f9db570p+5", "0x1.20440d8458dbcp+6"),
+                    ("0x1.371bb7c43ee66p+5", "0x1.9a8393f9db570p+5", "0x1.20440d8458dbcp+6"),
+                    ("0x1.815d96e9bdbd5p+5", "0x1.6367ab8152a68p+5", "0x1.20440d8458dbcp+6"),
+                    ("0x1.371bb7c43ee66p+5", "0x1.6367ab8152a68p+5", "0x1.05db0364d4992p+6"),
+                    ("0x1.9206b8325d9a0p+5", "0x1.9a8393f9db570p+5", "0x1.20440d8458dbcp+6"),
+                    ("0x1.9206b8325d9a0p+5", "0x1.9a8393f9db570p+5", "0x1.20440d8458dbcp+6"),
+                ),
+            ),
+        ),
+        "float32": (
+            dict(
+                rounds=2, messages=726, bits=53724,
+                outputs=(
+                    ("0x1.78c8440000000p+5", "0x1.10e8f00000000p+5", "0x1.a6a7980000000p+5"),
+                    ("0x1.7b8f8e0000000p+5", "0x1.060ae80000000p+5", "0x1.a6a7980000000p+5"),
+                    ("0x1.373fb00000000p+5", "0x1.060ae80000000p+5", "0x1.a6a7980000000p+5"),
+                    ("0x1.7b8f8e0000000p+5", "0x1.10e8f00000000p+5", "0x1.a6a7980000000p+5"),
+                    ("0x1.373fb00000000p+5", "0x1.060ae80000000p+5", "0x1.a6a7980000000p+5"),
+                    ("0x1.7b8f8e0000000p+5", "0x1.060ae80000000p+5", "0x1.a6a7980000000p+5"),
+                    ("0x1.7b8f8e0000000p+5", "0x1.10e8f00000000p+5", "0x1.a6a7980000000p+5"),
+                    ("0x1.821dac0000000p+5", "0x1.1369920000000p+5", "0x1.a6a7980000000p+5"),
+                    ("0x1.373fb00000000p+5", "0x1.060ae80000000p+5", "0x1.8e490c0000000p+5"),
+                    ("0x1.821dac0000000p+5", "0x1.1369920000000p+5", "0x1.a6a7980000000p+5"),
+                ),
+            ),
+            dict(
+                rounds=2, messages=726, bits=53724,
+                outputs=(
+                    ("0x1.371bb80000000p+5", "0x1.9a83940000000p+5", "0x1.05db040000000p+6"),
+                    ("0x1.815d980000000p+5", "0x1.9a83940000000p+5", "0x1.20440e0000000p+6"),
+                    ("0x1.9206b80000000p+5", "0x1.9a83940000000p+5", "0x1.20440e0000000p+6"),
+                    ("0x1.815d980000000p+5", "0x1.9a83940000000p+5", "0x1.20440e0000000p+6"),
+                    ("0x1.371bb80000000p+5", "0x1.9a83940000000p+5", "0x1.20440e0000000p+6"),
+                    ("0x1.815d980000000p+5", "0x1.6367ac0000000p+5", "0x1.20440e0000000p+6"),
+                    ("0x1.371bb80000000p+5", "0x1.6367ac0000000p+5", "0x1.05db040000000p+6"),
+                    ("0x1.9206b80000000p+5", "0x1.9a83940000000p+5", "0x1.20440e0000000p+6"),
+                    ("0x1.9206b80000000p+5", "0x1.9a83940000000p+5", "0x1.20440e0000000p+6"),
+                ),
+            ),
+        ),
+    }
+
+    @staticmethod
+    def execute(protocol, dtype=None):
+        n, t = (11, 2) if protocol == "async-byzantine" else (7, 2)
+        if protocol.endswith("crash"):
+            # Two mid-multicast crash prefixes.
+            model = RoundFaultModel(crash_schedule={5: (2, 3), 6: (1, 4)})
+        else:
+            model = RoundFaultModel(
+                strategies={
+                    n - 1: AntiConvergenceStrategy(stretch=0.25),
+                    n - 2: RandomValueStrategy(-2.0, 3.0, seed=SEED),
+                }
+            )
+        return run_ndbatch_protocol(
+            protocol, uniform_inputs(n, seed=SEED), t=t, epsilon=1e-3, seed=SEED,
+            round_policy=FixedRounds(3), fault_model=model, dtype=dtype,
+        )
+
+    @staticmethod
+    def execute_vector_block(dtype):
+        from repro.sim.ndbatch import run_vector_block
+
+        n, t = 11, 2
+        return run_vector_block(
+            "async-byzantine",
+            [rendezvous_positions(n, dimension=3, seed=SEED + e) for e in range(2)],
+            t=t,
+            epsilon=1e-3,
+            round_policy=FixedRounds(2),
+            fault_models=[
+                RoundFaultModel(strategies={10: AntiConvergenceStrategy(stretch=0.5)}),
+                RoundFaultModel(
+                    strategies={
+                        9: RandomValueStrategy(-1.0, 2.0, seed=7),
+                        10: AntiConvergenceStrategy(parity=1),
+                    }
+                ),
+            ],
+            omission_policies=[
+                DelayRankOmission(SeededDelay(0.5, 1.5, seed=SEED)),
+                DelayRankOmission(StaggeredExclusionDelay(n, exclude=1)),
+            ],
+            seeds=[SEED, SEED + 1],
+            dtype=dtype,
+        )
+
     @pytest.mark.parametrize("protocol", NDBATCH_PROTOCOLS)
     def test_repeated_runs_are_identical(self, protocol):
-        n, t = (11, 2) if protocol == "async-byzantine" else (7, 2)
-        inputs = uniform_inputs(n, seed=SEED)
+        assert metrics_of(self.execute(protocol)) == metrics_of(self.execute(protocol))
 
-        def execute():
-            return run_ndbatch_protocol(protocol, inputs, t=t, epsilon=1e-3, seed=SEED)
+    @pytest.mark.parametrize("dtype", ["float64", "float32"])
+    @pytest.mark.parametrize("protocol", NDBATCH_PROTOCOLS)
+    def test_block_arithmetic_matches_recorded_values(self, protocol, dtype):
+        result = self.execute(protocol, dtype)
+        assert dict(
+            rounds=result.rounds_used,
+            messages=result.stats.messages_sent,
+            bits=result.stats.bits_sent,
+            outputs=tuple(float.hex(result.outputs[pid]) for pid in sorted(result.outputs)),
+        ) == self.RECORDED[protocol, dtype]
 
-        assert metrics_of(execute()) == metrics_of(execute())
+    @pytest.mark.parametrize("dtype", ["float64", "float32"])
+    def test_vector_block_matches_recorded_values(self, dtype):
+        results = self.execute_vector_block(dtype)
+        assert tuple(
+            dict(
+                rounds=result.rounds,
+                messages=result.stats.messages_sent,
+                bits=result.stats.bits_sent,
+                outputs=tuple(
+                    tuple(float.hex(x) for x in result.outputs[pid])
+                    for pid in sorted(result.outputs)
+                ),
+            )
+            for result in results
+        ) == self.VECTOR_RECORDED[dtype]
 
 
 class TestSweepDeterminism:

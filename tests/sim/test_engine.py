@@ -424,25 +424,37 @@ class TestMinWorkCalibration:
         assert probed > 0
 
 
-class TestBackendDispatch:
-    """run()'s backend/dtype plumbing into the ndbatch engine."""
+class TestDtypeDispatch:
+    """run()'s dtype plumbing into the ndbatch engine."""
 
     @needs_numpy
-    def test_explicit_backend_on_ndbatch_matches_default(self):
+    def test_explicit_float64_on_ndbatch_matches_default(self):
         default = run("async-crash", INPUTS, t=2, epsilon=1e-3, engine="ndbatch")
         explicit = run(
             "async-crash", INPUTS, t=2, epsilon=1e-3, engine="ndbatch",
-            backend="numpy", dtype="float64",
+            dtype="float64",
         )
         assert default.outputs == explicit.outputs
         assert default.rounds_used == explicit.rounds_used
 
     @needs_numpy
-    def test_backend_on_pure_python_engine_raises(self):
-        with pytest.raises(EngineCapabilityError, match="backend"):
+    def test_float32_on_ndbatch_tracks_float64(self):
+        default = run("async-crash", INPUTS, t=2, epsilon=1e-3, engine="ndbatch")
+        single = run(
+            "async-crash", INPUTS, t=2, epsilon=1e-3, engine="ndbatch",
+            dtype="float32",
+        )
+        assert single.rounds_used == default.rounds_used
+        assert single.stats == default.stats
+        for pid, value in default.outputs.items():
+            assert single.outputs[pid] == pytest.approx(value, rel=1e-5, abs=1e-6)
+
+    @needs_numpy
+    def test_dtype_on_pure_python_engine_raises(self):
+        with pytest.raises(EngineCapabilityError, match="dtype"):
             run(
                 "async-crash", INPUTS, t=2, epsilon=1e-3, engine="batch",
-                backend="numpy",
+                dtype="float64",
             )
         with pytest.raises(EngineCapabilityError, match="ndbatch"):
             run(
@@ -451,11 +463,9 @@ class TestBackendDispatch:
             )
 
     @needs_numpy
-    def test_unknown_backend_is_a_value_error_family(self):
-        from repro.core.backend import ArrayBackendError
-
-        with pytest.raises(ArrayBackendError, match="unknown array backend"):
+    def test_unknown_dtype_is_a_value_error(self):
+        with pytest.raises(ValueError, match="unknown array dtype"):
             run(
                 "async-crash", INPUTS, t=2, epsilon=1e-3, engine="ndbatch",
-                backend="no-such-backend",
+                dtype="float16",
             )

@@ -2,13 +2,15 @@
 
 Every sweep — with or without a :class:`~repro.sim.resilient.RetryPolicy` —
 runs through the same unit decomposition.  These tests pin what used to
-drift between the fail-fast and the retrying paths (array-backend options,
-the auto cost model, pad-vs-split packing), the fail-fast meaning of
+drift between the fail-fast and the retrying paths (the dtype option, the
+auto cost model, pad-vs-split packing), the up-front dtype check on every
+engine, which units digest a cell ID, the fail-fast meaning of
 ``retry=None``, and the fault-tolerant pool's wakeups.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import multiprocessing
 import os
 import time
@@ -16,6 +18,7 @@ import time
 import pytest
 
 import repro.sim.engine as engine_module
+import repro.sim.job as job_module
 import repro.sim.planner as planner_module
 import repro.sim.resilient as resilient_module
 import repro.sim.sweep as sweep_module
@@ -46,17 +49,28 @@ def _assert_children_drain(deadline_seconds=10.0):
 class TestRetryKeepsDispatchDecisions:
     """Turning on retry must not change how, or on what, a cell runs."""
 
-    def test_backend_options_reach_the_engine_under_retry(self):
-        from repro.core.backend import ArrayBackendError
-
+    def test_dtype_options_reach_the_engine_under_retry(self, monkeypatch):
         spec = SweepSpec(
             protocols=("async-crash",),
             system_sizes=((7, 2),),
             seeds=(0, 1),
             engine="ndbatch",
         )
-        with pytest.raises(ArrayBackendError, match="unknown array backend"):
-            run_sweep(spec, workers=1, retry=RetryPolicy(), backend="no-such-backend")
+        # A bad dtype fails the sweep; it is not retried and quarantined.
+        with pytest.raises(ValueError, match="unknown array dtype"):
+            run_sweep(spec, workers=1, retry=RetryPolicy(), dtype="float16")
+        dtypes = []
+        original = sweep_module.run_ndbatch_block
+
+        def recording(*args, **kwargs):
+            dtypes.append(kwargs["dtype"])
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(sweep_module, "run_ndbatch_block", recording)
+        plain = run_sweep(spec, workers=1, dtype="float32")
+        retried = run_sweep(spec, workers=1, retry=RetryPolicy(), dtype="float32")
+        assert dtypes == ["float32", "float32"]
+        assert retried == plain
 
     def test_auto_cost_model_counts_the_dimension_under_retry(self, monkeypatch):
         spec = SweepSpec(
@@ -146,6 +160,89 @@ class TestRetryKeepsDispatchDecisions:
         assert packed, "the retrying path never consulted the pad-vs-split packer"
         assert any(len(group) > 1 for group in packed[0])  # shapes were fused
         assert retried == plain
+
+
+#: The grid on which an unknown dtype used to run silently: no ndbatch
+#: block forms, so nothing resolved the dtype.
+WITNESS_GRID = SweepSpec(
+    protocols=("witness",),
+    system_sizes=((7, 2),),
+    seeds=(0, 1),
+)
+
+
+class TestDtypeCheckedOnEveryEngine:
+    """The sweep rejects an unknown dtype before any cell runs, on any engine."""
+
+    @pytest.mark.parametrize("engine", ["batch", "auto"])
+    @pytest.mark.parametrize("retry", [None, RetryPolicy()], ids=["fail-fast", "retry"])
+    def test_unknown_dtype_kwarg_raises_on_a_batch_grid(self, engine, retry):
+        spec = dataclasses.replace(WITNESS_GRID, engine=engine)
+        with pytest.raises(ValueError, match="unknown array dtype 'float16'"):
+            run_sweep(spec, workers=1, retry=retry, dtype="float16")
+
+    @pytest.mark.parametrize("retry", [None, RetryPolicy()], ids=["fail-fast", "retry"])
+    def test_unknown_env_dtype_raises_on_a_batch_grid(self, monkeypatch, retry):
+        monkeypatch.setenv(planner_module.ENV_DTYPE, "float16")
+        spec = dataclasses.replace(WITNESS_GRID, engine="batch")
+        with pytest.raises(ValueError, match=planner_module.ENV_DTYPE):
+            run_sweep(spec, workers=1, retry=retry)
+
+    def test_float32_on_a_batch_grid_runs_unchanged(self):
+        # Batch and event cells run pure Python and ignore the dtype.
+        spec = dataclasses.replace(WITNESS_GRID, engine="batch")
+        plain = run_sweep(spec, workers=1)
+        assert len(plain) == 2
+        assert run_sweep(spec, workers=1, dtype="float32") == plain
+        assert run_sweep(spec, workers=1, dtype="float32", retry=RetryPolicy()) == plain
+
+
+class TestUnitKeys:
+    """A unit's cell ID is digested only when a retry policy will read it."""
+
+    SPEC = SweepSpec(
+        protocols=("witness",),
+        system_sizes=((7, 2),),
+        adversaries=("none", "byz-anti"),
+        seeds=tuple(range(12)),
+        engine="batch",
+    )
+
+    @staticmethod
+    def _count_cell_ids(monkeypatch):
+        calls = []
+        original = job_module.cell_id
+
+        def counted(cell):
+            calls.append(cell)
+            return original(cell)
+
+        monkeypatch.setattr(job_module, "cell_id", counted)
+        return calls
+
+    def test_fail_fast_sweep_digests_no_cell_id(self, monkeypatch):
+        calls = self._count_cell_ids(monkeypatch)
+        assert len(run_sweep(self.SPEC, workers=1, retry=None)) == 24
+        assert calls == []
+
+    @needs_numpy
+    def test_fail_fast_block_sweep_digests_no_cell_id(self, monkeypatch):
+        calls = self._count_cell_ids(monkeypatch)
+        spec = SweepSpec(
+            protocols=("async-crash",), system_sizes=((7, 2),), seeds=tuple(range(6)),
+            engine="ndbatch",
+        )
+        assert len(run_sweep(spec, workers=1)) == 6
+        assert calls == []
+
+    def test_retry_sweep_digests_one_cell_id_per_unit(self, monkeypatch):
+        cells = list(self.SPEC.cells())
+        units = resilient_module._cells_units(cells, list(range(len(cells))), 1)
+        assert 1 < len(units) < len(cells)
+        calls = self._count_cell_ids(monkeypatch)
+        outcomes = run_sweep(self.SPEC, workers=1, retry=RetryPolicy())
+        assert len(outcomes) == len(cells)
+        assert calls == [unit.cells[0] for unit in units]
 
 
 class Boom(Exception):

@@ -252,41 +252,3 @@ class TestBasicExecutions:
         from repro import run_ndbatch_protocol as exported
 
         assert exported is run_ndbatch_protocol
-
-
-class TestNumpyFreeOperation:
-    def test_package_imports_and_batch_engine_runs_without_numpy(self, tmp_path):
-        """The vectorised engine is optional: without numpy, `import repro`
-        works, the batch engine runs (scalar PRF keys), and engine='ndbatch'
-        raises an actionable ImportError."""
-        import os
-        import subprocess
-        import sys
-        from pathlib import Path
-
-        # A numpy that refuses to import simulates its absence.
-        (tmp_path / "numpy.py").write_text("raise ImportError('numpy blocked')\n")
-        src = Path(__file__).resolve().parents[2] / "src"
-        env = dict(os.environ, PYTHONPATH=f"{tmp_path}{os.pathsep}{src}")
-        script = (
-            "import repro\n"
-            "from repro.sim.sweep import SweepSpec, run_sweep\n"
-            "from repro import run_batch_protocol\n"
-            "result = run_batch_protocol('async-crash', [0.0, 0.2, 0.9, 1.0],"
-            " t=1, epsilon=0.05)\n"
-            "assert result.ok\n"
-            "spec = SweepSpec(protocols=('async-crash',), system_sizes=((4, 1),),"
-            " engine='ndbatch')\n"
-            "try:\n"
-            "    run_sweep(spec, workers=1)\n"
-            "except ImportError as exc:\n"
-            "    assert 'numpy' in str(exc)\n"
-            "else:\n"
-            "    raise AssertionError('ndbatch ran without numpy')\n"
-            "print('numpy-free OK')\n"
-        )
-        proc = subprocess.run(
-            [sys.executable, "-c", script], env=env, capture_output=True, text=True
-        )
-        assert proc.returncode == 0, proc.stderr
-        assert "numpy-free OK" in proc.stdout

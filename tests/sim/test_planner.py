@@ -10,6 +10,8 @@ pytest.importorskip("numpy", reason="the vectorised engine requires numpy")
 
 from repro.sim.planner import (
     ENV_BUDGET,
+    ENV_DTYPE,
+    FLOAT_DTYPES,
     BlockPlan,
     ShapeCost,
     available_memory_bytes,
@@ -18,6 +20,7 @@ from repro.sim.planner import (
     default_budget_bytes,
     pack_dispatch_groups,
     plan_block,
+    resolve_dtype,
 )
 from repro.sim.ndbatch import run_ndbatch_block
 
@@ -58,6 +61,46 @@ class TestBudget:
     def test_default_has_a_floor(self, monkeypatch):
         monkeypatch.delenv(ENV_BUDGET, raising=False)
         assert default_budget_bytes() >= 64 * 1024 * 1024
+
+
+class TestResolveDtype:
+    """The block float dtype: kwarg, else ``REPRO_ARRAY_DTYPE``, else float64."""
+
+    def test_default_is_float64(self, monkeypatch):
+        monkeypatch.delenv(ENV_DTYPE, raising=False)
+        assert resolve_dtype() == "float64"
+        monkeypatch.setenv(ENV_DTYPE, "  ")
+        assert resolve_dtype() == "float64"
+
+    def test_env_variable_selects(self, monkeypatch):
+        monkeypatch.setenv(ENV_DTYPE, "float32")
+        assert resolve_dtype() == "float32"
+
+    def test_kwarg_beats_env(self, monkeypatch):
+        # The env var names an unsupported dtype; an explicit kwarg must win
+        # without the env value ever being checked.
+        monkeypatch.setenv(ENV_DTYPE, "float16")
+        assert resolve_dtype("float64") == "float64"
+        assert resolve_dtype("float32") == "float32"
+
+    def test_selection_is_case_and_whitespace_insensitive(self, monkeypatch):
+        assert resolve_dtype(" Float32 ") == "float32"
+        monkeypatch.setenv(ENV_DTYPE, "FLOAT64\n")
+        assert resolve_dtype() == "float64"
+
+    def test_unknown_dtype_raises_with_fix(self, monkeypatch):
+        with pytest.raises(ValueError, match="unknown array dtype 'float16'"):
+            resolve_dtype("float16")
+        with pytest.raises(ValueError, match=ENV_DTYPE):
+            resolve_dtype("bfloat16")
+        monkeypatch.setenv(ENV_DTYPE, "int8")
+        with pytest.raises(ValueError, match=ENV_DTYPE):
+            resolve_dtype()
+
+    def test_supported_dtypes_are_stable(self):
+        # The README's "Block dtype and memory planning" section documents
+        # exactly these.
+        assert FLOAT_DTYPES == ("float64", "float32")
 
 
 class TestPlanBlock:
@@ -247,8 +290,8 @@ class TestChunkInvariance:
             )
 
 
-class TestSweepBackendPlumbing:
-    def test_run_sweep_accepts_backend_and_budget(self):
+class TestSweepDtypePlumbing:
+    def test_run_sweep_accepts_dtype_and_budget(self):
         from repro.sim.sweep import SweepSpec, run_sweep
 
         spec = SweepSpec(
@@ -259,13 +302,11 @@ class TestSweepBackendPlumbing:
         )
         default = run_sweep(spec, workers=1)
         explicit = run_sweep(
-            spec, workers=1, backend="numpy", dtype="float64",
-            budget_bytes=1 << 34,
+            spec, workers=1, dtype="float64", budget_bytes=1 << 34,
         )
         assert default == explicit
 
-    def test_unknown_backend_raises_capability_family_error(self):
-        from repro.core.backend import ArrayBackendError
+    def test_unknown_dtype_raises_value_error(self):
         from repro.sim.sweep import SweepSpec, run_sweep
 
         spec = SweepSpec(
@@ -273,5 +314,27 @@ class TestSweepBackendPlumbing:
             system_sizes=((7, 2),),
             engine="ndbatch",
         )
-        with pytest.raises(ArrayBackendError, match="unknown array backend"):
-            run_sweep(spec, workers=1, backend="no-such-backend")
+        with pytest.raises(ValueError, match="unknown array dtype"):
+            run_sweep(spec, workers=1, dtype="float16")
+
+    def test_env_dtype_sizes_the_packer_like_the_planner(self, monkeypatch):
+        # REPRO_ARRAY_DTYPE reaches the dispatch packer as a resolved name,
+        # so pad-vs-split and plan_block model the same item size.
+        import repro.sim.sweep as sweep_module
+        from repro.sim.sweep import SweepSpec, run_sweep
+
+        seen = []
+        packer = sweep_module._pack_chunk_groups
+
+        def spy(chunks, dtype, budget_bytes):
+            seen.append(dtype)
+            return packer(chunks, dtype, budget_bytes)
+
+        monkeypatch.setattr(sweep_module, "_pack_chunk_groups", spy)
+        monkeypatch.setenv(ENV_DTYPE, "float32")
+        spec = SweepSpec(
+            protocols=("async-crash",), system_sizes=((7, 2),), seeds=(0, 1),
+            engine="ndbatch",
+        )
+        run_sweep(spec, workers=1)
+        assert seen == ["float32"]

@@ -8,9 +8,9 @@ ways, mirroring how the scalar engines are pinned against each other:
   produce exactly the scalar ndbatch results — outputs, rounds, message,
   delivery and bit counts and per-process send counts compared with ``==``,
   never a tolerance — across protocols, fault models, omission policies,
-  seeds, block splits (chunk sizes) and backends (hypothesis property
-  below).  The two scenarios only d=1 supports run there and are refused
-  at d>1.
+  seeds, block splits (chunk sizes) and float dtypes (float64 and the
+  float32 opt-in; hypothesis property below).  The two scenarios only d=1
+  supports run there and are refused at d>1.
 * **d>1 agrees exactly with the coordinate-wise composition.**  The tensor
   path shares one quorum selection per round across coordinates, the event
   composition runs ``d`` independent executions — yet integer costs must
@@ -163,9 +163,9 @@ def _assert_d1_identical(scalar, vector):
 class TestD1BitIdentity:
     """Both entry points run one kernel; this pins the d=1 lift and assembly."""
 
-    @given(case=d1_blocks(), backend=st.sampled_from([None, "numpy"]))
+    @given(case=d1_blocks(), dtype=st.sampled_from([None, "float32"]))
     @settings(max_examples=60, deadline=None)
-    def test_d1_vector_blocks_bit_identical_to_scalar_ndbatch(self, case, backend):
+    def test_d1_vector_blocks_bit_identical_to_scalar_ndbatch(self, case, dtype):
         protocol, t, inputs_block, seeds, faults, policies, rounds, chunk = case
         n = len(inputs_block[0])
 
@@ -175,7 +175,7 @@ class TestD1BitIdentity:
                 round_policy=FixedRounds(rounds), seeds=seeds,
                 fault_models=[_fault_model(recipe) for recipe in faults],
                 omission_policies=[_omission_policy(name, n) for name in policies],
-                backend=backend, chunk_executions=chunk,
+                dtype=dtype, chunk_executions=chunk,
             )
 
         scalar = run(run_ndbatch_block, inputs_block)
