@@ -697,6 +697,18 @@ class StaggeredExclusionDelay(DelayModel):
             self.n, self.exclude, self.fast, self.slow, self.stride, self.phase,
         )
 
+    def delay_tensor(self, round_number: int, n: int, seed_mix):
+        """The round's ``n × n`` matrix, computed in numpy and broadcast
+        across the block; every row equals probing :meth:`delay` pair by
+        pair (the ring stays ``self.n`` even when ``n`` differs)."""
+        import numpy as np
+
+        ids = np.arange(n, dtype=np.int64)
+        start = (ids + (self.stride * round_number + self.phase) % self.n) % self.n
+        offset = (ids[None, :] - start[:, None]) % self.n
+        matrix = np.where(offset < self.exclude, float(self.slow), float(self.fast))
+        return np.broadcast_to(matrix, (len(seed_mix), n, n))
+
 
 class TargetedDelay(DelayModel):
     """Slow down specific (sender, recipient) pairs; everything else is fast.
@@ -1000,17 +1012,29 @@ def mix64(x: int) -> int:
     return x ^ (x >> 33)
 
 
-def _np_mix64(x):
+def _np_mix64(x, scratch=None):
     """Vectorised :func:`mix64` over numpy uint64 arrays — the single array
     implementation behind every PRF tensor (rank keys, value draws, delay
     draws), bit-identical to the scalar mixer by construction (numpy's
-    uint64 arithmetic wraps modulo 2**64, like the scalar mixer's masks)."""
+    uint64 arithmetic wraps modulo 2**64, like the scalar mixer's masks).
+
+    ``x`` is a uint64 array the caller owns: it is mixed in place and
+    returned.  ``scratch``, a uint64 array of ``x``'s shape, holds the
+    shifted copies; it is allocated when omitted, so a caller mixing many
+    equal-shaped arrays passes one and the mix allocates nothing.
+    """
     import numpy as np
 
     shift = np.uint64(33)
-    x = (x ^ (x >> shift)) * np.uint64(MIX64_MULT1)
-    x = (x ^ (x >> shift)) * np.uint64(MIX64_MULT2)
-    return x ^ (x >> shift)
+    if scratch is None:
+        scratch = np.empty_like(x)
+    for multiplier in (MIX64_MULT1, MIX64_MULT2):
+        np.right_shift(x, shift, out=scratch)
+        x ^= scratch
+        x *= np.uint64(multiplier)
+    np.right_shift(x, shift, out=scratch)
+    x ^= scratch
+    return x
 
 
 #: The low bits of every rank key hold the sender id (see below).
@@ -1039,7 +1063,7 @@ def seeded_rank_key(seed_mix: int, round_number: int, recipient: int, sender: in
     return (mix64(slot ^ (sender * KEY_SENDER)) & ~SENDER_MASK) | sender
 
 
-def seeded_rank_key_block(seed_mix, round_number: int, n: int):
+def seeded_rank_key_block(seed_mix, round_number: int, n: int, out=None):
     """Vectorised :func:`seeded_rank_key` over whole key matrices (numpy).
 
     ``seed_mix`` is a pre-mixed seed — a scalar or an array of any shape —
@@ -1047,9 +1071,15 @@ def seeded_rank_key_block(seed_mix, round_number: int, n: int):
     ``keys[..., recipient, sender]`` equal to the scalar function bit for
     bit (guarded by ``tests/sim/test_ndbatch.py``).  This is the single
     vectorised implementation of the PRF: :class:`SeededOmission`'s
-    per-round key cache evaluates it for one seed, the ndbatch engine for a
-    whole block of seeds — keeping the two engines' quorums identical by
-    construction rather than by parallel maintenance.
+    per-round key cache evaluates it for one seed, the ndbatch engine for
+    slabs of a block's seeds — keeping the two engines' quorums identical
+    by construction rather than by parallel maintenance.
+
+    ``out``, when given, is a pair ``(keys, scratch)`` of C-contiguous
+    uint64 arrays of the result's shape: the keys are computed in place in
+    ``keys``, which is returned, and ``scratch`` is overwritten.  A caller
+    walking a block slab by slab passes the same two buffers every time, so
+    the PRF allocates nothing of the key matrices' size.
 
     Requires numpy (imported lazily; scalar callers fall back to
     :func:`seeded_rank_key`).
@@ -1062,12 +1092,20 @@ def seeded_rank_key_block(seed_mix, round_number: int, n: int):
             f"n={n} processes exceed that"
         )
     seed = np.asarray(seed_mix, dtype=np.uint64)
+    if out is None:
+        keys = np.empty(seed.shape + (n, n), dtype=np.uint64)
+        scratch = np.empty_like(keys)
+    else:
+        keys, scratch = out
     round_part = np.uint64((round_number * KEY_ROUND) & MASK64)
     recipients = np.arange(n, dtype=np.uint64) * np.uint64(KEY_RECIPIENT)
     senders = np.arange(n, dtype=np.uint64) * np.uint64(KEY_SENDER)
     slot = _np_mix64(seed[..., None] ^ round_part ^ recipients)
-    mixed = _np_mix64(slot[..., :, None] ^ senders)
-    return (mixed & np.uint64(MASK64 ^ SENDER_MASK)) | np.arange(n, dtype=np.uint64)
+    np.bitwise_xor(slot[..., :, None], senders, out=keys)
+    _np_mix64(keys, scratch)
+    keys &= np.uint64(MASK64 ^ SENDER_MASK)
+    keys |= np.arange(n, dtype=np.uint64)
+    return keys
 
 
 class SeededOmission(OmissionPolicy):

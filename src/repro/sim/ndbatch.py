@@ -33,20 +33,19 @@ The engine is differentially pinned against the pure-Python batch engine
 (``tests/sim/test_ndbatch_equivalence.py``): identical rounds, message and
 bit counts, and outputs/trajectories within ``1e-9`` (the engines may differ
 in floating-point summation order — ``math.fsum`` versus numpy's pairwise
-summation — but in nothing else).  Three quorum-selection paths keep the
+summation — but in nothing else).  Four quorum-selection paths keep the
 adversary *bit-identical* across engines:
 
 * :class:`~repro.net.adversary.SeededOmission` — its counter-based PRF
   (:func:`~repro.net.adversary.seeded_rank_key`) is re-evaluated here over
-  whole ``(executions, recipients, senders)`` uint64 tensors, reproducing the
+  ``(executions, recipients, senders)`` uint64 key tensors, reproducing the
   scalar keys exactly;
 * policies sharing a tensor fault program
   (:meth:`~repro.net.adversary.OmissionPolicy.rank_tensor`, e.g.
   :class:`~repro.net.adversary.DelayRankOmission` over tensor-programmed
   delay models) — executions are grouped by
-  :meth:`~repro.net.adversary.OmissionPolicy.tensor_key` and each group is
-  ranked with *one* bulk call per round, per-execution variation carried by
-  the PRF seed vector;
+  :meth:`~repro.net.adversary.OmissionPolicy.tensor_key` and ranked with
+  bulk calls, per-execution variation carried by the PRF seed vector;
 * policies with only a per-execution vector-friendly ranking
   (:meth:`~repro.net.adversary.OmissionPolicy.rank_block`) — one bulk query
   per execution per round, ranked with a stable lexicographic sort matching
@@ -55,6 +54,22 @@ adversary *bit-identical* across engines:
   :meth:`~repro.net.adversary.OmissionPolicy.quorum` calls issued in the
   exact order the pure-Python engine would issue them (rounds ascending,
   recipients ascending), so stateful policies stay reproducible.
+
+No path materialises a block-sized ``(executions, n, n)`` tensor of 8-byte
+keys or ranks.  The slab rule: seeded executions, tensor groups that are not
+shared and ranked executions are ranked in slabs of at most
+:data:`QUORUM_SLAB_KEYS` keys (``QUORUM_SLAB_KEYS // n²`` executions, at
+least one), so the keys are mixed, masked, sorted and read out while they
+are in cache; the seeded slabs reuse two key buffers and sort in place.  The
+shared-ranking rule: a tensor group whose members carry one
+:meth:`~repro.net.adversary.OmissionPolicy.tensor_seed` and one crash and
+strategy layout — every deterministic delay program over one layout, e.g. a
+staggered, partition or laggard grid — ranks identically by the
+``tensor_key`` contract over one candidate matrix per round, so it gets one
+``rank_tensor`` call for a single seed and one stable argsort per round,
+broadcast to every member.  The samples are then gathered with flat
+``np.take`` calls on ``(executions · n, …)`` views, one shared flat index
+per round.
 
 Byzantine value strategies must be ``stateless`` (pure functions of
 ``(round, recipient, observed)``); the engine evaluates them eagerly for
@@ -128,22 +143,38 @@ _NEVER = np.int64(2**31)
 
 _UINT64_MAX = np.uint64(0xFFFFFFFFFFFFFFFF)
 
+#: Rank keys per quorum-selection slab: ``2**17`` uint64 keys are 1 MiB, so
+#: a slab's key, scratch, rank and order arrays stay in cache while it is
+#: mixed, masked, sorted and read out.  A slab holds at least one execution.
+QUORUM_SLAB_KEYS = 1 << 17
 
-def _seeded_keys(seed_mix: np.ndarray, round_number: int, n: int) -> np.ndarray:
-    """Quorum rank keys of one round for a block of seeds.
 
-    ``seed_mix`` has shape ``(E,)``; the result has shape ``(E, n, n)`` with
-    ``keys[e, recipient, sender]`` equal to
-    :func:`~repro.net.adversary.seeded_rank_key` evaluated scalar-by-scalar —
-    one shared vectorised implementation
-    (:func:`~repro.net.adversary.seeded_rank_key_block`) serves both this
-    engine and :class:`~repro.net.adversary.SeededOmission`'s per-round key
-    cache, so the engines' quorums stay identical by construction.  Keys
-    embed the sender id in their low bits, so ``np.sort`` of a key row
-    followed by masking out the low bits *is* quorum selection (no
-    ``argsort`` indirection, no ties possible).
+def _rows(indices: Sequence[int]):
+    """Index of an ascending row subset: a slice when the rows are one
+    contiguous run, so reads are views and writes land in place."""
+    if indices[-1] - indices[0] == len(indices) - 1:
+        return slice(int(indices[0]), int(indices[-1]) + 1)
+    return np.asarray(indices, dtype=np.intp)
+
+
+def _slab_executions(n: int) -> int:
+    """Executions per quorum slab: ``QUORUM_SLAB_KEYS // n²``, at least one."""
+    return max(1, QUORUM_SLAB_KEYS // (n * n))
+
+
+def _slabs(rows, count: int, n: int):
+    """``(slab_rows, start, stop)`` for the quorum slabs of ``count`` rows.
+
+    ``rows`` indexes the block (see :func:`_rows`); ``start:stop`` is the
+    slab's range within the subset and ``slab_rows`` its block index.
     """
-    return seeded_rank_key_block(seed_mix, round_number, n)
+    per_slab = _slab_executions(n)
+    for start in range(0, count, per_slab):
+        stop = min(count, start + per_slab)
+        if isinstance(rows, slice):
+            yield slice(rows.start + start, rows.start + stop), start, stop
+        else:
+            yield rows[start:stop], start, stop
 
 
 class _Block:
@@ -270,35 +301,31 @@ class _Block:
         self.strategy_counts = self.strategy_mask.sum(axis=1).astype(np.int64)
 
         # --- quorum-selection mode partition ---------------------------
-        # "seeded": every policy is a SeededOmission — keys computed natively
-        # in numpy for the whole block.  "tensor": policies sharing a tensor
-        # program (rank_tensor) — one bulk ranking per *group* per round,
-        # per-execution variation carried by the PRF seed vector.  "ranked":
-        # the policy answers rank_block() — one bulk float ranking per
-        # execution per round.  "generic": per-recipient Python fallback, in
-        # the batch engine's exact query order.
+        # "seeded": the policy is a SeededOmission — keys computed natively
+        # in numpy, slab by slab.  "tensor": policies sharing a tensor
+        # program (rank_tensor) — ranked once per round for a shared group,
+        # slab by slab with the PRF seed vector otherwise.  "ranked": the
+        # policy answers rank_block() — one bulk float ranking per execution
+        # per round.  "generic": per-recipient Python fallback, in the batch
+        # engine's exact query order.
         if n > SENDER_MASK:
             raise ValueError(
                 f"quorum rank keys embed the sender id in 16 bits; "
                 f"n={n} processes exceed that"
             )
-        self.seeded_idx: List[int] = []
+        seeded_idx: List[int] = []
         self.ranked_idx: List[int] = []
         self.generic_idx: List[int] = []
         policy_groups: Dict[tuple, List[int]] = {}
-        probes: List[List[List[float]]] = []
         for e, policy in enumerate(self.policies):
             if type(policy) is SeededOmission:
-                self.seeded_idx.append(e)
+                seeded_idx.append(e)
                 continue
             key = policy.tensor_key()
             if key is not None:
                 policy_groups.setdefault(key, []).append(e)
-                continue
-            probe = policy.rank_block(1, n)
-            if probe is not None:
+            elif policy.rank_block(1, n) is not None:
                 self.ranked_idx.append(e)
-                probes.append(probe)
             else:
                 self.generic_idx.append(e)
         if self.generic_idx and self.dimension > 1:
@@ -312,24 +339,32 @@ class _Block:
                 f"repro.sim.vector.run_vector_protocol)",
                 ("event",),
             )
-        self.policy_tensor_groups: List[Tuple[object, np.ndarray, np.ndarray]] = [
-            (
-                self.policies[members[0]],
-                np.asarray(members, dtype=np.intp),
-                np.asarray(
-                    [self.policies[e].tensor_seed() for e in members], dtype=np.uint64
-                ),
+        # A group is "shared" when every member carries the same seed and
+        # the same crash and strategy layout: by the tensor_key contract
+        # the members then rank identically, over one candidate matrix per
+        # round, so one member's ranking serves the whole group.
+        self.policy_tensor_groups: List[Tuple[object, object, np.ndarray, bool]] = []
+        for members in policy_groups.values():
+            seeds = np.asarray(
+                [self.policies[e].tensor_seed() for e in members], dtype=np.uint64
             )
-            for members in policy_groups.values()
-        ]
-        #: Round-1 rank matrices gathered during classification, reused by
-        #: the first round instead of re-querying every ranked policy.
-        self.rank_probe: Optional[np.ndarray] = (
-            np.array(probes, dtype=np.float64) if probes else None
-        )
+            shared = bool((seeds == seeds[0]).all()) and all(
+                bool((layout[members] == layout[members[0]]).all())
+                for layout in (
+                    self.crash_round,
+                    self.crash_deliveries,
+                    self.strategy_mask,
+                    self.silent_mask,
+                )
+            )
+            self.policy_tensor_groups.append(
+                (self.policies[members[0]], _rows(members), seeds, shared)
+            )
+        self.seeded_rows = _rows(seeded_idx) if seeded_idx else None
+        self.ranked_rows = _rows(self.ranked_idx) if self.ranked_idx else None
         self.seed_mix = np.array(
-            [mix64(self.policies[e].seed) for e in self.seeded_idx], dtype=np.uint64
-        ).reshape(len(self.seeded_idx))
+            [mix64(self.policies[e].seed) for e in seeded_idx], dtype=np.uint64
+        )
 
 
 def _shared_rounds(
@@ -881,16 +916,23 @@ def _async_samples(
     blocks run it.
     """
     count, n = block.count, block.n
-    chosen = _choose_quorums(block, cand, cand_count, updates, active, round_number, m)
-
-    e_idx = np.arange(count)[:, None, None]
-    sample = block.values[e_idx, chosen]  # (E, n, m, d)
+    # One flat index serves every gather: sender s of execution e is row
+    # e*n + s of the block's (E*n, ...) views, so each gather is one take.
+    # The quorum tensor becomes that index in place.
+    offsets = (np.arange(count, dtype=np.int64) * n)[:, None, None]
+    flat = _choose_quorums(block, cand, cand_count, updates, active, round_number, m)
+    flat += offsets
+    sample = np.take(block.values.reshape(count * n, -1), flat, axis=0)  # (E, n, m, d)
     if injected is not None:
-        q_idx = np.arange(n)[None, :, None]
-        strategy_chosen = block.strategy_mask[e_idx, chosen]
+        strategy_chosen = np.take(block.strategy_mask.reshape(-1), flat)
         if strategy_chosen.any():
-            reports = injected[e_idx, chosen, q_idx]  # (E, n, m, d)
-            sample = np.where(strategy_chosen[:, :, :, None], reports, sample)
+            # injected[e, sender, recipient] is row (e*n + sender)*n + recipient.
+            reports = np.take(
+                injected.reshape(count * n * n, -1),
+                flat * n + np.arange(n, dtype=np.int64)[None, :, None],
+                axis=0,
+            )
+            np.copyto(sample, reports, where=strategy_chosen[:, :, :, None])
 
     # Liveness / refill bookkeeping.  In-model scenarios never enter either
     # branch: the candidate set always has >= m members and only Byzantine
@@ -914,7 +956,7 @@ def _async_samples(
     failed_at = np.full(count, n, dtype=np.int64)
     if short is not None and bool(short.any()):
         failed_at = _refill_or_fail(
-            block, cand, chosen, sample, starving, short, round_number, m
+            block, cand, flat - offsets, sample, starving, short, round_number, m
         )
     elif bool(starving.any()):
         position = np.where(starving, np.arange(n)[None, :], n)
@@ -939,69 +981,60 @@ def _choose_quorums(
     round_number: int,
     m: int,
 ) -> np.ndarray:
-    """Quorum index tensor ``chosen[e, recipient, :m]`` for one round."""
+    """Quorum index tensor ``chosen[e, recipient, :m]`` for one round, by
+    the slab and shared-ranking rules of the module docstring."""
     count, n = block.count, block.n
     chosen = np.zeros((count, n, m), dtype=np.int64)
 
-    if block.seeded_idx:
-        idx = block.seeded_idx
-        keys = _seeded_keys(block.seed_mix, round_number, n)
-        np.copyto(keys, _UINT64_MAX, where=~cand[idx])
+    if block.seeded_rows is not None:
         # Selection by value sort: the sender id lives in each key's low
         # bits, so sorting the keys and masking those bits out yields the
         # chosen senders directly — cheaper than argsort's indirection and
-        # exactly the scalar engine's (PRF value, sender) order.
-        smallest = np.sort(keys, axis=2)[:, :, :m]
-        picked = (smallest & np.uint64(SENDER_MASK)).astype(np.int64)
-        # Starving rows (fewer candidates than m) pick up the sentinel's low
-        # bits; clamp so the gather stays in bounds — those rows fail the
-        # execution before their samples are ever used.
-        chosen[idx] = np.minimum(picked, n - 1)
-
-    for representative, members, seeds in block.policy_tensor_groups:
-        ranks = representative.rank_tensor(round_number, n, seeds)
-        if ranks is None:
-            # Same contract as the strategy path: a non-None tensor_key is a
-            # promise to answer (silently proceeding would turn the default
-            # None into NaN ranks and pick wrong quorums).
-            raise ValueError(
-                f"omission policy {representative.describe()} declares tensor "
-                f"program {representative.tensor_key()!r} but rank_tensor "
-                f"returned None"
+        # exactly the scalar engine's (PRF value, sender) order.  The PRF
+        # fills two slab buffers in place; the sort runs in place too.
+        seeded = len(block.seed_mix)
+        buffers = np.empty((2, min(seeded, _slab_executions(n)), n, n), dtype=np.uint64)
+        for rows, start, stop in _slabs(block.seeded_rows, seeded, n):
+            size = stop - start
+            keys = seeded_rank_key_block(
+                block.seed_mix[start:stop],
+                round_number,
+                n,
+                out=(buffers[0, :size], buffers[1, :size]),
             )
-        ranks = np.asarray(ranks)
-        sub_cand = cand[members]
-        if ranks.dtype.kind in "iu":
-            # PRF rank keys (tie-free by construction): mask non-candidates
-            # with the maximal key, then a stable argsort is selection.
-            masked = np.where(sub_cand, ranks, np.iinfo(ranks.dtype).max)
-        else:
-            # NaN sorts after every number including +inf, so a legitimately
-            # infinite rank still outranks a non-candidate; stable argsort
-            # reproduces the scalar path's by-sender tie-breaking.
-            masked = np.where(sub_cand, ranks.astype(np.float64, copy=False), np.nan)
-        order = np.argsort(masked, axis=2, kind="stable")
-        chosen[members] = order[:, :, :m]
+            fewest = int(cand_count[rows].min())
+            if fewest < n:
+                np.copyto(keys, _UINT64_MAX, where=~cand[rows])
+            keys.sort(axis=2)
+            in_place = isinstance(rows, slice)
+            target = chosen[rows] if in_place else np.empty((size, n, m), dtype=np.int64)
+            picked = target.view(np.uint64)
+            np.bitwise_and(keys[:, :, :m], np.uint64(SENDER_MASK), out=picked)
+            if fewest < m:
+                # Starving rows (fewer candidates than m) picked up the
+                # sentinel's low bits; clamp so the gather stays in bounds —
+                # those rows fail the execution before their samples are used.
+                np.minimum(picked, np.uint64(n - 1), out=picked)
+            if not in_place:
+                chosen[rows] = target
+
+    for representative, rows, seeds, shared in block.policy_tensor_groups:
+        if shared:
+            first = rows.start if isinstance(rows, slice) else int(rows[0])
+            one = slice(first, first + 1)
+            ranks = _tensor_ranks(representative, round_number, n, seeds[:1])
+            chosen[rows] = _rank_order(ranks, cand[one], cand_count[one])[:, :, :m]
+            continue
+        for slab, start, stop in _slabs(rows, len(seeds), n):
+            ranks = _tensor_ranks(representative, round_number, n, seeds[start:stop])
+            chosen[slab] = _rank_order(ranks, cand[slab], cand_count[slab])[:, :, :m]
 
     if block.ranked_idx:
-        idx = block.ranked_idx
-        if round_number == 1 and block.rank_probe is not None:
-            ranks = block.rank_probe
-            block.rank_probe = None
-        else:
-            ranks = np.array(
-                [block.policies[e].rank_block(round_number, n) for e in idx],
-                dtype=np.float64,
-            )
-        # NaN (not inf) masks the non-candidates: numpy sorts NaN after every
-        # number including +inf, so a legitimately infinite rank (e.g. an
-        # infinite delay) still outranks a non-candidate — matching the
-        # scalar path, which only ever sorts actual candidates.
-        masked = np.where(cand[idx], ranks, np.nan)
-        # Real-valued ranks (e.g. delays) do tie; the scalar path breaks ties
-        # by sender id, which the stable sort reproduces exactly.
-        order = np.argsort(masked, axis=2, kind="stable")
-        chosen[idx] = order[:, :, :m]
+        for slab, start, stop in _slabs(block.ranked_rows, len(block.ranked_idx), n):
+            ranks = np.empty((stop - start, n, n), dtype=np.float64)
+            for row, e in enumerate(block.ranked_idx[start:stop]):
+                ranks[row] = block.policies[e].rank_block(round_number, n)
+            chosen[slab] = _rank_order(ranks, cand[slab], cand_count[slab])[:, :, :m]
 
     for e in block.generic_idx:
         if not active[e]:
@@ -1027,6 +1060,41 @@ def _choose_quorums(
                     )
             chosen[e, recipient, :] = picked
     return chosen
+
+
+def _tensor_ranks(representative: OmissionPolicy, round_number: int, n: int, seeds):
+    """One tensor group's ``rank_tensor`` answer for ``seeds``."""
+    ranks = representative.rank_tensor(round_number, n, seeds)
+    if ranks is None:
+        # Same contract as the strategy path: a non-None tensor_key is a
+        # promise to answer (silently proceeding would turn the default
+        # None into NaN ranks and pick wrong quorums).
+        raise ValueError(
+            f"omission policy {representative.describe()} declares tensor "
+            f"program {representative.tensor_key()!r} but rank_tensor "
+            f"returned None"
+        )
+    return np.asarray(ranks)
+
+
+def _rank_order(ranks: np.ndarray, cand: np.ndarray, cand_count: np.ndarray) -> np.ndarray:
+    """Senders of each ``(execution, recipient)`` row by ascending
+    ``(rank, sender)``, non-candidates last.
+
+    A stable argsort reproduces the scalar path's by-sender tie-breaking.
+    Integer ranks are PRF rank keys (tie-free by construction), masked with
+    the maximal key.  Other ranks compare as float64 and are masked with
+    NaN, which numpy sorts after every number including +inf, so a
+    legitimately infinite rank (e.g. an infinite delay) still outranks a
+    non-candidate — matching the scalar path, which only ever sorts actual
+    candidates.  Rows without non-candidates skip the mask.
+    """
+    if ranks.dtype.kind not in "iu":
+        ranks = ranks.astype(np.float64, copy=False)
+    if int(cand_count.min()) < cand.shape[-1]:
+        sentinel = np.iinfo(ranks.dtype).max if ranks.dtype.kind in "iu" else np.nan
+        ranks = np.where(cand, ranks, sentinel)
+    return np.argsort(ranks, axis=2, kind="stable")
 
 
 def _refill_or_fail(

@@ -23,7 +23,8 @@ streaming problem:
   the decision is about co-scheduling whole chunks into one worker item.
 
 The cost model is a closed form over the engine's actual allocations (the
-candidate/key/sample/history tensors), deliberately slightly conservative:
+candidate/quorum-index/sample/history tensors; rank keys are built in
+fixed-size slabs, not per execution), deliberately slightly conservative:
 running under budget costs a few percent of batching efficiency, running
 over it costs the host.
 """
@@ -152,11 +153,20 @@ def bytes_per_execution(
 
     A closed form over the engine's actual allocations, per execution row:
 
-    * candidate mask ``(n, n)`` bool + uint64 rank keys ``(n, n)`` + sorted
-      copy ``(n, n)`` — quorum selection;
+    * candidate mask ``(n, n)`` bool plus the ``(n, m)`` int64 quorum
+      tensor, which becomes the flat gather index in place, and the
+      ``(n, m)`` int64 index of the injected-report gather — quorum
+      selection and gather.  Every quorum path (seeded, shared tensor,
+      per-seed tensor, ranked) allocates these and no more per execution:
+      rank keys and ranks are built slab by slab, at most
+      ``repro.sim.ndbatch.QUORUM_SLAB_KEYS`` keys (1 MiB each for the keys,
+      their scratch, the ranks and the argsort) whatever the block size, and
+      a shared tensor group ranks one ``(n, n)`` matrix.  That per-block
+      constant is left to the budget floor and the ×2 headroom;
     * injected-report tensor ``(n, n)`` float (Byzantine blocks; charged
       unconditionally — the model must not depend on the adversary);
-    * gathered sample ``(n, m)`` float plus the kernel's sorted copy;
+    * gathered sample ``(n, m)`` float, the gathered reports or the masked
+      copy of the sample, and the kernel's sorted copy;
     * value history ``(rounds + 1, n)`` float plus ~8 per-``(count, n)``
       int64/bool bookkeeping vectors.
 
@@ -177,9 +187,10 @@ def bytes_per_execution(
     rounds = max(0, rounds)
     item = _itemsize(dtype) * dimension
     per_round = (
-        n * n * (1 + 8 + 8)  # cand bool + uint64 keys + sorted keys
+        n * n  # cand bool
+        + 2 * n * m * 8  # flat gather index + injected-report index (int64)
         + n * n * item  # injected reports
-        + 2 * n * m * item  # sample + the kernel's sorted copy
+        + 3 * n * m * item  # sample + reports or masked copy + the kernel's sorted copy
     )
     bookkeeping = 8 * n * 8 + (rounds + 1) * n * item
     return per_round + bookkeeping

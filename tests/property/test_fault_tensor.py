@@ -178,6 +178,40 @@ class TestDelayTensorEqualsScalar:
             for row in tensor:
                 assert np.array_equal(row, expected)
 
+    @given(
+        ring=st.integers(min_value=1, max_value=24),
+        data=st.data(),
+        round_number=st.integers(min_value=0, max_value=10_000),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_staggered_delay_tensor_rows_match_probes(self, ring, data, round_number):
+        # StaggeredExclusionDelay computes its matrix in numpy: every row must
+        # equal the per-pair probes for any window, stride (0 and negative
+        # included), phase (negative included), round, and a call whose n
+        # differs from the ring size the model was built with.
+        model = StaggeredExclusionDelay(
+            ring,
+            exclude=data.draw(st.integers(min_value=0, max_value=ring - 1)),
+            fast=data.draw(st.sampled_from([1.0, 0.5, 3])),
+            slow=data.draw(st.sampled_from([50.0, 7.25, 9])),
+            stride=data.draw(st.integers(min_value=-40, max_value=40)),
+            phase=data.draw(st.integers(min_value=-10**6, max_value=10**6)),
+        )
+        n = data.draw(st.sampled_from([ring, 1, ring + 3, max(1, ring - 2)]))
+        probe = Message(kind="VALUE", round=round_number, value=0.0)
+        expected = np.asarray(
+            [
+                [model.delay(s, r, probe, float(round_number)) for s in range(n)]
+                for r in range(n)
+            ],
+            dtype=np.float64,
+        )
+        tensor = np.asarray(model.delay_tensor(round_number, n, np.zeros(2, dtype=np.uint64)))
+        assert tensor.shape == (2, n, n)
+        assert tensor.dtype == np.float64
+        for row in tensor:
+            assert np.array_equal(row, expected)
+
 
 class TestRankTensorEqualsScalar:
     @given(seed=seeds, round_number=rounds, n=sizes)

@@ -17,11 +17,11 @@ from repro.net.adversary import (
     RoundFaultModel,
     SeededOmission,
     seeded_rank_key,
+    seeded_rank_key_block,
     mix64,
 )
 from repro.sim.ndbatch import (
     NDBATCH_PROTOCOLS,
-    _seeded_keys,
     run_ndbatch_block,
     run_ndbatch_protocol,
 )
@@ -37,13 +37,29 @@ class TestSeededKeysBitEquivalence:
         for seed in (0, 1, 7, 123456789, 2**63):
             seed_mix = np.array([mix64(seed)], dtype=np.uint64)
             for round_number in (1, 2, 17):
-                keys = _seeded_keys(seed_mix, round_number, n)[0]
+                keys = seeded_rank_key_block(seed_mix, round_number, n)[0]
                 for recipient in range(n):
                     for sender in range(n):
                         expected = seeded_rank_key(
                             mix64(seed), round_number, recipient, sender
                         )
                         assert int(keys[recipient, sender]) == expected
+
+    def test_out_buffers_fill_in_place_and_match(self):
+        # The slab path: keys land in the caller's buffer (returned as is),
+        # the scratch buffer is only overwritten, and a reused pair of
+        # buffers reproduces the allocating path bit for bit.
+        n = 11
+        seeds = np.array([mix64(seed) for seed in range(5)], dtype=np.uint64)
+        keys = np.empty((5, n, n), dtype=np.uint64)
+        scratch = np.empty_like(keys)
+        for round_number in (1, 2, 40):
+            for start, stop in ((0, 5), (1, 3), (4, 5)):
+                expected = seeded_rank_key_block(seeds[start:stop], round_number, n)
+                out = (keys[: stop - start], scratch[: stop - start])
+                got = seeded_rank_key_block(seeds[start:stop], round_number, n, out=out)
+                assert got is out[0]
+                assert np.array_equal(got, expected)
 
     def test_policy_quorum_equals_smallest_keys(self):
         policy = SeededOmission(seed=42)
