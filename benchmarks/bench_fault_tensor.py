@@ -3,10 +3,10 @@
 PR 3 left one per-execution Python loop in the vectorised engine: adaptive
 strategies (``AntiConvergenceStrategy``) and every custom ``value_block``
 strategy were consulted once per execution per round.  The tensor-native
-fault pipeline removes it — strategies are grouped by ``(sender, tensor
-program)`` and each group is answered with *one*
+fault pipeline removes it — strategies are grouped by tensor program and
+each program is answered with *one*
 :meth:`~repro.net.adversary.ByzantineValueStrategy.value_tensor` call per
-round, per-execution variation carried by the PRF seed vector.  Quorum
+round, per-member variation carried by the PRF seed vector.  Quorum
 adversaries ride the same pipeline through grouped ``rank_tensor`` calls.
 
 Recorded in ``BENCH_fault_tensor.json`` (committed, uploaded as a CI

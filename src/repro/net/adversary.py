@@ -26,6 +26,7 @@ All randomised components take explicit seeds; there is no hidden global RNG.
 from __future__ import annotations
 
 import abc
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
@@ -186,13 +187,14 @@ class ByzantineValueStrategy(abc.ABC):
         Two strategies with equal keys realise the *same* injection program:
         any per-execution variation is carried entirely by the PRF seed
         (:meth:`tensor_seed`), so one representative instance may answer
-        :meth:`value_tensor` for a whole block of executions at once.  This
-        is the grouping key of the vectorised engine
-        (:mod:`repro.sim.ndbatch`) and the sweep's block grouper: cells whose
-        strategies share a program advance with *one* Python call per round,
-        not one per execution.  ``None`` (the default) means the strategy has
-        no tensor form; stateless strategies then fall back to per-execution
-        :meth:`value_block` / :meth:`value` calls.
+        :meth:`value_tensor` for any set of members at once — whatever their
+        sender ids, executions or coordinates, by the row contract stated
+        there.  This is the grouping key of the vectorised engine
+        (:mod:`repro.sim.ndbatch`), which answers each program with *one*
+        Python call per round, and of the sweep's block grouper.  ``None``
+        (the default) means the strategy has no tensor form; stateless
+        strategies then fall back to per-execution :meth:`value_block` /
+        :meth:`value` calls.
         """
         return None
 
@@ -203,15 +205,24 @@ class ByzantineValueStrategy(abc.ABC):
     def value_tensor(self, round_number: int, n: int, observed, seed_mix):
         """Whole-block form of :meth:`value`: ``reports[e, recipient]``.
 
-        ``observed`` is an ``(E, k)`` float64 array of the values each
-        execution's adversary has observed, padded with NaN (the vectorised
-        engine passes the holder-value rows of the block, NaN at non-holder
-        slots); ``seed_mix`` is a length-``E`` uint64 vector of per-execution
-        pre-mixed seeds (:meth:`tensor_seed`).  Returns an ``(E, n)`` array
-        whose row ``e`` equals ``[value(round, 0, observed_e), …]`` bit for
-        bit, where ``observed_e`` is row ``e``'s non-NaN values — non-finite
-        reports degrade to omissions at the engine boundary.  Strategies with
-        a non-``None`` :meth:`tensor_key` must answer; others return
+        ``observed`` is an ``(E, k)`` float array of the values each row's
+        adversary has observed, padded with NaN (the vectorised engine passes
+        one coordinate of one execution's holder values per row, NaN at
+        non-holder slots); ``seed_mix`` is a length-``E`` uint64 vector of
+        per-row pre-mixed seeds (:meth:`tensor_seed`).  Returns an ``(E, n)``
+        array whose row ``e`` equals ``[value(round, 0, observed_e), …]`` bit
+        for bit, where ``observed_e`` is row ``e``'s non-NaN values —
+        non-finite reports degrade to omissions at the engine boundary.
+
+        The row contract: row ``e`` depends only on ``round_number``, ``n``,
+        ``observed[e]`` and ``seed_mix[e]``, never on the other rows.  The
+        engine relies on it twice: one call may stack the rows of any
+        members, executions and coordinates of a program, and rows with
+        equal observed values and seed (e.g. two members of one execution
+        sharing a seed) are evaluated once.  ``observed`` is read-only and
+        must not be modified: the engine hands it over with its writeable
+        flag cleared, often as a view shared with other rows.  Strategies
+        with a non-``None`` :meth:`tensor_key` must answer; others return
         ``None``.  Requires numpy (only bulk callers use it).
         """
         return None
@@ -1329,13 +1340,25 @@ class RoundFaultModel:
         Byzantine processes that never send anything.
     corrupted_inputs:
         Byzantine processes that follow the honest protocol but start from a
-        forged input value.
+        forged input value.  The value must be finite: the message-level
+        skeletons drop a non-finite payload at the receiver, which no
+        round-level engine models, so a non-finite forged input raises
+        ``ValueError`` (and :func:`round_fault_model` with it, which leaves
+        such plans to the event simulator).
     """
 
     crash_schedule: Dict[int, Tuple[int, int]] = field(default_factory=dict)
     strategies: Dict[int, ByzantineValueStrategy] = field(default_factory=dict)
     silent: frozenset = frozenset()
     corrupted_inputs: Dict[int, float] = field(default_factory=dict)
+
+    def __post_init__(self) -> None:
+        for pid, forged in self.corrupted_inputs.items():
+            if not math.isfinite(forged):
+                raise ValueError(
+                    f"process {pid}'s forged input {forged!r} is not finite; "
+                    "the round-level fault model takes finite forged inputs only"
+                )
 
     def faulty_ids(self, n: int) -> Tuple[int, ...]:
         ids = set(self.crash_schedule) | set(self.strategies) | set(self.silent)

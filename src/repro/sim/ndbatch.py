@@ -75,13 +75,18 @@ Byzantine value strategies must be ``stateless`` (pure functions of
 ``(round, recipient, observed)``); the engine evaluates them eagerly for
 every recipient.  Strategies declaring a tensor program
 (:meth:`~repro.net.adversary.ByzantineValueStrategy.tensor_key`) are grouped
-by ``(sender, program)`` and answered with one
+by program, not by ``(sender, program)``: each program gets one
 :meth:`~repro.net.adversary.ByzantineValueStrategy.value_tensor` call per
-round per group — Byzantine and anti-convergence rounds issue **zero**
-per-execution Python strategy calls (asserted by
-``tests/sim/test_fault_tensor_engine.py``).  Stateful strategies and
-adaptive round policies raise a documented error pointing at the pure-Python
-engine, which supports both.
+round whose rows stack every member sender, execution and coordinate
+(members of one execution sharing a seed share a row).  Byzantine and
+anti-convergence rounds issue **zero** per-execution Python strategy calls
+(asserted by ``tests/sim/test_fault_tensor_engine.py``).  Reports are kept
+per strategy slot, ``(executions, S, n, d)`` with ``S ≤ t`` the block's
+largest strategy count, and gathered only at the quorum slots that chose a
+strategy sender, where a non-finite report marks its row short
+(``tests/sim/test_byzantine_reports.py`` pins both against the
+sender-indexed form).  Stateful strategies and adaptive round policies raise
+a documented error pointing at the pure-Python engine, which supports both.
 
 Scalar results are full :class:`~repro.sim.runner.ExecutionResult` objects
 (runtime tag ``"ndbatch"``) with the same schema as the other engines, so the
@@ -150,11 +155,13 @@ QUORUM_SLAB_KEYS = 1 << 17
 
 
 def _rows(indices: Sequence[int]):
-    """Index of an ascending row subset: a slice when the rows are one
-    contiguous run, so reads are views and writes land in place."""
-    if indices[-1] - indices[0] == len(indices) - 1:
-        return slice(int(indices[0]), int(indices[-1]) + 1)
-    return np.asarray(indices, dtype=np.intp)
+    """Index of a row subset: a slice when the rows are one ascending run
+    without repeats or gaps, so reads are views and writes land in place;
+    an index array otherwise."""
+    rows = np.asarray(indices, dtype=np.intp)
+    if (np.diff(rows) == 1).all():
+        return slice(int(rows[0]), int(rows[-1]) + 1)
+    return rows
 
 
 def _slab_executions(n: int) -> int:
@@ -238,13 +245,12 @@ class _Block:
         self.strategy_ids: List[Tuple[int, ...]] = []
 
         starting = inputs.copy()
-        # Strategies grouped by (sender pid, tensor program): every group is
-        # answered by ONE value_tensor call per round on a representative
-        # instance, with per-execution variation carried by the PRF seed
-        # vector — zero per-execution Python strategy calls.  Stateless
-        # strategies without a tensor form keep the per-execution
-        # value_block/value path.
-        strategy_groups: Dict[Tuple[int, tuple], List[int]] = {}
+        # Strategies grouped by tensor program: every program is answered by
+        # ONE value_tensor call per round on a representative instance, with
+        # per-member variation carried by the PRF seed vector — zero
+        # per-execution Python strategy calls.  Stateless strategies without
+        # a tensor form keep the per-execution value_block/value path.
+        programs: Dict[tuple, List[Tuple[int, int]]] = {}
         self.strategy_scalar: List[Tuple[int, int, object]] = []
         for e, model in enumerate(self.fault_models):
             for pid, strategy in model.strategies.items():
@@ -260,7 +266,7 @@ class _Block:
                     self.strategy_mask[e, pid] = True
                     key = strategy.tensor_key()
                     if key is not None:
-                        strategy_groups.setdefault((pid, key), []).append(e)
+                        programs.setdefault(key, []).append((e, pid))
                     else:
                         self.strategy_scalar.append((e, pid, strategy))
             for pid in model.silent:
@@ -278,18 +284,6 @@ class _Block:
                     self.crash_deliveries[e, pid] = deliveries
             for pid in self.problems[e].faulty:
                 self.honest_mask[e, pid] = False
-        self.strategy_tensor_groups: List[Tuple[int, object, np.ndarray, np.ndarray]] = [
-            (
-                pid,
-                self.fault_models[members[0]].strategies[pid],
-                np.asarray(members, dtype=np.intp),
-                np.asarray(
-                    [self.fault_models[e].strategies[pid].tensor_seed() for e in members],
-                    dtype=np.uint64,
-                ),
-            )
-            for (pid, _key), members in strategy_groups.items()
-        ]
         self.holder_mask = ~self.strategy_mask & ~self.silent_mask
         # Crash schedules only apply to value holders (a Byzantine replacement
         # supersedes a crash point, as in the round_fault_model adapter).
@@ -299,6 +293,46 @@ class _Block:
             self.dtype, copy=False
         )
         self.strategy_counts = self.strategy_mask.sum(axis=1).astype(np.int64)
+
+        # --- strategy slots and programs -------------------------------
+        # Each execution's strategy senders fill report slots 0, 1, … in
+        # ascending pid order; slot_count is the block's largest strategy
+        # count (at most t).  report_row[e*n + sender] is the row of the
+        # (E·S·n, d) report view holding that sender's report to recipient
+        # 0.  Crash-only blocks build neither the map nor the programs.
+        self.slot_count = int(self.strategy_counts.max()) if count else 0
+        self.report_row: Optional[np.ndarray] = None
+        self.strategy_programs: List[tuple] = []
+        if self.slot_count:
+            slots = np.cumsum(self.strategy_mask, axis=1) - 1
+            self.report_row = (
+                (np.arange(count, dtype=np.int64)[:, None] * self.slot_count + slots) * n
+            ).reshape(-1)
+            for members in programs.values():
+                # Members sharing an execution and a seed report identically
+                # (the value_tensor row contract), so each (execution, seed)
+                # pair is evaluated once; source[i] is member i's pair, a
+                # slice exactly when every member has its own.  An
+                # execution whose members carry different seeds appears
+                # once per seed among the evaluated pairs.  In
+                # (execution, pid) order the slots ascend, so a program
+                # holding every slot of its executions writes one slice.
+                members.sort()
+                evaluated: Dict[Tuple[int, int], int] = {}
+                source = []
+                for e, pid in members:
+                    seed = self.fault_models[e].strategies[pid].tensor_seed()
+                    source.append(evaluated.setdefault((e, seed), len(evaluated)))
+                first_e, first_pid = members[0]
+                self.strategy_programs.append(
+                    (
+                        self.fault_models[first_e].strategies[first_pid],
+                        _rows([e for e, _ in evaluated]),
+                        np.asarray([seed for _, seed in evaluated], dtype=np.uint64),
+                        _rows([e * self.slot_count + slots[e, pid] for e, pid in members]),
+                        _rows(source),
+                    )
+                )
 
         # --- quorum-selection mode partition ---------------------------
         # "seeded": the policy is a SeededOmission — keys computed natively
@@ -678,7 +712,8 @@ def run_ndbatch_protocol(
 # * quorum selection runs once per round for every coordinate — this, not
 #   the kernel, is where the d× win over composition comes from;
 # * Byzantine strategies are evaluated once per coordinate on that
-#   coordinate's observed values (same PRF seeds as the scalar engine), so a
+#   coordinate's observed values (same PRF seeds as the scalar engine; the
+#   coordinates are rows of the program's one value_tensor call), so a
 #   Byzantine sender still "may differ per coordinate" exactly as the
 #   composition allows: value-independent strategies (fixed, equivocate,
 #   random) report identically in every coordinate, observed-dependent ones
@@ -763,17 +798,17 @@ def _advance_block(block: _Block) -> tuple:
 
         # Full-information adversary: strategies observe every holder value
         # at round entry.
-        injected = None
+        reports = None
         if any_strategies:
-            injected = _injected_values(block, round_number)
+            reports = _injected_values(block, round_number)
 
         if block.synchronous:
-            sample = _sync_samples(block, cand, injected)
+            sample = _sync_samples(block, cand, reports)
             failed_round = np.zeros(count, dtype=bool)
             round_delivered = np.where(active, updates.sum(axis=1) * n, 0)
         else:
             sample, failed_round, round_delivered = _async_samples(
-                block, cand, cand_count, injected, updates, active, round_number, m
+                block, cand, cand_count, reports, updates, active, round_number, m
             )
         delivered += round_delivered
 
@@ -786,13 +821,11 @@ def _advance_block(block: _Block) -> tuple:
                 sample, block.bounds, validate=False, dtype=block.dtype, axis=-2
             )
         else:
-            safe_sample = np.where(
-                apply_mask[:, :, None, None],
-                sample,
-                np.zeros((1, 1, 1, 1), dtype=block.dtype),
-            )
+            # Rows that do not update may hold placeholders or non-finite
+            # reports; zero them in place so the kernel's scan passes.
+            sample[~apply_mask] = 0
             new_values = approximation_step_block(
-                safe_sample, block.bounds, dtype=block.dtype, axis=-2
+                sample, block.bounds, dtype=block.dtype, axis=-2
             )
         block.values = np.where(apply_mask[:, :, None], new_values, block.values)
         history.append(np.copy(block.values))
@@ -814,82 +847,101 @@ def _advance_block(block: _Block) -> tuple:
 
 
 def _injected_values(block: _Block, round_number: int) -> np.ndarray:
-    """Eagerly evaluated strategy reports: ``injected[e, sender, recipient, c]``.
+    """Eagerly evaluated strategy reports: ``reports[e, slot, recipient, c]``.
 
-    Tensor-programmed strategies (:meth:`~repro.net.adversary.
-    ByzantineValueStrategy.value_tensor`) answer whole ``(pid, program)``
-    groups with one Python call per round per coordinate — zero
-    per-execution strategy calls — with the same PRF seed vector in every
-    coordinate, exactly what the coordinate-wise composition evaluates with
-    its one strategy instance.  Stateless strategies without a tensor form
-    keep the per-execution ``value_block``/``value`` path, issued in the
-    batch engine's order.  Observed values are each coordinate's own holder
-    values.  Non-finite reports are stored as NaN, which the sampling paths
-    treat as omissions (mirroring the message boundary of the protocol
+    One slot per strategy sender (``block.report_row`` locates it); slots
+    past an execution's strategy count stay NaN and are never read.  Each
+    tensor program is answered by ONE ``value_tensor`` call per round on a
+    representative instance: row ``r·d + c`` observes coordinate ``c`` of
+    evaluated pair ``r``'s holder values (NaN at non-holder slots) under
+    pair ``r``'s seed.  By the row contract that equals one call per row —
+    what the coordinate-wise composition evaluates with its one strategy
+    instance.  Stateless strategies without a tensor form keep the
+    per-execution ``value_block``/``value`` path, issued in the batch
+    engine's order.  Non-finite reports are kept; the sampling paths treat
+    them as omissions (mirroring the message boundary of the protocol
     skeletons).  Only stateless strategies reach this point, so eager
     evaluation for every recipient is indistinguishable from the batch
     engine's lazy evaluation.
     """
     count, n, d = block.count, block.n, block.dimension
-    injected = np.full((count, n, n, d), np.nan, dtype=np.float64)
-    for pid, representative, rows, seeds in block.strategy_tensor_groups:
-        # Full-information adversary: each execution observes its holder
-        # values (NaN at non-holder slots); one bulk call covers every
-        # member execution of the group.
-        holders = block.holder_mask[rows]
-        group_values = block.values[rows]
-        for c in range(d):
-            observed = np.where(holders, group_values[:, :, c], np.nan)
-            reports = representative.value_tensor(round_number, n, observed, seeds)
-            if reports is None:
-                raise ValueError(
-                    f"strategy {representative.describe()} declares tensor program "
-                    f"{representative.tensor_key()!r} but value_tensor returned None"
-                )
-            injected[rows, pid, :, c] = np.asarray(reports, dtype=np.float64)
+    reports = np.full((count, block.slot_count, n, d), np.nan, dtype=block.dtype)
+    by_slot = reports.reshape(count * block.slot_count, n, d)
+    if block.strategy_programs:
+        # observed[e, c] is coordinate c of execution e's holder values, NaN
+        # at non-holder slots.  A program's rows are a view of it or a copy,
+        # by how its evaluated executions lie; either way they are handed
+        # over read-only, so a strategy that writes to them fails on every
+        # block alike.
+        observed = np.full((count, d, n), np.nan, dtype=block.dtype)
+        np.copyto(
+            observed, block.values.transpose(0, 2, 1), where=block.holder_mask[:, None, :]
+        )
+    for representative, executions, seeds, slots, source in block.strategy_programs:
+        pairs = len(seeds)
+        rows = observed[executions].reshape(pairs * d, n)
+        rows.flags.writeable = False
+        answer = representative.value_tensor(round_number, n, rows, np.repeat(seeds, d))
+        if answer is None:
+            raise ValueError(
+                f"strategy {representative.describe()} declares tensor program "
+                f"{representative.tensor_key()!r} but value_tensor returned None"
+            )
+        answer = np.asarray(answer, dtype=np.float64).reshape(pairs, d, n)
+        by_slot[slots] = answer.transpose(0, 2, 1)[source]
     if block.strategy_scalar:
+        by_row = reports.reshape(-1, d)
         values = np.asarray(block.values, dtype=np.float64)
         holder_mask = block.holder_mask
         observed_lists: Dict[Tuple[int, int], List[float]] = {}
         for e, sender, strategy in block.strategy_scalar:
+            row = int(block.report_row[e * n + sender])
             for c in range(d):
                 observed = observed_lists.get((e, c))
                 if observed is None:
                     observed = np.sort(values[e, holder_mask[e], c]).tolist()
                     observed_lists[e, c] = observed
-                reports = strategy.value_block(round_number, n, observed)
-                if reports is not None:
-                    injected[e, sender, :, c] = np.asarray(reports, dtype=np.float64)
+                answer = strategy.value_block(round_number, n, observed)
+                if answer is not None:
+                    by_row[row : row + n, c] = np.asarray(answer, dtype=np.float64)
                     continue
                 for recipient in range(n):
                     value = strategy.value(round_number, recipient, observed)
                     if isinstance(value, (int, float)):
-                        injected[e, sender, recipient, c] = float(value)  # inf -> isfinite no
-    # Normalise ±inf to NaN so one mask covers every non-finite report.
-    np.copyto(injected, np.nan, where=~np.isfinite(injected))
-    return np.asarray(injected, dtype=block.dtype)
+                        by_row[row + recipient, c] = float(value)
+    return reports
 
 
 def _sync_samples(
-    block: _Block, cand: np.ndarray, injected: Optional[np.ndarray]
+    block: _Block, cand: np.ndarray, reports: Optional[np.ndarray]
 ) -> np.ndarray:
     """Size-``n`` synchronous samples ``(E, n, n, d)`` with own-value substitution.
 
-    A non-finite report degrades to an omission per coordinate (the
-    recipient keeps its own value in that coordinate), matching the
-    composition, where each coordinate's execution drops the report
-    independently.
+    Reports are read only where a candidate sender is a strategy sender.  A
+    non-finite report degrades to an omission per coordinate (the recipient
+    keeps its own value in that coordinate), matching the composition, where
+    each coordinate's execution drops the report independently.
     """
     own = block.values[:, :, None, :]  # (E, recipient, 1, d)
     holder_values = block.values[:, None, :, :]  # (E, 1, sender, d)
     use_holder = (cand & block.holder_mask[:, None, :])[:, :, :, None]
     sample = np.where(use_holder, holder_values, own)
-    if injected is not None:
-        reports = np.swapaxes(injected, 1, 2)  # (E, recipient, sender, d)
-        use = (cand & block.strategy_mask[:, None, :])[:, :, :, None] & np.isfinite(
-            reports
-        )
-        sample = np.where(use, reports, sample)
+    if reports is not None:
+        n = block.n
+        # Flat (e*n + recipient)*n + sender positions of the Byzantine slots.
+        byzantine = np.flatnonzero(cand & block.strategy_mask[:, None, :])
+        if byzantine.size:
+            rows, sender = np.divmod(byzantine, n)
+            execution, recipient = np.divmod(rows, n)
+            gathered = np.take(
+                reports.reshape(-1, block.dimension),
+                block.report_row[execution * n + sender] + recipient,
+                axis=0,
+            )
+            kept = sample[execution, recipient, sender]
+            sample[execution, recipient, sender] = np.where(
+                np.isfinite(gathered), gathered, kept
+            )
     return sample
 
 
@@ -897,7 +949,7 @@ def _async_samples(
     block: _Block,
     cand: np.ndarray,
     cand_count: np.ndarray,
-    injected: Optional[np.ndarray],
+    reports: Optional[np.ndarray],
     updates: np.ndarray,
     active: np.ndarray,
     round_number: int,
@@ -910,41 +962,52 @@ def _async_samples(
     every coordinate — and a recipient that cannot fill its quorum fails the
     execution at that recipient (earlier recipients' deliveries stand).
     Starvation (fewer candidates than ``m``) is value-independent, hence the
-    same in every coordinate.  A non-finite Byzantine report degrades to an
-    omission and the quorum refills from the remaining candidates in
-    ascending sender order; that refill is per coordinate, so only ``d = 1``
-    blocks run it.
+    same in every coordinate.  The values come from one gather; reports are
+    gathered only at the quorum slots whose sender is a strategy sender,
+    and a non-finite report marks its row short.  A short row degrades the
+    report to an omission and refills the quorum from the remaining
+    candidates in ascending sender order; that refill is per coordinate, so
+    only ``d = 1`` blocks run it.
     """
-    count, n = block.count, block.n
+    count, n, d = block.count, block.n, block.dimension
     # One flat index serves every gather: sender s of execution e is row
     # e*n + s of the block's (E*n, ...) views, so each gather is one take.
     # The quorum tensor becomes that index in place.
     offsets = (np.arange(count, dtype=np.int64) * n)[:, None, None]
     flat = _choose_quorums(block, cand, cand_count, updates, active, round_number, m)
     flat += offsets
-    sample = np.take(block.values.reshape(count * n, -1), flat, axis=0)  # (E, n, m, d)
-    if injected is not None:
-        strategy_chosen = np.take(block.strategy_mask.reshape(-1), flat)
-        if strategy_chosen.any():
-            # injected[e, sender, recipient] is row (e*n + sender)*n + recipient.
-            reports = np.take(
-                injected.reshape(count * n * n, -1),
-                flat * n + np.arange(n, dtype=np.int64)[None, :, None],
+    sample = np.take(block.values.reshape(count * n, d), flat, axis=0)  # (E, n, m, d)
+    nonfinite = None
+    if reports is not None:
+        nonfinite = np.zeros(count * n, dtype=bool)  # by (e*n + recipient)
+        # Flat positions of the quorum slots that chose a strategy sender.
+        byzantine = np.flatnonzero(np.take(block.strategy_mask.reshape(-1), flat))
+        if byzantine.size:
+            senders = flat.reshape(-1)[byzantine]
+            gathered = np.take(
+                reports.reshape(-1, d),
+                block.report_row[senders] + byzantine // m % n,
                 axis=0,
             )
-            np.copyto(sample, reports, where=strategy_chosen[:, :, :, None])
+            sample.reshape(-1, d)[byzantine] = gathered
+            finite = np.isfinite(gathered)
+            if not finite.all():
+                nonfinite[byzantine[~finite.all(axis=1)] // m] = True
+        if not np.isfinite(block.values)[block.holder_mask].all():
+            # A non-finite holder value may sit in any quorum slot, so the
+            # whole sample is scanned.
+            nonfinite = ~np.isfinite(sample).all(axis=-1).all(axis=-1).reshape(-1)
 
     # Liveness / refill bookkeeping.  In-model scenarios never enter either
     # branch: the candidate set always has >= m members and only Byzantine
     # strategies can inject non-finite values (so crash-only blocks skip the
-    # finiteness scan entirely).
+    # finiteness checks entirely).
     relevant = updates & active[:, None]
     starving = relevant & (cand_count < m)
     short = None
-    if injected is not None:
-        finite_rows = np.isfinite(sample).all(axis=-1).all(axis=-1)  # (E, n)
-        short = relevant & ~finite_rows & ~starving
-        if block.dimension > 1 and bool(short.any()):
+    if nonfinite is not None:
+        short = relevant & nonfinite.reshape(count, n) & ~starving
+        if d > 1 and bool(short.any()):
             raise EngineCapabilityError(
                 "ndbatch",
                 "non-finite Byzantine reports in vector blocks (a dropped "

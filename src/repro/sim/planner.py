@@ -154,25 +154,30 @@ def bytes_per_execution(
     A closed form over the engine's actual allocations, per execution row:
 
     * candidate mask ``(n, n)`` bool plus the ``(n, m)`` int64 quorum
-      tensor, which becomes the flat gather index in place, and the
-      ``(n, m)`` int64 index of the injected-report gather — quorum
-      selection and gather.  Every quorum path (seeded, shared tensor,
-      per-seed tensor, ranked) allocates these and no more per execution:
-      rank keys and ranks are built slab by slab, at most
-      ``repro.sim.ndbatch.QUORUM_SLAB_KEYS`` keys (1 MiB each for the keys,
-      their scratch, the ranks and the argsort) whatever the block size, and
-      a shared tensor group ranks one ``(n, n)`` matrix.  That per-block
-      constant is left to the budget floor and the ×2 headroom;
-    * injected-report tensor ``(n, n)`` float (Byzantine blocks; charged
-      unconditionally — the model must not depend on the adversary);
-    * gathered sample ``(n, m)`` float, the gathered reports or the masked
-      copy of the sample, and the kernel's sorted copy;
+      tensor, which becomes the flat gather index in place, and the index
+      of the report gather — quorum selection and gather.  The report index
+      covers only the quorum slots whose sender is a strategy sender; it is
+      charged as a full ``(n, m)`` int64 index, an upper bound.  Every
+      quorum path (seeded, shared tensor, per-seed tensor, ranked) allocates
+      these and no more per execution: rank keys and ranks are built slab by
+      slab, at most ``repro.sim.ndbatch.QUORUM_SLAB_KEYS`` keys (1 MiB each
+      for the keys, their scratch, the ranks and the argsort) whatever the
+      block size, and a shared tensor group ranks one ``(n, n)`` matrix.
+      That per-block constant is left to the budget floor and the ×2
+      headroom;
+    * report tensor: a block with strategies keeps ``(S, n)`` floats per
+      execution, one row per strategy slot, where ``S ≤ t < n`` is the
+      block's largest strategy count.  It is charged as ``(n, n)`` floats
+      unconditionally — an upper bound, so plans and dispatch groups do not
+      depend on the adversary;
+    * gathered sample ``(n, m)`` float, the gathered reports, and the
+      kernel's sorted copy;
     * value history ``(rounds + 1, n)`` float plus ~8 per-``(count, n)``
       int64/bool bookkeeping vectors.
 
     ``dimension`` scales every *value-carrying* term by ``d`` — vector
     blocks (:func:`repro.sim.ndbatch.run_vector_block`) gather
-    ``(executions, n, m, d)`` samples and ``(n, n, d)`` injected reports —
+    ``(executions, n, m, d)`` samples and keep ``(S, n, d)`` reports —
     while quorum selection and the integer bookkeeping stay ``d``-free
     (quorums are chosen once and shared across coordinates).
 
@@ -189,8 +194,8 @@ def bytes_per_execution(
     per_round = (
         n * n  # cand bool
         + 2 * n * m * 8  # flat gather index + injected-report index (int64)
-        + n * n * item  # injected reports
-        + 3 * n * m * item  # sample + reports or masked copy + the kernel's sorted copy
+        + n * n * item  # reports: S <= t < n slots, charged as n
+        + 3 * n * m * item  # sample + gathered reports + the kernel's sorted copy
     )
     bookkeeping = 8 * n * 8 + (rounds + 1) * n * item
     return per_round + bookkeeping

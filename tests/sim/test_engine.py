@@ -252,6 +252,81 @@ class TestRunFrontDoor:
             assert abs(value - ndbatch.outputs[pid]) <= 1e-9
 
 
+class TestNonFiniteForgedInputs:
+    """A non-finite forged input has no round-level form.
+
+    The message-level skeletons drop a non-finite payload at the receiver, so
+    only the event simulator models the attack; the round-level fault model
+    rejects it, which routes ``auto`` to the event engine and makes explicit
+    round-level engine choices raise.
+    """
+
+    N, T = 6, 1
+    INPUTS = [0.4, 0.45, 0.5, 0.55, 0.6, 0.5]
+    ROUNDS = 5
+
+    def _plan(self, forged):
+        from repro.core.async_byzantine import AsyncByzantineProcess
+        from repro.core.protocol import ProtocolConfig
+        from repro.net.adversary import HonestWithCorruptedInput
+
+        config = ProtocolConfig(
+            n=self.N, t=self.T, epsilon=1e-2, round_policy=FixedRounds(self.ROUNDS)
+        )
+        return ByzantineFaultPlan(
+            {5: HonestWithCorruptedInput(lambda: AsyncByzantineProcess(forged, config))}
+        )
+
+    def _run(self, forged, engine):
+        return run(
+            "async-byzantine", self.INPUTS, t=self.T, epsilon=1e-2,
+            round_policy=FixedRounds(self.ROUNDS), fault_plan=self._plan(forged),
+            engine=engine,
+        )
+
+    @pytest.mark.parametrize("forged", [float("inf"), float("-inf"), float("nan")])
+    def test_direct_construction_names_the_process(self, forged):
+        with pytest.raises(ValueError, match="process 5's forged input"):
+            RoundFaultModel(corrupted_inputs={5: forged})
+
+    @pytest.mark.parametrize("forged", [float("inf"), float("nan")])
+    def test_adapter_rejects_so_the_plan_is_message_level(self, forged):
+        from repro.net.adversary import round_fault_model
+        from repro.sim.engine import FEATURE_MESSAGE_LEVEL
+
+        with pytest.raises(ValueError, match="not finite"):
+            round_fault_model(self._plan(forged), self.N)
+        features = scenario_features(
+            "async-byzantine", self.N, t=self.T, fault_plan=self._plan(forged)
+        )
+        assert FEATURE_MESSAGE_LEVEL in features
+
+    @pytest.mark.parametrize("forged", [float("inf"), float("nan")])
+    def test_event_and_auto_run_on_the_event_engine(self, forged):
+        for engine in ("event", "auto"):
+            result = self._run(forged, engine)
+            assert result.runtime == "des"
+            assert result.ok, result.report.violations
+            assert result.rounds_used == self.ROUNDS
+
+    @needs_numpy
+    @pytest.mark.parametrize("forged", [float("inf"), float("nan")])
+    @pytest.mark.parametrize("engine", ["batch", "ndbatch"])
+    def test_round_level_engines_raise_naming_event(self, forged, engine):
+        with pytest.raises(EngineCapabilityError) as excinfo:
+            self._run(forged, engine)
+        assert excinfo.value.capable == ("event",)
+
+    @needs_numpy
+    def test_finite_forged_inputs_keep_the_round_level_engines(self):
+        model = RoundFaultModel(corrupted_inputs={5: 1e12})
+        assert model.corrupted_inputs == {5: 1e12}
+        for engine in ("batch", "ndbatch"):
+            result = self._run(1e12, engine)
+            assert result.runtime == engine
+            assert result.ok, result.report.violations
+
+
 @needs_numpy
 class TestZeroFallbackByzantineGrid:
     """Acceptance: a RandomValueStrategy Byzantine grid runs on ndbatch with

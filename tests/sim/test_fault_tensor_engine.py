@@ -1,10 +1,10 @@
 """Acceptance grid for the tensor-native fault pipeline.
 
 The tentpole guarantee: ndbatch Byzantine/anti-convergence rounds issue
-**zero per-execution Python strategy calls** — every strategy group is
-answered by one ``value_tensor`` call per round on a representative instance
-— while the realised executions stay *exactly* differential against the
-scalar engines:
+**zero per-execution Python strategy calls** — every strategy program is
+answered by one ``value_tensor`` call per round on a representative instance,
+its rows stacking every member sender, execution and coordinate — while the
+realised executions stay *exactly* differential against the scalar engines:
 
 * versus the pure-Python batch engine: identical rounds, message/bit/send
   counts, outputs and trajectories within float-summation order (``1e-9``);
@@ -130,6 +130,59 @@ class TestZeroPerExecutionStrategyCalls:
         assert strategy_call_counter == []
         assert all(result.report.all_decided for result in results)
 
+    @pytest.mark.parametrize("dimension", [1, 3])
+    @pytest.mark.parametrize("t", [1, 3, 6])
+    def test_one_value_tensor_call_per_program_per_round(self, monkeypatch, t, dimension):
+        # Each program's call stacks every member sender, execution and
+        # coordinate, so a round costs one call per distinct program —
+        # not one per (sender, program) group and coordinate.
+        from repro.core.termination import FixedRounds
+        from repro.sim.ndbatch import run_ndbatch_block, run_vector_block
+
+        calls = []
+        for cls in STRATEGY_CLASSES:
+            original = cls.value_tensor
+
+            def counting(self, *args, _original=original, **kwargs):
+                calls.append(self.tensor_key())
+                return _original(self, *args, **kwargs)
+
+            monkeypatch.setattr(cls, "value_tensor", counting)
+
+        count, n, rounds = 6, 5 * t + 1, 4
+        kinds = (
+            AntiConvergenceStrategy,
+            lambda: AntiConvergenceStrategy(stretch=0.25, parity=1),
+            None,  # random, seeded per sender
+            lambda: FixedValueStrategy(5.0),
+        )
+        models = []
+        for e in range(count):
+            strategies = {}
+            for i in range(t):
+                kind = kinds[(e + i) % len(kinds)]
+                strategies[n - 1 - i] = (
+                    RandomValueStrategy(-2.0, 3.0, seed=e * t + i) if kind is None else kind()
+                )
+            models.append(RoundFaultModel(strategies=strategies))
+        programs = {s.tensor_key() for model in models for s in model.strategies.values()}
+        inputs = [
+            [[0.1 * i + 0.01 * e + 0.2 * c for c in range(dimension)] for i in range(n)]
+            for e in range(count)
+        ]
+        if dimension == 1:
+            run_ndbatch_block(
+                "async-byzantine", [[v[0] for v in row] for row in inputs], t=t,
+                epsilon=EPSILON, round_policy=FixedRounds(rounds), fault_models=models,
+            )
+        else:
+            run_vector_block(
+                "async-byzantine", inputs, t=t, epsilon=EPSILON,
+                round_policy=FixedRounds(rounds), fault_models=models,
+            )
+        assert len(calls) == rounds * len(programs)
+        assert set(calls) == programs
+
     def test_delay_rank_block_is_tensor_only(self, monkeypatch):
         from repro.sim.ndbatch import run_ndbatch_block
 
@@ -157,6 +210,48 @@ class TestZeroPerExecutionStrategyCalls:
         )
         assert calls == []  # grouped rank_tensor path, no per-execution calls
         assert all(result.report.all_decided for result in results)
+
+
+class TestReportMemory:
+    def test_injection_peaks_below_one_dense_report_tensor(self):
+        # Reports are kept per strategy slot: one round's injection on a
+        # mixed anti-convergence/random block stays below a single
+        # (E, n, n, d) float64 tensor of reports indexed by sender.
+        import tracemalloc
+
+        import numpy as np
+
+        from repro.core.rounds import async_byzantine_bounds
+        from repro.sim.ndbatch import _Block, _injected_values
+
+        count, n, t, d = 192, 31, 6, 3
+        models = []
+        for e in range(count):
+            strategies = {n - 1 - i: AntiConvergenceStrategy() for i in range(3)}
+            strategies.update(
+                {n - 4 - i: RandomValueStrategy(-2.0, 3.0, seed=e * t + i) for i in range(3)}
+            )
+            models.append(RoundFaultModel(strategies=strategies))
+        block = _Block(
+            "async-byzantine",
+            np.random.default_rng(0).random((count, n, d)),
+            t,
+            EPSILON,
+            async_byzantine_bounds(n, t),
+            5,
+            models,
+            [SeededOmission(e) for e in range(count)],
+            "float64",
+        )
+        dense_bytes = count * n * n * d * 8  # 4.2 MiB
+        tracemalloc.start()
+        try:
+            reports = _injected_values(block, 3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < dense_bytes
+        assert reports.shape == (count, t, n, d)
 
 
 class TestTensorContractEnforcement:
