@@ -17,10 +17,10 @@ a declarative capability model:
   (:func:`scenario_features`) derived from its protocol, round policy,
   fault model and quorum adversary;
 * :func:`select_engine` picks the fastest engine whose capability set covers
-  the scenario's features (preferring the vectorised engine only when the
-  scenario actually vectorises), and :func:`run` is the front door that
-  performs the selection and dispatches — with ``engine=`` kept as an
-  explicit override;
+  the scenario's features — a pure function of those features and the
+  scenario's estimated work, so a scenario runs on the same engine on every
+  host — and :func:`run` is the front door that performs the selection and
+  dispatches, with ``engine=`` kept as an explicit override;
 * every rejection — here and inside the engines — raises one uniform
   :class:`EngineCapabilityError` naming the engines that *can* run the
   scenario.
@@ -45,9 +45,9 @@ runs without numpy     —        ✓       ✓
 relative speed         ~50×     ~10×    1×
 =====================  =======  ======  ========
 
-(a) supported through a per-recipient fallback; auto-selection prefers the
-batch engine for such scenarios, because the fallback gives up the
-vectorisation that makes ndbatch worth choosing.
+(a) supported through a per-recipient fallback, which gives up the
+vectorisation that makes ndbatch worth choosing: auto-selection skips
+ndbatch whenever the features contain ``FEATURE_STATEFUL_QUORUM``.
 
 (b) native ``(executions, n, d)`` tensor path
 (:func:`repro.sim.ndbatch.run_vector_block`) — one shared quorum selection
@@ -61,15 +61,14 @@ The ndbatch engine is additionally marked *tensorisable*: it advances whole
 execution blocks through tensor fault programs (grouped
 ``value_tensor``/``rank_tensor`` calls, see :mod:`repro.net.adversary`), at a
 per-block setup cost.  Auto-selection therefore runs a small cost model —
-estimated work ``cells × rounds × n`` against the probe-calibrated
-:func:`ndbatch_min_work` threshold — and
-keeps tiny grids (a single small execution, a one-cell sweep group) on the
-pure-Python batch engine, where block setup would dominate.
+estimated work ``cells × rounds × n`` against the constant
+:data:`NDBATCH_MIN_WORK` — and keeps tiny grids (a single small execution, a
+one-cell sweep group) on the pure-Python batch engine, where block setup
+would dominate.
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, Iterable, Optional, Sequence, Set, Tuple
 
@@ -77,8 +76,6 @@ __all__ = [
     "DIRECT_PROTOCOLS",
     "ENGINES",
     "ENGINE_CAPABILITIES",
-    "ENV_CALIBRATION_DIR",
-    "ENV_MIN_WORK",
     "NDBATCH_MIN_WORK",
     "ndbatch_min_work",
     "EngineCapabilities",
@@ -89,11 +86,9 @@ __all__ = [
     "estimated_upfront_rounds",
     "numpy_available",
     "require_capability",
-    "require_dimension",
     "run",
     "scenario_features",
     "select_engine",
-    "vectorises",
 ]
 
 
@@ -112,7 +107,6 @@ FEATURE_ROUND_LEVEL = "round-level-adversary"
 FEATURE_NO_NUMPY = "no-numpy"
 FEATURE_WITNESS_MID_MULTICAST = "witness-mid-multicast-crash"
 FEATURE_EVENT_RUNTIME = "explicit-event-runtime"
-FEATURE_VECTOR = "vector-valued-inputs"
 
 
 @dataclass(frozen=True)
@@ -130,12 +124,11 @@ class EngineCapabilities:
     protocols: Tuple[str, ...]
     features: FrozenSet[str]
     speed_rank: int
-    summary: str
     #: Whether the engine advances whole execution blocks through tensor
     #: fault programs (grouped ``value_tensor``/``rank_tensor`` calls).  A
     #: tensorisable engine pays a per-block setup cost, so auto-selection
-    #: only picks it when the scenario actually vectorises *and* the
-    #: estimated work (cells × rounds × n) exceeds :func:`ndbatch_min_work`.
+    #: only picks it for scenarios without a stateful quorum adversary whose
+    #: estimated work (cells × rounds × n) reaches :func:`ndbatch_min_work`.
     tensorisable: bool = False
     #: The engine the resilient sweep layer (:mod:`repro.sim.resilient`)
     #: falls back to when work keeps failing on this one — a slower, simpler
@@ -144,23 +137,9 @@ class EngineCapabilities:
     #: engine both isolates the faulty cell and sidesteps the block path).
     #: ``None`` means there is nothing to demote to.
     demotes_to: Optional[str] = None
-    #: Whether the engine runs vector-valued (d > 1) agreement — natively
-    #: (ndbatch advances whole ``(executions, n, d)`` blocks through
-    #: :func:`repro.sim.ndbatch.run_vector_block`) or by coordinate-wise
-    #: composition (batch/event: one scalar instance per coordinate, the
-    #: construction of :mod:`repro.sim.vector`).
-    supports_vectors: bool = False
-    #: Largest supported input dimension (``None`` = unbounded).  Only
-    #: meaningful when ``supports_vectors`` is set; lets a future bounded
-    #: engine (fixed-width SIMD kernels, say) declare its width and have
-    #: dispatch route around it.
-    max_dimension: Optional[int] = None
 
     def feature_set(self) -> FrozenSet[str]:
-        tags = self.features | frozenset(f"protocol:{p}" for p in self.protocols)
-        if self.supports_vectors:
-            tags |= {FEATURE_VECTOR}
-        return tags
+        return self.features | frozenset(f"protocol:{p}" for p in self.protocols)
 
     def supports(self, required: Iterable[str]) -> bool:
         return set(required) <= self.feature_set()
@@ -177,10 +156,8 @@ ENGINE_CAPABILITIES: Dict[str, EngineCapabilities] = {
         protocols=DIRECT_PROTOCOLS,
         features=frozenset({FEATURE_ROUND_LEVEL, FEATURE_STATEFUL_QUORUM}),
         speed_rank=0,
-        summary="numpy-vectorised block engine (whole executions advance as matrices)",
         tensorisable=True,
         demotes_to="batch",
-        supports_vectors=True,
     ),
     "batch": EngineCapabilities(
         name="batch",
@@ -196,8 +173,6 @@ ENGINE_CAPABILITIES: Dict[str, EngineCapabilities] = {
             }
         ),
         speed_rank=1,
-        summary="pure-Python round-level engine (one asynchronous round at a time)",
-        supports_vectors=True,
     ),
     "event": EngineCapabilities(
         name="event",
@@ -215,8 +190,6 @@ ENGINE_CAPABILITIES: Dict[str, EngineCapabilities] = {
             }
         ),
         speed_rank=2,
-        summary="per-message discrete-event simulator (highest fidelity)",
-        supports_vectors=True,
     ),
 }
 
@@ -366,7 +339,6 @@ def scenario_features(
     fault_model=None,
     omission_policy=None,
     delay_model=None,
-    dimension: int = 1,
 ) -> Set[str]:
     """The feature set one scenario requires of an engine.
 
@@ -376,17 +348,12 @@ def scenario_features(
     the scenario message-level-only, which only the event engine runs.
     ``t`` sharpens the witness crash-boundary probe (without it, any witness
     crash beyond "initially dead" conservatively routes to the event engine).
-    ``dimension > 1`` marks the scenario vector-valued, which only engines
-    declaring ``supports_vectors`` run (see also :func:`require_dimension`
-    for per-engine dimension bounds).
+    Every engine runs vector-valued (d > 1) inputs, so the dimension is not
+    a feature.
     """
     from repro.net.adversary import round_fault_model
 
-    if dimension < 1:
-        raise ValueError(f"dimension must be positive, got {dimension}")
     features: Set[str] = {f"protocol:{protocol}"}
-    if dimension > 1:
-        features.add(FEATURE_VECTOR)
     if round_policy is not None and not _upfront_rounds_known(round_policy):
         features.add(FEATURE_ADAPTIVE)
 
@@ -432,38 +399,6 @@ def _policy_is_stateful(omission_policy) -> bool:
     return True  # unknown custom policies may depend on query order
 
 
-def vectorises(
-    protocol: str,
-    fault_model=None,
-    omission_policy=None,
-    delay_model=None,
-) -> bool:
-    """Whether the ndbatch engine would run this scenario fully vectorised.
-
-    True when the quorum-selection path stays native (SeededOmission keys or
-    a bulk :meth:`~repro.net.adversary.OmissionPolicy.rank_block` ranking)
-    and no per-recipient Python fallback would be needed.  Used by
-    auto-selection: a scenario ndbatch *can* run but only through its
-    fallback path is better served by the batch engine.
-    """
-    from repro.net.adversary import DelayRankOmission, SeededOmission
-
-    if protocol not in DIRECT_PROTOCOLS:
-        return False
-    if fault_model is not None and any(
-        not getattr(strategy, "stateless", False)
-        for strategy in fault_model.strategies.values()
-    ):
-        return False
-    if omission_policy is None and delay_model is not None:
-        omission_policy = DelayRankOmission(delay_model)
-    if omission_policy is None or isinstance(omission_policy, SeededOmission):
-        return True
-    if isinstance(omission_policy, DelayRankOmission):
-        return getattr(omission_policy.delay_model, "stateless", False)
-    return False
-
-
 def capable_engines(features: Iterable[str]) -> Tuple[str, ...]:
     """Engines that support the feature set, fastest first."""
     required = set(features)
@@ -488,155 +423,30 @@ def engine_rejections(features: Iterable[str]) -> Dict[str, str]:
     return rejections
 
 
-#: Fallback minimum estimated work — sweep cells × rounds × n — below which
+#: Minimum estimated work — sweep cells × rounds × n — below which
 #: auto-selection prefers the pure-Python batch engine over a tensorised
-#: (block) engine.  Calibrated empirically on one reference host: the ndbatch
-#: block setup (scenario masks, crash/candidate tensors, result assembly)
-#: costs roughly as much as ~60 scalar quorum updates there.  Dispatch no
-#: longer trusts this constant blindly: :func:`ndbatch_min_work` re-measures
-#: the crossover once per interpreter with a cached micro-probe, and this
-#: value only serves as the fallback when the probe cannot run (and as the
-#: centre of the probe's sanity clamp).
+#: (block) engine, whose block setup (scenario masks, crash/candidate
+#: tensors, result assembly) would dominate.  The value is conservative:
+#: timing small sweep grids on a 2-core Xeon put the batch/ndbatch crossover
+#: between about 100 and 350 work units, depending on protocol and n.
 NDBATCH_MIN_WORK = 64
-
-#: Environment override for the dispatch threshold (skips the micro-probe).
-ENV_MIN_WORK = "REPRO_NDBATCH_MIN_WORK"
-#: Directory for the per-interpreter probe cache (default: the temp dir).
-ENV_CALIBRATION_DIR = "REPRO_CALIBRATION_DIR"
-
-#: Sanity clamp on probed thresholds: even a wildly noisy probe (loaded CI
-#: host, cold caches) cannot push dispatch into a regime where either every
-#: grid or no grid vectorises.
-_MIN_WORK_CLAMP = (48, 16384)
-
-_min_work_memo: Optional[int] = None
-
-
-def _calibration_path() -> str:
-    """Per-interpreter cache file for the probed dispatch threshold."""
-    import sys
-    import tempfile
-
-    directory = os.environ.get(ENV_CALIBRATION_DIR) or tempfile.gettempdir()
-    tag = f"{sys.implementation.name}-{sys.version_info[0]}.{sys.version_info[1]}"
-    return os.path.join(directory, f"repro-ndbatch-min-work-{tag}.txt")
-
-
-def _probe_ndbatch_min_work() -> int:
-    """Measure the batch→ndbatch crossover with one tiny timed scenario.
-
-    Times the same small async-crash execution on both round-level engines
-    (best of three, after a warm-up run absorbing import and allocator
-    costs).  On a scenario this small the ndbatch time is dominated by block
-    setup while the batch time is proportional to scalar work, so
-    ``probe_work × ndbatch_time / batch_time`` estimates the block setup in
-    scalar-work units — exactly the quantity :data:`NDBATCH_MIN_WORK` was
-    hand-calibrated to approximate.
-    """
-    import time as _time
-
-    from repro.sim.batch import run_batch_protocol
-    from repro.sim.ndbatch import run_ndbatch_protocol
-
-    inputs = [0.0, 0.25, 0.5, 0.75, 1.0]
-    t, epsilon = 1, 0.05
-
-    def best_of(runner) -> float:
-        timings = []
-        for _ in range(3):
-            started = _time.perf_counter()
-            runner("async-crash", inputs, t=t, epsilon=epsilon)
-            timings.append(_time.perf_counter() - started)
-        return min(timings)
-
-    run_batch_protocol("async-crash", inputs, t=t, epsilon=epsilon)  # warm-up
-    run_ndbatch_protocol("async-crash", inputs, t=t, epsilon=epsilon)
-    batch_time = best_of(run_batch_protocol)
-    ndbatch_time = best_of(run_ndbatch_protocol)
-    rounds = estimated_upfront_rounds("async-crash", inputs, t, epsilon) or 1
-    probe_work = rounds * len(inputs)
-    if batch_time <= 0.0:
-        return NDBATCH_MIN_WORK
-    return int(round(probe_work * ndbatch_time / batch_time))
 
 
 def ndbatch_min_work() -> int:
-    """The dispatch threshold, probed once per interpreter and cached.
-
-    Resolution order: in-process memo → :data:`ENV_MIN_WORK` (explicit
-    override, pinned in CI/tests for deterministic dispatch) → the cache
-    file (:func:`_calibration_path`) → a fresh micro-probe
-    (:func:`_probe_ndbatch_min_work`), clamped to :data:`_MIN_WORK_CLAMP`
-    and written back atomically.  Every failure mode (no numpy, unwritable
-    temp dir, corrupt cache) degrades to the hand-calibrated
-    :data:`NDBATCH_MIN_WORK` fallback rather than raising — dispatch must
-    never fail because calibration did.
-    """
-    global _min_work_memo
-    if _min_work_memo is not None:
-        return _min_work_memo
-    env = os.environ.get(ENV_MIN_WORK)
-    if env:
-        try:
-            value = int(env)
-        except ValueError:
-            raise ValueError(
-                f"{ENV_MIN_WORK} must be an integer work threshold, got {env!r}"
-            ) from None
-        if value < 1:
-            raise ValueError(f"{ENV_MIN_WORK} must be positive, got {value}")
-        _min_work_memo = value
-        return value
-    path = _calibration_path()
-    try:
-        with open(path, "r", encoding="ascii") as handle:
-            cached = int(handle.read().strip())
-        if cached >= 1:
-            _min_work_memo = cached
-            return cached
-    except (OSError, ValueError):
-        pass
-    try:
-        probed = _probe_ndbatch_min_work()
-    except Exception:
-        _min_work_memo = NDBATCH_MIN_WORK
-        return _min_work_memo
-    low, high = _MIN_WORK_CLAMP
-    value = max(low, min(high, probed))
-    try:
-        import tempfile
-
-        handle = tempfile.NamedTemporaryFile(
-            "w",
-            encoding="ascii",
-            dir=os.path.dirname(path) or ".",
-            prefix=os.path.basename(path) + ".",
-            delete=False,
-        )
-        with handle:
-            handle.write(f"{value}\n")
-        os.replace(handle.name, path)
-    except OSError:
-        pass
-    _min_work_memo = value
-    return value
+    """The dispatch threshold, :data:`NDBATCH_MIN_WORK` read at call time."""
+    return NDBATCH_MIN_WORK
 
 
-def select_engine(
-    features: Iterable[str],
-    vectorised: bool = True,
-    work: Optional[int] = None,
-) -> str:
+def select_engine(features: Iterable[str], work: Optional[int] = None) -> str:
     """The fastest capable engine for a scenario (auto-selection policy).
 
-    ``vectorised`` reports whether the scenario would actually vectorise on
-    a tensorised engine (see :func:`vectorises`); when it would not,
-    selection skips such engines in favour of the batch engine, whose
-    pure-Python loop beats the fallback path's per-recipient round trips
-    through numpy.  ``work`` is the scenario's estimated size — cells ×
-    rounds × n — fed to the block-setup cost model: a tensorised engine is
-    only worth its per-block setup when ``work`` reaches the calibrated
-    :func:`ndbatch_min_work` threshold (``None`` skips the cost model, e.g.
+    A pure function of the scenario: it skips a tensorised engine in exactly
+    two cases.  The features contain :data:`FEATURE_STATEFUL_QUORUM` — the
+    quorum adversary must be queried per recipient, which gives up the
+    vectorisation, and the batch engine's pure-Python loop beats the
+    fallback's round trips through numpy.  Or ``work``, the scenario's
+    estimated size (cells × rounds × n), is below :func:`ndbatch_min_work`,
+    where block setup would dominate (``None`` skips the cost model, e.g.
     when the round count is not computable upfront).
     """
     required = set(features)
@@ -649,10 +459,10 @@ def select_engine(
             rejections=engine_rejections(required),
         )
     for name in capable:
-        caps = ENGINE_CAPABILITIES[name]
-        if caps.tensorisable and not vectorised:
-            continue
-        if caps.tensorisable and work is not None and work < ndbatch_min_work():
+        if ENGINE_CAPABILITIES[name].tensorisable and (
+            FEATURE_STATEFUL_QUORUM in required
+            or (work is not None and work < ndbatch_min_work())
+        ):
             continue
         return name
     return capable[-1]
@@ -722,51 +532,9 @@ def _describe_missing(missing: Sequence[str]) -> str:
                 "explicit runtime= requests (des/asyncio/lockstep are event-"
                 "simulator runtimes)"
             )
-        elif feature == FEATURE_VECTOR:
-            parts.append("vector-valued (dimension > 1) inputs")
         else:
             parts.append(feature)
     return " and ".join(parts)
-
-
-def require_dimension(engine: str, dimension: int) -> None:
-    """Raise unless ``engine`` runs ``dimension``-valued vector agreement.
-
-    ``dimension == 1`` always passes (scalar agreement is every engine's
-    home turf).  For ``d > 1`` the engine must declare ``supports_vectors``
-    and, when it states a ``max_dimension``, cover ``d``; the error names
-    the engines that do.
-    """
-    if dimension < 1:
-        raise ValueError(f"dimension must be positive, got {dimension}")
-    if dimension == 1:
-        return
-    if engine not in ENGINE_CAPABILITIES:
-        raise ValueError(
-            f"unknown engine {engine!r}; known engines: {', '.join(ENGINES)} "
-            f"(or 'auto')"
-        )
-    capable = tuple(
-        name
-        for name in ENGINES
-        if ENGINE_CAPABILITIES[name].supports_vectors
-        and (
-            ENGINE_CAPABILITIES[name].max_dimension is None
-            or dimension <= ENGINE_CAPABILITIES[name].max_dimension
-        )
-    )
-    capabilities = ENGINE_CAPABILITIES[engine]
-    if not capabilities.supports_vectors:
-        raise EngineCapabilityError(
-            engine, "vector-valued (dimension > 1) inputs", capable
-        )
-    if capabilities.max_dimension is not None and dimension > capabilities.max_dimension:
-        raise EngineCapabilityError(
-            engine,
-            f"dimension {dimension} (its max_dimension is "
-            f"{capabilities.max_dimension})",
-            capable,
-        )
 
 
 def require_capability(engine: str, features: Iterable[str]) -> None:
@@ -811,11 +579,12 @@ def run(
 
     engine:
         ``"auto"`` (default) selects the fastest engine whose capability set
-        covers the scenario — ndbatch for vectorisable direct-protocol
-        scenarios big enough to repay the block setup (the
-        :func:`ndbatch_min_work` cost model; tiny single executions stay on
-        batch), batch for round-level scenarios ndbatch cannot (or should
-        not) take, the event simulator for message-level-only scenarios.
+        covers the scenario, by the rule of :func:`select_engine` — ndbatch
+        for direct-protocol scenarios without a stateful quorum adversary
+        that are big enough to repay the block setup (tiny single executions
+        stay on batch), batch for round-level scenarios ndbatch cannot (or
+        should not) take, the event simulator for message-level-only
+        scenarios.
         ``"ndbatch"``, ``"batch"`` and ``"event"`` force a specific engine;
         an override outside the engine's capabilities raises
         :class:`EngineCapabilityError` naming the capable engines.
@@ -836,23 +605,13 @@ def run(
             f"unknown protocol {protocol!r}; known: {sorted(ALL_PROTOCOLS)}"
         )
     n = len(inputs)
-    from repro.net.adversary import round_fault_model
-
-    # Resolve the round-level fault model once; both the feature derivation
-    # and the vectorisation probe consume it.
-    resolved_model = fault_model
-    if resolved_model is None and fault_plan is not None:
-        try:
-            resolved_model = round_fault_model(fault_plan, n)
-        except ValueError:
-            resolved_model = None  # message-level only; scenario_features flags it
     features = scenario_features(
         protocol,
         n,
         t=t,
         round_policy=round_policy,
         fault_plan=fault_plan,
-        fault_model=resolved_model,
+        fault_model=fault_model,
         omission_policy=omission_policy,
         delay_model=delay_model,
     )
@@ -866,12 +625,6 @@ def run(
         )
         chosen = select_engine(
             features,
-            vectorised=vectorises(
-                protocol,
-                fault_model=resolved_model,
-                omission_policy=omission_policy,
-                delay_model=delay_model,
-            ),
             # One execution: work = 1 × rounds × n for the block-setup cost
             # model (tiny single runs are faster on the pure-Python engine).
             work=None if rounds_estimate is None else rounds_estimate * n,
@@ -885,7 +638,7 @@ def run(
             chosen,
             f"float dtype selection (dtype={dtype!r}): it runs pure Python "
             "and would silently ignore the override; force engine='ndbatch' "
-            "(if the scenario vectorises) or drop dtype",
+            "(if ndbatch runs the scenario) or drop dtype",
             ("ndbatch",),
         )
 

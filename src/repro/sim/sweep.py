@@ -98,10 +98,8 @@ from repro.net.network import DelayModel, FaultPlan
 from repro.sim.engine import (
     ndbatch_min_work,
     require_capability,
-    require_dimension,
     scenario_features,
     select_engine,
-    vectorises,
 )
 from repro.sim.engine import run as run_on_engine
 
@@ -538,7 +536,6 @@ class SweepCell:
             # the protocol level here (cheap, catches grid typos early); the
             # full scenario check happens at dispatch.
             require_capability(self.engine, {f"protocol:{self.protocol}"})
-            require_dimension(self.engine, self.dimension)
 
 
 @dataclass(frozen=True)
@@ -824,7 +821,9 @@ def _run_vector_cell(cell: SweepCell, engine: Optional[str] = None) -> CellOutco
         # One execution: work = rounds × n × d for the block-setup cost
         # model, the rule repro.sim.engine.run applies to scalar cells.
         chosen = _auto_engine_for(cell, work=policy.rounds * cell.n * cell.dimension)
-    require_dimension(chosen, cell.dimension)
+    # The engine= override skips cell.validate(); an unknown name would
+    # otherwise fall through to the batch branch below.
+    require_capability(chosen, {f"protocol:{cell.protocol}"})
     bundle = build_adversary_bundle(cell)
     if chosen == "ndbatch":
         if run_vector_block is None:
@@ -1213,36 +1212,18 @@ def _ndbatch_dispatch_groups(
 def _auto_engine_for(cell: SweepCell, work: Optional[int] = None) -> str:
     """Resolve one "auto" cell to the fastest capable engine.
 
-    Mirrors :func:`repro.sim.engine.run`'s selection: witness cells go to the
-    batch engine (event when their crash plan has mid-multicast prefixes),
-    vectorisable direct-protocol cells to ndbatch, everything else to batch.
-    ``work`` feeds :func:`~repro.sim.engine.select_engine`'s block-setup
-    cost model for a cell that runs on its own; block candidates leave it
-    out, because the threshold applies to their whole block.
+    Applies the rule :func:`repro.sim.engine.run` applies, to the features of
+    the cell's adversary bundle (:func:`~repro.sim.engine.select_engine`).
+    ``work`` feeds its block-setup cost model for a cell that runs on its
+    own; block candidates leave it out, because the threshold applies to
+    their whole block.
     """
     bundle = build_adversary_bundle(cell)
-    fault_model = None
-    if bundle.fault_plan is not None:
-        try:
-            fault_model = round_fault_model(bundle.fault_plan, cell.n)
-        except ValueError:
-            fault_model = None
     features = scenario_features(
-        cell.protocol,
-        cell.n,
-        t=cell.t,
-        fault_plan=bundle.fault_plan,
-        fault_model=fault_model,
-        delay_model=bundle.delay_model,
-        dimension=cell.dimension,
+        cell.protocol, cell.n, cell.t,
+        fault_plan=bundle.fault_plan, delay_model=bundle.delay_model,
     )
-    return select_engine(
-        features,
-        vectorised=vectorises(
-            cell.protocol, fault_model=fault_model, delay_model=bundle.delay_model
-        ),
-        work=work,
-    )
+    return select_engine(features, work)
 
 
 def _iter_indexed_outcomes(

@@ -2,17 +2,9 @@
 
 from __future__ import annotations
 
-import os
-
 import pytest
 
 from repro.net.network import UniformRandomDelay
-
-# Pin the engine-dispatch threshold to the historical constant: several tests
-# assert which engine "auto" picks for a given work size, and the per-host
-# micro-probe (repro.sim.engine.ndbatch_min_work) would make that
-# host-dependent.  The probe's own unit tests monkeypatch this away.
-os.environ.setdefault("REPRO_NDBATCH_MIN_WORK", "64")
 
 
 @pytest.fixture

@@ -196,7 +196,7 @@ class TestApproximationStepBlock:
 
     Deeper coverage (including Byzantine parameters and the engines built on
     top) lives in ``tests/sim/test_ndbatch.py``; here the kernel itself is
-    pinned against the scalar step it vectorises.
+    pinned against the scalar step it applies to every execution.
     """
 
     def test_block_equals_scalar_map(self):

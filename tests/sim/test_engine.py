@@ -10,6 +10,7 @@ from repro.net.adversary import (
     CrashFaultPlan,
     CrashPoint,
     DelayRankOmission,
+    OmissionPolicy,
     RandomValueStrategy,
     RoundEchoByzantine,
     RoundFaultModel,
@@ -26,7 +27,6 @@ from repro.sim.engine import (
     run,
     scenario_features,
     select_engine,
-    vectorises,
 )
 
 INPUTS = [0.0, 0.3, 0.6, 1.0, 0.5, 0.2, 0.9]
@@ -129,11 +129,13 @@ class TestSelection:
     @needs_numpy
     def test_vectorisable_scenario_selects_ndbatch(self):
         features = scenario_features("async-crash", 7)
-        assert select_engine(features, vectorised=True) == "ndbatch"
+        assert select_engine(features) == "ndbatch"
 
     def test_non_vectorisable_scenario_prefers_batch(self):
-        features = scenario_features("async-crash", 7)
-        assert select_engine(features, vectorised=False) == "batch"
+        features = scenario_features(
+            "async-crash", 7, delay_model=UniformRandomDelay(0.1, 1.0, seed=1)
+        )
+        assert select_engine(features) == "batch"
 
     def test_witness_selects_batch(self):
         assert select_engine(scenario_features("witness", 7)) == "batch"
@@ -143,18 +145,39 @@ class TestSelection:
         features = scenario_features("witness", 7, fault_plan=plan)
         assert select_engine(features) == "event"
 
-    def test_vectorises_predicate(self):
-        assert vectorises("async-crash") == True  # noqa: E712
-        assert not vectorises("witness")
-        assert vectorises("async-crash", omission_policy=SeededOmission(1))
-        assert vectorises("async-crash", delay_model=SeededDelay(0.1, 1.0))
-        assert not vectorises(
-            "async-crash", delay_model=UniformRandomDelay(0.1, 1.0, seed=1)
-        )
-        stateful = RoundFaultModel(
+    @needs_numpy
+    def test_rule_over_features(self):
+        """ndbatch is skipped only for a stateful quorum adversary or small work."""
+
+        class FirstM(OmissionPolicy):
+            def quorum(self, round_number, recipient, candidates, m):
+                return list(candidates)[:m]
+
+        stateful_delay = UniformRandomDelay(0.1, 1.0, seed=1)
+        stateful_strategy = RoundFaultModel(
             strategies={6: type("S", (RandomValueStrategy,), {"stateless": False})(-1, 1)}
         )
-        assert not vectorises("async-byzantine", fault_model=stateful)
+        cases = [
+            ({}, "ndbatch"),
+            ({"omission_policy": SeededOmission(1)}, "ndbatch"),
+            ({"delay_model": SeededDelay(0.1, 1.0)}, "ndbatch"),
+            ({"omission_policy": DelayRankOmission(SeededDelay(0.1, 1.0))}, "ndbatch"),
+            ({"delay_model": stateful_delay}, "batch"),
+            ({"omission_policy": DelayRankOmission(stateful_delay)}, "batch"),
+            ({"omission_policy": FirstM()}, "batch"),
+        ]
+        for scenario, expected in cases:
+            features = scenario_features("async-crash", 7, t=2, **scenario)
+            assert select_engine(features) == expected, scenario
+            # Enough work never overrides a stateful quorum adversary.
+            assert select_engine(features, work=10**6) == expected, scenario
+            assert select_engine(features, work=63) == "batch", scenario
+        features = scenario_features("async-crash", 7, t=2)
+        assert select_engine(features, work=64) == "ndbatch"
+        assert select_engine(
+            scenario_features("async-byzantine", 7, fault_model=stateful_strategy)
+        ) == "batch"
+        assert select_engine(scenario_features("witness", 7)) == "batch"
 
 
 class TestRunFrontDoor:
@@ -406,97 +429,6 @@ class TestZeroFallbackByzantineGrid:
             for pid, history in scalar.value_histories.items():
                 for left, right in zip(history, nd.value_histories[pid]):
                     assert abs(left - right) <= 1e-9
-
-
-class TestMinWorkCalibration:
-    """The one-shot per-interpreter micro-probe behind ndbatch_min_work."""
-
-    @pytest.fixture(autouse=True)
-    def fresh_calibration(self, monkeypatch, tmp_path):
-        """Each test resolves from scratch: no memo, no env pin (the suite's
-        conftest pins REPRO_NDBATCH_MIN_WORK for deterministic dispatch), and
-        a private cache directory."""
-        from repro.sim import engine
-
-        monkeypatch.setattr(engine, "_min_work_memo", None)
-        monkeypatch.delenv(engine.ENV_MIN_WORK, raising=False)
-        monkeypatch.setenv(engine.ENV_CALIBRATION_DIR, str(tmp_path))
-        yield
-
-    def test_env_override_wins_and_is_validated(self, monkeypatch):
-        from repro.sim import engine
-
-        monkeypatch.setenv(engine.ENV_MIN_WORK, "4242")
-        assert engine.ndbatch_min_work() == 4242
-
-        monkeypatch.setattr(engine, "_min_work_memo", None)
-        monkeypatch.setenv(engine.ENV_MIN_WORK, "fast")
-        with pytest.raises(ValueError, match="integer work threshold"):
-            engine.ndbatch_min_work()
-
-        monkeypatch.setenv(engine.ENV_MIN_WORK, "0")
-        with pytest.raises(ValueError, match="positive"):
-            engine.ndbatch_min_work()
-
-    def test_probe_result_is_clamped_cached_and_memoised(self, monkeypatch, tmp_path):
-        from repro.sim import engine
-
-        calls = []
-
-        def fake_probe():
-            calls.append(1)
-            return 10_000_000  # far above the clamp ceiling
-
-        monkeypatch.setattr(engine, "_probe_ndbatch_min_work", fake_probe)
-        value = engine.ndbatch_min_work()
-        low, high = engine._MIN_WORK_CLAMP
-        assert value == high
-        assert calls == [1]
-        # Second call: memo, no re-probe.
-        assert engine.ndbatch_min_work() == value
-        assert calls == [1]
-        # Fresh "interpreter" (memo cleared): the cache file answers, still
-        # no re-probe.
-        monkeypatch.setattr(engine, "_min_work_memo", None)
-        assert engine.ndbatch_min_work() == value
-        assert calls == [1]
-        cache = engine._calibration_path()
-        assert cache.startswith(str(tmp_path))
-        assert int(open(cache).read()) == value
-
-    def test_probe_failure_degrades_to_the_constant(self, monkeypatch):
-        from repro.sim import engine
-
-        def broken_probe():
-            raise RuntimeError("no clock")
-
-        monkeypatch.setattr(engine, "_probe_ndbatch_min_work", broken_probe)
-        assert engine.ndbatch_min_work() == engine.NDBATCH_MIN_WORK
-
-    def test_corrupt_cache_file_reprobes(self, monkeypatch, tmp_path):
-        from repro.sim import engine
-
-        with open(engine._calibration_path(), "w") as handle:
-            handle.write("not-a-number\n")
-        monkeypatch.setattr(engine, "_probe_ndbatch_min_work", lambda: 100)
-        assert engine.ndbatch_min_work() == 100
-
-    def test_cache_path_is_per_interpreter(self):
-        import sys
-
-        from repro.sim import engine
-
-        path = engine._calibration_path()
-        assert sys.implementation.name in path
-        assert f"{sys.version_info.major}.{sys.version_info.minor}" in path
-
-    @needs_numpy
-    def test_real_probe_returns_a_sane_threshold(self):
-        from repro.sim import engine
-
-        probed = engine._probe_ndbatch_min_work()
-        assert isinstance(probed, int)
-        assert probed > 0
 
 
 class TestDtypeDispatch:

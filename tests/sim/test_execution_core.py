@@ -86,8 +86,7 @@ class TestRetryKeepsDispatchDecisions:
         # A threshold every block clears only once its work is scaled by d=3.
         threshold = max(work) + 1
         assert threshold <= 3 * min(work)
-        monkeypatch.setenv(engine_module.ENV_MIN_WORK, str(threshold))
-        monkeypatch.setattr(engine_module, "_min_work_memo", None)
+        monkeypatch.setattr(engine_module, "NDBATCH_MIN_WORK", threshold)
         # Above the threshold the grid runs as one run_vector_block call;
         # below it the cells would run one by one on batch (next test), so
         # the block sizes show which way the cost model went.
@@ -122,8 +121,7 @@ class TestRetryKeepsDispatchDecisions:
         # A threshold no block clears even scaled by d=3, hence no single
         # cell either: each cell runs on its own, and the cost model must
         # send it to batch rather than to a one-execution ndbatch block.
-        monkeypatch.setenv(engine_module.ENV_MIN_WORK, str(3 * max(work) + 1))
-        monkeypatch.setattr(engine_module, "_min_work_memo", None)
+        monkeypatch.setattr(engine_module, "NDBATCH_MIN_WORK", 3 * max(work) + 1)
         block_sizes = []
         run_vector_block = sweep_module.run_vector_block
 
