@@ -1,7 +1,7 @@
 """E13 — Tensor fault programs: whole-block adversaries on the ndbatch engine.
 
 PR 3 left one per-execution Python loop in the vectorised engine: adaptive
-strategies (``AntiConvergenceStrategy``) and every custom ``value_block``
+strategies (``AntiConvergenceStrategy``) and every custom per-round
 strategy were consulted once per execution per round.  The tensor-native
 fault pipeline removes it — strategies are grouped by tensor program and
 each program is answered with *one*
@@ -21,7 +21,7 @@ from __future__ import annotations
 import dataclasses
 import time
 
-from repro.net.adversary import AntiConvergenceStrategy, ByzantineValueStrategy
+from repro.net.adversary import AntiConvergenceStrategy
 from repro.sim.sweep import SweepSpec, run_sweep
 
 from conftest import write_bench_json
@@ -41,26 +41,20 @@ SPEC = SweepSpec(
 
 def test_e13_anti_convergence_grid_runs_whole_block(monkeypatch):
     # Count every per-execution strategy call the vectorised sweep makes; the
-    # tensor pipeline must never issue one (value_block lives on the base
-    # class since the refactor, so patching it covers every derived path).
+    # tensor pipeline must never issue one.  ``value`` is the strategy's only
+    # per-execution form, so counting it covers every such call.
     calls = []
     original_value = AntiConvergenceStrategy.value
-    original_block = ByzantineValueStrategy.value_block
 
     def counting_value(self, round_number, recipient, observed):
         calls.append(("value", round_number, recipient))
         return original_value(self, round_number, recipient, observed)
-
-    def counting_block(self, round_number, n, observed):
-        calls.append(("value_block", round_number))
-        return original_block(self, round_number, n, observed)
 
     started = time.perf_counter()
     batch_outcomes = run_sweep(SPEC, workers=1)
     batch_seconds = time.perf_counter() - started
 
     monkeypatch.setattr(AntiConvergenceStrategy, "value", counting_value)
-    monkeypatch.setattr(ByzantineValueStrategy, "value_block", counting_block)
     nd_spec = dataclasses.replace(SPEC, engine="ndbatch")
     started = time.perf_counter()
     nd_outcomes = run_sweep(nd_spec, workers=1)

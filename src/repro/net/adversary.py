@@ -192,9 +192,9 @@ class ByzantineValueStrategy(abc.ABC):
         there.  This is the grouping key of the vectorised engine
         (:mod:`repro.sim.ndbatch`), which answers each program with *one*
         Python call per round, and of the sweep's block grouper.  ``None``
-        (the default) means the strategy has no tensor form; stateless
-        strategies then fall back to per-execution :meth:`value_block` /
-        :meth:`value` calls.
+        (the default) means the strategy has no tensor form: the batch and
+        event engines still run it through :meth:`value`, and the vectorised
+        engine refuses it.
         """
         return None
 
@@ -226,41 +226,6 @@ class ByzantineValueStrategy(abc.ABC):
         ``None``.  Requires numpy (only bulk callers use it).
         """
         return None
-
-    def value_block(
-        self, round_number: int, n: int, observed: Sequence[float]
-    ) -> Optional[Sequence[float]]:
-        """Vector-friendly form of :meth:`value` for one whole round.
-
-        Returns the length-``n`` sequence ``[value(round, 0, observed), …,
-        value(round, n − 1, observed)]`` — one bulk query answering every
-        recipient of the round.  Since the tensor refactor this is *derived*
-        from :meth:`value_tensor`: a one-execution block is evaluated and its
-        only row sliced out, so the scalar engines and the vectorised engine
-        share a single implementation and the draws stay bit-identical by
-        construction (on interpreters without numpy, stateless strategies
-        fall back to per-recipient :meth:`value` calls — the same pure
-        function).  Strategies with no tensor form return ``None``; the
-        engines then fall back to per-recipient :meth:`value` calls (possible
-        only for ``stateless`` strategies).
-        """
-        if self.tensor_key() is None:
-            return None
-        try:
-            import numpy as np
-        except ImportError:
-            # Tensor-programmed strategies are pure functions; the scalar
-            # path evaluates the same function per recipient.
-            return [self.value(round_number, q, observed) for q in range(n)]
-        if len(observed):
-            observed_row = np.asarray(list(observed), dtype=np.float64).reshape(1, -1)
-        else:
-            observed_row = np.full((1, 1), np.nan)
-        seeds = np.asarray([self.tensor_seed()], dtype=np.uint64)
-        reports = self.value_tensor(round_number, n, observed_row, seeds)
-        if reports is None:
-            return None
-        return np.asarray(reports, dtype=np.float64)[0]
 
     def describe(self) -> str:
         return type(self).__name__
@@ -330,7 +295,7 @@ class RandomValueStrategy(ByzantineValueStrategy):
     into ``[low, high]`` is a pure function of the seed.  That makes the
     strategy ``stateless`` (query order cannot change the draws), so the
     vectorised batch engine (:mod:`repro.sim.ndbatch`) can evaluate whole
-    rounds at once (:meth:`value_block`) with draws bit-identical to the
+    rounds at once (:meth:`value_tensor`) with draws bit-identical to the
     scalar path — the equivocation pattern every engine observes is the same.
     """
 
@@ -828,9 +793,10 @@ class SeededDelay(DelayModel):
       for the same (round, sender, recipient) probe, so
       :class:`DelayRankOmission` over this model ranks exactly as the event
       scheduler would order arrivals;
-    * :meth:`delay_block` answers a whole round in one bulk query, which is
-      what lets the vectorised batch engine (:mod:`repro.sim.ndbatch`) run
-      randomised-delay scenarios with zero per-recipient Python quorum calls.
+    * :meth:`delay_tensor` answers a whole round of a whole block of
+      executions in one bulk query, which is what lets the vectorised batch
+      engine (:mod:`repro.sim.ndbatch`) run randomised-delay scenarios with
+      zero per-recipient Python quorum calls.
 
     Repeated messages of one (round, sender, recipient) triple — e.g. the
     reliable-broadcast sub-messages of the witness protocol, which carry no
@@ -882,27 +848,6 @@ class SeededDelay(DelayModel):
         )
         return self.low + (self.high - self.low) * (keys.astype(np.float64) * 2.0**-64)
 
-    def delay_block(self, round_number: int, n: int):
-        """The round's full delay matrix ``delays[recipient][sender]``.
-
-        Derived from :meth:`delay_tensor` — a one-execution block, its only
-        row sliced out — so the scalar and block paths share one
-        implementation; bit-identical to probing :meth:`delay` per pair
-        (scalar Python fallback when numpy is unavailable).  Consumed by
-        :meth:`DelayRankOmission.rank_block` for the vectorised engine.
-        """
-        try:
-            import numpy as np
-        except ImportError:
-            probe = Message(kind="VALUE", round=round_number, value=0.0)
-            now = float(round_number)
-            return [
-                [self.delay(sender, recipient, probe, now) for sender in range(n)]
-                for recipient in range(n)
-            ]
-        seeds = np.asarray([self._seed_mix], dtype=np.uint64)
-        return self.delay_tensor(round_number, n, seeds)[0]
-
 
 # ----------------------------------------------------------------------
 # Round-level adversary adapters (batch engine)
@@ -940,27 +885,6 @@ class OmissionPolicy(abc.ABC):
     ) -> Sequence[int]:
         """Choose ``m`` distinct senders from ``candidates`` (sorted by id)."""
 
-    def rank_block(self, round_number: int, n: int) -> Optional[List[List[float]]]:
-        """Vector-friendly form of :meth:`quorum` for one whole round.
-
-        Returns an ``n × n`` matrix ``rank[recipient][sender]`` such that the
-        quorum of every recipient is the ``m`` candidates with the smallest
-        ``(rank, sender)`` pairs — i.e. one bulk query answers every quorum of
-        the round, which is what lets the numpy batch engine
-        (:mod:`repro.sim.ndbatch`) select whole blocks of quorums with one
-        sort.  Policies whose choices cannot be expressed as a per-round
-        ranking (or that are stateful in query order) return ``None``; the
-        engine then falls back to per-recipient :meth:`quorum` calls.
-
-        The contract ties the two forms together: for every recipient ``q``
-        and candidate set ``C``, ``quorum(r, q, C, m)`` must equal the ``m``
-        elements of ``C`` minimising ``(rank[q][s], s)``.  The vector engine
-        compares ranks as ``float64``, so ranks should be exactly
-        representable as doubles (:class:`SeededOmission` bypasses this
-        method with a native uint64 path).
-        """
-        return None
-
     def tensor_key(self) -> Optional[tuple]:
         """Hashable fault-program identity of this policy, or ``None``.
 
@@ -968,7 +892,9 @@ class OmissionPolicy(abc.ABC):
         key realise the same quorum program, with per-execution variation
         carried entirely by the PRF seed (:meth:`tensor_seed`), so one
         representative answers :meth:`rank_tensor` for a whole execution
-        block.  ``None`` (the default) means no tensor form.
+        block.  ``None`` (the default) means no tensor form: the batch and
+        event engines still run the policy through :meth:`quorum`, and the
+        vectorised engine refuses it.
         """
         return None
 
@@ -980,11 +906,14 @@ class OmissionPolicy(abc.ABC):
         """Whole-block rank tensor ``rank[e, recipient, sender]``.
 
         ``seed_mix`` is a length-``E`` uint64 vector of per-execution seeds
-        (:meth:`tensor_seed`); the result has shape ``(E, n, n)`` and each
-        row must satisfy the :meth:`rank_block` contract for the execution it
-        describes — the quorum of every recipient is the ``m`` candidates
-        with the smallest ``(rank, sender)`` pairs.  Returns ``None`` when
-        the policy has no tensor form.  Requires numpy.
+        (:meth:`tensor_seed`); the result has shape ``(E, n, n)``.  Row ``e``
+        ranks the senders the way :meth:`quorum` chooses them for the
+        execution it describes: for every recipient ``q`` and candidate set
+        ``C``, ``quorum(round_number, q, C, m)`` equals the ``m`` elements of
+        ``C`` with the smallest ``(rank[e, q, s], s)`` pairs.  Integer ranks
+        compare exactly; other ranks compare as ``float64``, so they should
+        be exactly representable as doubles.  Returns ``None`` when the
+        policy has no tensor form.  Requires numpy.
         """
         return None
 
@@ -1206,10 +1135,6 @@ class SeededOmission(OmissionPolicy):
         # the full (PRF value, sender) order — no tuples, no stability needed.
         return sorted(candidates, key=keys.__getitem__)[:m]
 
-    def rank_block(self, round_number: int, n: int) -> List[List[int]]:
-        """All rank keys of one round (exact integers; see :func:`seeded_rank_key`)."""
-        return [row[:n] for row in self._round_keys(round_number, n)[:n]]
-
     def tensor_key(self) -> tuple:
         return ("seeded-omission",)
 
@@ -1275,43 +1200,6 @@ class DelayRankOmission(OmissionPolicy):
         seed axis.
         """
         return self.delay_model.delay_tensor(round_number, n, seed_mix)
-
-    def rank_block(self, round_number: int, n: int) -> Optional[List[List[float]]]:
-        """The round's full delay matrix, for stateless delay models.
-
-        A stateless model (``delay_model.stateless``) answers every
-        ``(sender, recipient)`` probe of the round independently of query
-        order, so one bulk evaluation is exactly equivalent to the
-        per-recipient ranking of :meth:`quorum`.  Tensor-programmed models
-        answer through :meth:`rank_tensor` (a one-execution block, its only
-        row sliced out — one shared implementation with the vectorised
-        engine); bulk-queryable models (``delay_block``) answer the round
-        natively; everything else is probed pair by pair.  Stateful models
-        (e.g. :class:`~repro.net.network.UniformRandomDelay`, which draws
-        from an RNG stream per call) return ``None`` and keep the
-        per-recipient path.
-        """
-        if not getattr(self.delay_model, "stateless", False):
-            return None
-        if self.tensor_key() is not None:
-            try:
-                import numpy as np
-            except ImportError:
-                np = None
-            if np is not None:
-                seeds = np.asarray([self.tensor_seed()], dtype=np.uint64)
-                return self.rank_tensor(round_number, n, seeds)[0]
-        block = getattr(self.delay_model, "delay_block", None)
-        if block is not None:
-            # Bulk-queryable models answer the whole round natively —
-            # bit-identical to the per-pair probing below.
-            return block(round_number, n)
-        probe = Message(kind="VALUE", round=round_number, value=0.0)
-        now = float(round_number)
-        return [
-            [self.delay_model.delay(sender, recipient, probe, now) for sender in range(n)]
-            for recipient in range(n)
-        ]
 
     def reset(self) -> None:
         self.delay_model.reset()

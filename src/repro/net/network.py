@@ -76,10 +76,11 @@ class DelayModel(abc.ABC):
     """
 
     #: Whether :meth:`delay` is a pure function of its arguments.  Stateless
-    #: models may be probed in any order (and in bulk), which lets the
-    #: round-level adapters (:class:`~repro.net.adversary.DelayRankOmission`)
-    #: answer whole-round quorum queries for the vectorised batch engine.
-    #: Defaults to ``False``; concrete pure models opt in.
+    #: models may be probed in any order (and in bulk); with a tensor program
+    #: (:meth:`tensor_key`) that lets the round-level adapter
+    #: (:class:`~repro.net.adversary.DelayRankOmission`) answer whole-round
+    #: quorum queries for the vectorised batch engine, which runs no other
+    #: model.  Defaults to ``False``; concrete pure models opt in.
     stateless: bool = False
 
     #: Whether the model shapes *which values* a witness-protocol process

@@ -37,17 +37,18 @@ capability             ndbatch  batch   event
 direct protocols       ✓        ✓       ✓
 witness protocol       —        ✓       ✓
 adaptive round policy  —        ✓       ✓
-stateful strategy      —        ✓       ✓
-stateful quorum/delay  ✓ (a)    ✓       ✓
+stateful strategy      — (a)    ✓       ✓
+stateful quorum/delay  — (a)    ✓       ✓
 message-level faults   —        —       ✓
 vector (d > 1) inputs  ✓ (b)    ✓ (c)   ✓ (c)
 runs without numpy     —        ✓       ✓
 relative speed         ~50×     ~10×    1×
 =====================  =======  ======  ========
 
-(a) supported through a per-recipient fallback, which gives up the
-vectorisation that makes ndbatch worth choosing: auto-selection skips
-ndbatch whenever the features contain ``FEATURE_STATEFUL_QUORUM``.
+(a) ndbatch runs tensor programs only: a Byzantine strategy, delay model or
+omission policy counts as stateful here when it is stateful *or* declares
+no ``tensor_key`` (:func:`scenario_features`), so ``auto`` runs it on
+batch.
 
 (b) native ``(executions, n, d)`` tensor path
 (:func:`repro.sim.ndbatch.run_vector_block`) — one shared quorum selection
@@ -127,8 +128,8 @@ class EngineCapabilities:
     #: Whether the engine advances whole execution blocks through tensor
     #: fault programs (grouped ``value_tensor``/``rank_tensor`` calls).  A
     #: tensorisable engine pays a per-block setup cost, so auto-selection
-    #: only picks it for scenarios without a stateful quorum adversary whose
-    #: estimated work (cells × rounds × n) reaches :func:`ndbatch_min_work`.
+    #: only picks it for scenarios whose estimated work (cells × rounds × n)
+    #: reaches :func:`ndbatch_min_work`.
     tensorisable: bool = False
     #: The engine the resilient sweep layer (:mod:`repro.sim.resilient`)
     #: falls back to when work keeps failing on this one — a slower, simpler
@@ -154,7 +155,7 @@ ENGINE_CAPABILITIES: Dict[str, EngineCapabilities] = {
         name="ndbatch",
         module="repro.sim.ndbatch",
         protocols=DIRECT_PROTOCOLS,
-        features=frozenset({FEATURE_ROUND_LEVEL, FEATURE_STATEFUL_QUORUM}),
+        features=frozenset({FEATURE_ROUND_LEVEL}),
         speed_rank=0,
         tensorisable=True,
         demotes_to="batch",
@@ -349,7 +350,8 @@ def scenario_features(
     ``t`` sharpens the witness crash-boundary probe (without it, any witness
     crash beyond "initially dead" conservatively routes to the event engine).
     Every engine runs vector-valued (d > 1) inputs, so the dimension is not
-    a feature.
+    a feature.  The two "stateful" features also mark a stateless component
+    without a tensor program (no ``tensor_key``), which ndbatch cannot run.
     """
     from repro.net.adversary import round_fault_model
 
@@ -365,10 +367,7 @@ def scenario_features(
             features.add(FEATURE_MESSAGE_LEVEL)
             fault_model = None
     if fault_model is not None:
-        if any(
-            not getattr(strategy, "stateless", False)
-            for strategy in fault_model.strategies.values()
-        ):
+        if any(map(_lacks_tensor_program, fault_model.strategies.values())):
             features.add(FEATURE_STATEFUL_STRATEGY)
         if protocol == "witness" and not _witness_crashes_on_boundaries(
             given_fault_plan, fault_model, n, t
@@ -378,14 +377,21 @@ def scenario_features(
     if omission_policy is not None or (fault_model is not None and fault_plan is None):
         # Round-level adversary specifications have no message-level form.
         features.add(FEATURE_ROUND_LEVEL)
-    if delay_model is not None and not getattr(delay_model, "stateless", False):
+    if delay_model is not None and _lacks_tensor_program(delay_model):
         features.add(FEATURE_STATEFUL_QUORUM)
-    if omission_policy is not None and _policy_is_stateful(omission_policy):
+    if omission_policy is not None and (
+        _policy_is_stateful(omission_policy) or omission_policy.tensor_key() is None
+    ):
         features.add(FEATURE_STATEFUL_QUORUM)
 
     if not numpy_available():
         features.add(FEATURE_NO_NUMPY)
     return features
+
+
+def _lacks_tensor_program(component) -> bool:
+    """Whether a strategy or delay model is stateful or has no ``tensor_key``."""
+    return not getattr(component, "stateless", False) or component.tensor_key() is None
 
 
 def _policy_is_stateful(omission_policy) -> bool:
@@ -441,13 +447,12 @@ def select_engine(features: Iterable[str], work: Optional[int] = None) -> str:
     """The fastest capable engine for a scenario (auto-selection policy).
 
     A pure function of the scenario: it skips a tensorised engine in exactly
-    two cases.  The features contain :data:`FEATURE_STATEFUL_QUORUM` — the
-    quorum adversary must be queried per recipient, which gives up the
-    vectorisation, and the batch engine's pure-Python loop beats the
-    fallback's round trips through numpy.  Or ``work``, the scenario's
-    estimated size (cells × rounds × n), is below :func:`ndbatch_min_work`,
-    where block setup would dominate (``None`` skips the cost model, e.g.
-    when the round count is not computable upfront).
+    one case, ``work`` — the scenario's estimated size (cells × rounds × n)
+    — below :func:`ndbatch_min_work`, where block setup would dominate
+    (``None`` skips the cost model, e.g. when the round count is not
+    computable upfront).  Scenarios ndbatch cannot run — a stateful or
+    program-less adversary component among them — never reach that rule:
+    their features leave ndbatch out of the capable engines.
     """
     required = set(features)
     capable = capable_engines(required)
@@ -459,9 +464,10 @@ def select_engine(features: Iterable[str], work: Optional[int] = None) -> str:
             rejections=engine_rejections(required),
         )
     for name in capable:
-        if ENGINE_CAPABILITIES[name].tensorisable and (
-            FEATURE_STATEFUL_QUORUM in required
-            or (work is not None and work < ndbatch_min_work())
+        if (
+            ENGINE_CAPABILITIES[name].tensorisable
+            and work is not None
+            and work < ndbatch_min_work()
         ):
             continue
         return name
@@ -507,11 +513,16 @@ def _describe_missing(missing: Sequence[str]) -> str:
             )
         elif feature == FEATURE_STATEFUL_STRATEGY:
             parts.append(
-                "stateful Byzantine value strategies (strategies must be "
-                "stateless — pure functions of round/recipient/observed)"
+                "Byzantine value strategies that are stateful or without a "
+                "tensor program (strategies must be stateless — pure "
+                "functions of round/recipient/observed — and declare "
+                "tensor_key/value_tensor)"
             )
         elif feature == FEATURE_STATEFUL_QUORUM:
-            parts.append("stateful quorum/delay adversaries")
+            parts.append(
+                "quorum/delay adversaries that are stateful or without a "
+                "tensor program (tensor_key/rank_tensor/delay_tensor)"
+            )
         elif feature == FEATURE_MESSAGE_LEVEL:
             parts.append("fault plans with no round-level form")
         elif feature == FEATURE_ROUND_LEVEL:
@@ -580,11 +591,11 @@ def run(
     engine:
         ``"auto"`` (default) selects the fastest engine whose capability set
         covers the scenario, by the rule of :func:`select_engine` — ndbatch
-        for direct-protocol scenarios without a stateful quorum adversary
-        that are big enough to repay the block setup (tiny single executions
-        stay on batch), batch for round-level scenarios ndbatch cannot (or
-        should not) take, the event simulator for message-level-only
-        scenarios.
+        for direct-protocol scenarios whose adversary is a tensor program
+        and that are big enough to repay the block setup (tiny single
+        executions stay on batch), batch for round-level scenarios ndbatch
+        cannot (or should not) take, the event simulator for
+        message-level-only scenarios.
         ``"ndbatch"``, ``"batch"`` and ``"event"`` force a specific engine;
         an override outside the engine's capabilities raises
         :class:`EngineCapabilityError` naming the capable engines.

@@ -203,6 +203,24 @@ def _normalize_manifest(manifest: Dict) -> Dict:
     return manifest
 
 
+def _manifest_differences(stored: Dict, requested: Dict) -> List[str]:
+    """``"<key>: stored <a>, requested <b>"`` for every top-level manifest
+    key whose values differ; a differing spec names each axis as
+    ``spec.<axis>``."""
+    differences = []
+    for key in sorted(set(stored) | set(requested)):
+        old, new = stored.get(key), requested.get(key)
+        if old == new:
+            continue
+        if key == "spec" and isinstance(old, dict) and isinstance(new, dict):
+            differences.extend(
+                f"spec.{line}" for line in _manifest_differences(old, new)
+            )
+        else:
+            differences.append(f"{key}: stored {old!r}, requested {new!r}")
+    return differences
+
+
 class CellSet:
     """A set of sweep cells keyed by value, smaller than a set of their IDs.
 
@@ -541,10 +559,10 @@ class SweepJob:
             _normalize_manifest(existing)
             if existing != expected:
                 raise SweepJobError(
-                    f"manifest {self.manifest_path} does not match this job's "
-                    "grid spec — this directory belongs to a different sweep; "
-                    "use a fresh directory (stores are content-addressed to "
-                    "their manifest's grid)"
+                    f"manifest {self.manifest_path} does not match this job "
+                    f"({'; '.join(_manifest_differences(existing, expected))}); "
+                    "resume with the stored values, or use a fresh directory "
+                    "for a different sweep"
                 )
             return self.manifest_path
         self.directory.mkdir(parents=True, exist_ok=True)

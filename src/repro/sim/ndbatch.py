@@ -33,7 +33,7 @@ The engine is differentially pinned against the pure-Python batch engine
 (``tests/sim/test_ndbatch_equivalence.py``): identical rounds, message and
 bit counts, and outputs/trajectories within ``1e-9`` (the engines may differ
 in floating-point summation order — ``math.fsum`` versus numpy's pairwise
-summation — but in nothing else).  Four quorum-selection paths keep the
+summation — but in nothing else).  Two quorum-selection paths keep the
 adversary *bit-identical* across engines:
 
 * :class:`~repro.net.adversary.SeededOmission` — its counter-based PRF
@@ -45,19 +45,19 @@ adversary *bit-identical* across engines:
   :class:`~repro.net.adversary.DelayRankOmission` over tensor-programmed
   delay models) — executions are grouped by
   :meth:`~repro.net.adversary.OmissionPolicy.tensor_key` and ranked with
-  bulk calls, per-execution variation carried by the PRF seed vector;
-* policies with only a per-execution vector-friendly ranking
-  (:meth:`~repro.net.adversary.OmissionPolicy.rank_block`) — one bulk query
-  per execution per round, ranked with a stable lexicographic sort matching
-  the scalar tie-breaking;
-* everything else falls back to per-recipient
-  :meth:`~repro.net.adversary.OmissionPolicy.quorum` calls issued in the
-  exact order the pure-Python engine would issue them (rounds ascending,
-  recipients ascending), so stateful policies stay reproducible.
+  bulk calls, per-execution variation carried by the PRF seed vector, with
+  a stable sort matching the scalar ``(rank, sender)`` tie-breaking.
+
+The engine runs tensor programs only.  An omission policy or a Byzantine
+value strategy without a ``tensor_key`` — e.g. a delay model drawing from a
+sequential RNG stream (:class:`~repro.net.network.UniformRandomDelay`) —
+raises :class:`~repro.sim.engine.EngineCapabilityError` naming the batch
+and event engines, which query such components one call at a time;
+``engine="auto"`` sends them there.
 
 No path materialises a block-sized ``(executions, n, n)`` tensor of 8-byte
-keys or ranks.  The slab rule: seeded executions, tensor groups that are not
-shared and ranked executions are ranked in slabs of at most
+keys or ranks.  The slab rule: seeded executions and tensor groups that are
+not shared are ranked in slabs of at most
 :data:`QUORUM_SLAB_KEYS` keys (``QUORUM_SLAB_KEYS // n²`` executions, at
 least one), so the keys are mixed, masked, sorted and read out while they
 are in cache; the seeded slabs reuse two key buffers and sort in place.  The
@@ -72,9 +72,9 @@ broadcast to every member.  The samples are then gathered with flat
 per round.
 
 Byzantine value strategies must be ``stateless`` (pure functions of
-``(round, recipient, observed)``); the engine evaluates them eagerly for
-every recipient.  Strategies declaring a tensor program
-(:meth:`~repro.net.adversary.ByzantineValueStrategy.tensor_key`) are grouped
+``(round, recipient, observed)``) and declare a tensor program
+(:meth:`~repro.net.adversary.ByzantineValueStrategy.tensor_key`); the
+engine evaluates them eagerly for every recipient.  Strategies are grouped
 by program, not by ``(sender, program)``: each program gets one
 :meth:`~repro.net.adversary.ByzantineValueStrategy.value_tensor` call per
 round whose rows stack every member sender, execution and coordinate
@@ -85,8 +85,9 @@ per strategy slot, ``(executions, S, n, d)`` with ``S ≤ t`` the block's
 largest strategy count, and gathered only at the quorum slots that chose a
 strategy sender, where a non-finite report marks its row short
 (``tests/sim/test_byzantine_reports.py`` pins both against the
-sender-indexed form).  Stateful strategies and adaptive round policies raise
-a documented error pointing at the pure-Python engine, which supports both.
+sender-indexed form).  Stateful strategies, components without a tensor
+program and adaptive round policies raise a documented error pointing at
+the pure-Python engine, which supports all three.
 
 Scalar results are full :class:`~repro.sim.runner.ExecutionResult` objects
 (runtime tag ``"ndbatch"``) with the same schema as the other engines, so the
@@ -222,7 +223,7 @@ class _Block:
         # Problems record coordinate 0's inputs: scalar results report them,
         # vector results read only the fault ids.
         self.problems: List[ProblemInstance] = []
-        for row, model, policy in zip(inputs[:, :, 0].tolist(), self.fault_models, self.policies):
+        for row, model in zip(inputs[:, :, 0].tolist(), self.fault_models):
             self.problems.append(
                 ProblemInstance(
                     n=n,
@@ -233,7 +234,6 @@ class _Block:
                     byzantine=model.byzantine_ids(n),
                 )
             )
-            policy.reset()
 
         # --- numpy scenario state --------------------------------------
         self.inputs = inputs
@@ -248,27 +248,23 @@ class _Block:
         # Strategies grouped by tensor program: every program is answered by
         # ONE value_tensor call per round on a representative instance, with
         # per-member variation carried by the PRF seed vector — zero
-        # per-execution Python strategy calls.  Stateless strategies without
-        # a tensor form keep the per-execution value_block/value path.
+        # per-execution Python strategy calls.
         programs: Dict[tuple, List[Tuple[int, int]]] = {}
-        self.strategy_scalar: List[Tuple[int, int, object]] = []
         for e, model in enumerate(self.fault_models):
             for pid, strategy in model.strategies.items():
-                if not getattr(strategy, "stateless", False):
+                key = strategy.tensor_key() if getattr(strategy, "stateless", False) else None
+                if key is None:
                     raise EngineCapabilityError(
                         "ndbatch",
-                        f"stateful Byzantine value strategies "
-                        f"({strategy.describe()}: strategies must be stateless "
-                        f"— pure functions of round/recipient/observed)",
+                        f"Byzantine value strategies that are stateful or without "
+                        f"a tensor program ({strategy.describe()}: strategies must "
+                        f"be stateless — pure functions of round/recipient/observed "
+                        f"— and declare tensor_key/value_tensor)",
                         ("batch", "event"),
                     )
                 if pid < n:
                     self.strategy_mask[e, pid] = True
-                    key = strategy.tensor_key()
-                    if key is not None:
-                        programs.setdefault(key, []).append((e, pid))
-                    else:
-                        self.strategy_scalar.append((e, pid, strategy))
+                    programs.setdefault(key, []).append((e, pid))
             for pid in model.silent:
                 if pid < n:
                     self.silent_mask[e, pid] = True
@@ -334,45 +330,31 @@ class _Block:
                     )
                 )
 
-        # --- quorum-selection mode partition ---------------------------
+        # --- quorum-selection partition --------------------------------
         # "seeded": the policy is a SeededOmission — keys computed natively
-        # in numpy, slab by slab.  "tensor": policies sharing a tensor
-        # program (rank_tensor) — ranked once per round for a shared group,
-        # slab by slab with the PRF seed vector otherwise.  "ranked": the
-        # policy answers rank_block() — one bulk float ranking per execution
-        # per round.  "generic": per-recipient Python fallback, in the batch
-        # engine's exact query order.
+        # in numpy, slab by slab.  Every other policy belongs to the group of
+        # its tensor program (rank_tensor) — ranked once per round for a
+        # shared group, slab by slab with the PRF seed vector otherwise.
         if n > SENDER_MASK:
             raise ValueError(
                 f"quorum rank keys embed the sender id in 16 bits; "
                 f"n={n} processes exceed that"
             )
         seeded_idx: List[int] = []
-        self.ranked_idx: List[int] = []
-        self.generic_idx: List[int] = []
         policy_groups: Dict[tuple, List[int]] = {}
         for e, policy in enumerate(self.policies):
             if type(policy) is SeededOmission:
                 seeded_idx.append(e)
                 continue
             key = policy.tensor_key()
-            if key is not None:
-                policy_groups.setdefault(key, []).append(e)
-            elif policy.rank_block(1, n) is not None:
-                self.ranked_idx.append(e)
-            else:
-                self.generic_idx.append(e)
-        if self.generic_idx and self.dimension > 1:
-            sample_policy = self.policies[self.generic_idx[0]]
-            raise EngineCapabilityError(
-                "ndbatch",
-                f"per-recipient omission policies in vector blocks "
-                f"({sample_policy.describe()} answers neither a tensor program nor "
-                f"rank_block, so its quorum draws cannot be shared across "
-                f"coordinates; compose coordinate-wise via "
-                f"repro.sim.vector.run_vector_protocol)",
-                ("event",),
-            )
+            if key is None:
+                raise EngineCapabilityError(
+                    "ndbatch",
+                    f"omission policies without a tensor program "
+                    f"({policy.describe()} declares no tensor_key/rank_tensor)",
+                    ("batch", "event"),
+                )
+            policy_groups.setdefault(key, []).append(e)
         # A group is "shared" when every member carries the same seed and
         # the same crash and strategy layout: by the tensor_key contract
         # the members then rank identically, over one candidate matrix per
@@ -395,7 +377,6 @@ class _Block:
                 (self.policies[members[0]], _rows(members), seeds, shared)
             )
         self.seeded_rows = _rows(seeded_idx) if seeded_idx else None
-        self.ranked_rows = _rows(self.ranked_idx) if self.ranked_idx else None
         self.seed_mix = np.array(
             [mix64(self.policies[e].seed) for e in seeded_idx], dtype=np.uint64
         )
@@ -626,10 +607,11 @@ def run_vector_block(
     comparing engines.  Memory planning multiplies the value-array terms by
     ``d`` (:func:`repro.sim.planner.bytes_per_execution`).
 
-    Two scenarios run only at ``d = 1``: non-finite Byzantine reports and
-    omission policies that answer only per-recipient ``quorum`` calls.  At
-    ``d > 1`` they raise :class:`~repro.sim.engine.EngineCapabilityError`
-    pointing at the coordinate-wise composition, which handles both.
+    Non-finite Byzantine reports run only at ``d = 1``.  At ``d > 1`` they
+    raise :class:`~repro.sim.engine.EngineCapabilityError` pointing at the
+    coordinate-wise composition, which handles them.  Components without a
+    tensor program are refused at every ``d``, as in
+    :func:`run_ndbatch_block`.
     """
     normalized = [normalize_vector_inputs(inputs) for inputs in vector_inputs_block]
     for vectors in normalized[1:]:
@@ -722,12 +704,11 @@ def run_ndbatch_protocol(
 #   (executions, n, m, d) gather (``axis=-2``), which is bit-identical to
 #   running it per coordinate.
 #
-# Two paths exist only at d = 1, where the loop is the scalar engine: a
+# One path exists only at d = 1, where the loop is the scalar engine: a
 # non-finite Byzantine report refills its quorum slot from a late sender
-# (per coordinate, quorums would diverge), and omission policies without a
-# bulk ranking answer per-recipient quorum calls (their draws cannot be
-# shared across coordinates).  At d > 1 both raise EngineCapabilityError
-# pointing at the coordinate-wise composition, which handles both.
+# (per coordinate, quorums would diverge).  At d > 1 it raises
+# EngineCapabilityError pointing at the coordinate-wise composition, which
+# handles it.
 
 
 def _advance_block(block: _Block) -> tuple:
@@ -856,10 +837,8 @@ def _injected_values(block: _Block, round_number: int) -> np.ndarray:
     evaluated pair ``r``'s holder values (NaN at non-holder slots) under
     pair ``r``'s seed.  By the row contract that equals one call per row —
     what the coordinate-wise composition evaluates with its one strategy
-    instance.  Stateless strategies without a tensor form keep the
-    per-execution ``value_block``/``value`` path, issued in the batch
-    engine's order.  Non-finite reports are kept; the sampling paths treat
-    them as omissions (mirroring the message boundary of the protocol
+    instance.  Non-finite reports are kept; the sampling paths treat them
+    as omissions (mirroring the message boundary of the protocol
     skeletons).  Only stateless strategies reach this point, so eager
     evaluation for every recipient is indistinguishable from the batch
     engine's lazy evaluation.
@@ -889,26 +868,6 @@ def _injected_values(block: _Block, round_number: int) -> np.ndarray:
             )
         answer = np.asarray(answer, dtype=np.float64).reshape(pairs, d, n)
         by_slot[slots] = answer.transpose(0, 2, 1)[source]
-    if block.strategy_scalar:
-        by_row = reports.reshape(-1, d)
-        values = np.asarray(block.values, dtype=np.float64)
-        holder_mask = block.holder_mask
-        observed_lists: Dict[Tuple[int, int], List[float]] = {}
-        for e, sender, strategy in block.strategy_scalar:
-            row = int(block.report_row[e * n + sender])
-            for c in range(d):
-                observed = observed_lists.get((e, c))
-                if observed is None:
-                    observed = np.sort(values[e, holder_mask[e], c]).tolist()
-                    observed_lists[e, c] = observed
-                answer = strategy.value_block(round_number, n, observed)
-                if answer is not None:
-                    by_row[row : row + n, c] = np.asarray(answer, dtype=np.float64)
-                    continue
-                for recipient in range(n):
-                    value = strategy.value(round_number, recipient, observed)
-                    if isinstance(value, (int, float)):
-                        by_row[row + recipient, c] = float(value)
     return reports
 
 
@@ -974,7 +933,7 @@ def _async_samples(
     # e*n + s of the block's (E*n, ...) views, so each gather is one take.
     # The quorum tensor becomes that index in place.
     offsets = (np.arange(count, dtype=np.int64) * n)[:, None, None]
-    flat = _choose_quorums(block, cand, cand_count, updates, active, round_number, m)
+    flat = _choose_quorums(block, cand, cand_count, round_number, m)
     flat += offsets
     sample = np.take(block.values.reshape(count * n, d), flat, axis=0)  # (E, n, m, d)
     nonfinite = None
@@ -1039,8 +998,6 @@ def _choose_quorums(
     block: _Block,
     cand: np.ndarray,
     cand_count: np.ndarray,
-    updates: np.ndarray,
-    active: np.ndarray,
     round_number: int,
     m: int,
 ) -> np.ndarray:
@@ -1091,37 +1048,6 @@ def _choose_quorums(
         for slab, start, stop in _slabs(rows, len(seeds), n):
             ranks = _tensor_ranks(representative, round_number, n, seeds[start:stop])
             chosen[slab] = _rank_order(ranks, cand[slab], cand_count[slab])[:, :, :m]
-
-    if block.ranked_idx:
-        for slab, start, stop in _slabs(block.ranked_rows, len(block.ranked_idx), n):
-            ranks = np.empty((stop - start, n, n), dtype=np.float64)
-            for row, e in enumerate(block.ranked_idx[start:stop]):
-                ranks[row] = block.policies[e].rank_block(round_number, n)
-            chosen[slab] = _rank_order(ranks, cand[slab], cand_count[slab])[:, :, :m]
-
-    for e in block.generic_idx:
-        if not active[e]:
-            continue
-        policy = block.policies[e]
-        trusted = type(policy) is DelayRankOmission
-        for recipient in range(n):
-            if not updates[e, recipient] or cand_count[e, recipient] < m:
-                continue
-            candidates = np.nonzero(cand[e, recipient])[0].tolist()
-            picked = list(policy.quorum(round_number, recipient, candidates, m))
-            if not trusted:
-                picked_set = set(picked)
-                if len(picked) != m or len(picked_set) != m:
-                    raise ValueError(
-                        f"omission policy {policy.describe()} returned {len(picked)} "
-                        f"senders, expected {m} distinct"
-                    )
-                if not picked_set <= set(candidates):
-                    raise ValueError(
-                        f"omission policy {policy.describe()} chose senders outside "
-                        "the candidate set"
-                    )
-            chosen[e, recipient, :] = picked
     return chosen
 
 

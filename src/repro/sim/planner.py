@@ -158,9 +158,9 @@ def bytes_per_execution(
       of the report gather — quorum selection and gather.  The report index
       covers only the quorum slots whose sender is a strategy sender; it is
       charged as a full ``(n, m)`` int64 index, an upper bound.  Every
-      quorum path (seeded, shared tensor, per-seed tensor, ranked) allocates
-      these and no more per execution: rank keys and ranks are built slab by
-      slab, at most ``repro.sim.ndbatch.QUORUM_SLAB_KEYS`` keys (1 MiB each
+      quorum path (seeded, shared tensor, per-seed tensor) allocates these
+      and no more per execution: rank keys and ranks are built slab by slab,
+      at most ``repro.sim.ndbatch.QUORUM_SLAB_KEYS`` keys (1 MiB each
       for the keys, their scratch, the ranks and the argsort) whatever the
       block size, and a shared tensor group ranks one ``(n, n)`` matrix.
       That per-block constant is left to the budget floor and the ×2

@@ -303,10 +303,10 @@ _staggered.accepts_params = True
 
 
 def _random_delays(protocol: str, n: int, t: int, seed: int) -> AdversaryBundle:
-    # Counter-based PRF delays: stateless and block-queryable, so the
+    # Counter-based PRF delays: a stateless tensor program, so the
     # vectorised engine runs randomised-delay cells with zero per-recipient
-    # Python quorum calls (UniformRandomDelay's sequential RNG stream forced
-    # the fallback path).
+    # Python quorum calls (UniformRandomDelay's sequential RNG stream has no
+    # tensor form, so ndbatch refuses it and auto runs it on batch).
     return AdversaryBundle(None, SeededDelay(low=0.1, high=2.0, seed=seed))
 
 
@@ -913,9 +913,8 @@ def _fault_program_key(cell: SweepCell) -> Tuple:
     program rather than splitting on strategy instance identity: the
     per-cell seed variation lives entirely in the PRF seed vectors.  Crash
     schedules, silent sets and corrupted inputs are deliberately excluded —
-    they are plain mask tensors, vectorised for any mix.  Components without
-    a tensor form fall back to their type name, which still merges
-    same-named adversaries into one (per-execution-path) block.
+    they are plain mask tensors, vectorised for any mix.  A component without
+    a tensor form keys as ``None``; the engine refuses any block holding one.
     """
     bundle = build_adversary_bundle(cell)
     try:
@@ -923,14 +922,10 @@ def _fault_program_key(cell: SweepCell) -> Tuple:
     except ValueError:
         return ("message-level", cell.adversary)
     strategies = tuple(  # tensor keys are seed-invariant (programs, not draws)
-        (pid, strategy.tensor_key() or ("scalar", type(strategy).__name__))
-        for pid, strategy in sorted(model.strategies.items())
+        (pid, strategy.tensor_key()) for pid, strategy in sorted(model.strategies.items())
     )
     if bundle.delay_model is not None:
-        quorum: Tuple = bundle.delay_model.tensor_key() or (
-            "scalar-delay",
-            type(bundle.delay_model).__name__,
-        )
+        quorum = bundle.delay_model.tensor_key()
     else:
         quorum = ("seeded-omission",)
     return (strategies, quorum)

@@ -1,12 +1,11 @@
 """Property tests: the tensor fault-program API against the scalar paths.
 
-The tensor refactor's core guarantee is *derivation, not duplication*: the
-scalar forms (``value``/``value_block``, ``delay``/``delay_block``,
-``rank_block``) and the whole-block tensor forms (``value_tensor``,
-``delay_tensor``, ``rank_tensor``) are one implementation — the scalar side
-evaluates a one-execution block and slices its only row — so the draws are
-bit-identical across engines by construction.  These properties pin that
-contract across seeds, rounds, and block groupings:
+The vectorised engine runs the whole-block tensor forms (``value_tensor``,
+``delay_tensor``, ``rank_tensor``); the batch and event engines ask the
+per-query forms (``value``, ``delay``, ``quorum``).  The draws are
+bit-identical across engines only if every tensor row answers exactly what
+the per-query form answers.  These properties pin that contract across
+seeds, rounds, observed values and block groupings:
 
 * ``value_tensor`` rows equal the per-seed scalar ``value`` calls bit for bit;
 * ``delay_tensor``/``rank_tensor`` rows equal the per-pair probes;
@@ -19,7 +18,7 @@ contract across seeds, rounds, and block groupings:
 from __future__ import annotations
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 np = pytest.importorskip("numpy")
 
@@ -58,26 +57,19 @@ class TestValueTensorEqualsScalar:
     @given(seed=seeds, round_number=rounds, n=sizes)
     @settings(max_examples=40, deadline=None)
     def test_tensor_rows_match_scalar_draws(self, seed, round_number, n):
-        observed = [0.25, -0.75, 1.5]
-        observed_row = np.asarray(observed)[None, :]
-        for strategy in _strategies(seed):
-            scalar = [strategy.value(round_number, q, observed) for q in range(n)]
-            tensor = strategy.value_tensor(
-                round_number, n, observed_row,
-                np.asarray([strategy.tensor_seed()], dtype=np.uint64),
-            )
-            assert tensor is not None, strategy.describe()
-            assert np.asarray(tensor).shape == (1, n)
-            assert list(np.asarray(tensor)[0]) == scalar  # bit-identical
-
-    @given(seed=seeds, round_number=rounds, n=sizes)
-    @settings(max_examples=40, deadline=None)
-    def test_value_block_is_tensor_row(self, seed, round_number, n):
-        observed = [0.1, 0.9]
-        for strategy in _strategies(seed):
-            block = list(strategy.value_block(round_number, n, observed))
-            scalar = [strategy.value(round_number, q, observed) for q in range(n)]
-            assert block == scalar
+        # Nothing observed is an all-NaN row: the engine pads non-holder
+        # slots with NaN.
+        for observed in ([0.25, -0.75, 1.5], [0.1, 0.9], []):
+            observed_row = np.asarray(observed or [np.nan])[None, :]
+            for strategy in _strategies(seed):
+                scalar = [strategy.value(round_number, q, observed) for q in range(n)]
+                tensor = strategy.value_tensor(
+                    round_number, n, observed_row,
+                    np.asarray([strategy.tensor_seed()], dtype=np.uint64),
+                )
+                assert tensor is not None, strategy.describe()
+                assert np.asarray(tensor).shape == (1, n)
+                assert list(np.asarray(tensor)[0]) == scalar  # bit-identical
 
     @given(seed_a=seeds, seed_b=seeds, round_number=rounds, n=sizes)
     @settings(max_examples=40, deadline=None)
@@ -148,9 +140,6 @@ class TestDelayTensorEqualsScalar:
             round_number, n, np.asarray([model.tensor_seed()], dtype=np.uint64)
         )
         assert np.array_equal(np.asarray(tensor)[0], np.asarray(scalar))
-        # delay_block is the sliced tensor row.
-        assert np.array_equal(np.asarray(model.delay_block(round_number, n)),
-                              np.asarray(tensor)[0])
 
     @given(round_number=rounds, n=sizes)
     @settings(max_examples=30, deadline=None)
@@ -231,6 +220,7 @@ class TestRankTensorEqualsScalar:
                 )
 
     @given(seed=seeds, round_number=rounds, n=sizes)
+    @example(seed=5, round_number=3, n=7)
     @settings(max_examples=30, deadline=None)
     def test_delay_rank_tensor_reproduces_scalar_quorums(self, seed, round_number, n):
         model = SeededDelay(0.1, 2.0, seed=seed)
@@ -246,14 +236,6 @@ class TestRankTensorEqualsScalar:
         for recipient in range(n):
             expected = sorted(candidates, key=lambda s: (ranks[recipient][s], s))[:m]
             assert list(policy.quorum(round_number, recipient, candidates, m)) == expected
-
-    def test_rank_block_is_tensor_row(self):
-        policy = DelayRankOmission(SeededDelay(0.1, 2.0, seed=5))
-        ranks = np.asarray(policy.rank_block(3, 7))
-        tensor = np.asarray(
-            policy.rank_tensor(3, 7, np.asarray([policy.tensor_seed()], dtype=np.uint64))
-        )
-        assert np.array_equal(ranks, tensor[0])
 
 
 class TestTensorKeys:

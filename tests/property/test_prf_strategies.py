@@ -34,11 +34,15 @@ sizes = st.integers(min_value=1, max_value=40)
 class TestRandomValueStrategyPRF:
     @given(seed=seeds, round_number=rounds, n=sizes)
     @settings(max_examples=60, deadline=None)
-    def test_scalar_and_block_paths_identical(self, seed, round_number, n):
+    def test_scalar_and_tensor_paths_identical(self, seed, round_number, n):
+        np = pytest.importorskip("numpy")
         strategy = RandomValueStrategy(-3.0, 5.0, seed=seed)
         scalar = [strategy.value(round_number, q, []) for q in range(n)]
-        block = list(strategy.value_block(round_number, n, []))
-        assert scalar == block  # bit-identical, not approximately equal
+        tensor = strategy.value_tensor(
+            round_number, n, np.full((1, 1), np.nan),
+            np.asarray([strategy.tensor_seed()], dtype=np.uint64),
+        )
+        assert scalar == list(np.asarray(tensor)[0])  # bit-identical, not approximately equal
 
     @given(seed=seeds, round_number=rounds, n=sizes)
     @settings(max_examples=60, deadline=None)
@@ -114,7 +118,7 @@ class TestBlockOrderingInvariance:
             assert left.trajectory == right.trajectory
 
 
-class TestBuiltinValueBlocks:
+class TestBuiltinValueTensors:
     @pytest.mark.parametrize(
         "strategy",
         [
@@ -125,18 +129,20 @@ class TestBuiltinValueBlocks:
         ],
         ids=lambda s: type(s).__name__,
     )
-    def test_value_block_matches_scalar(self, strategy):
+    def test_value_tensor_row_matches_scalar(self, strategy):
+        np = pytest.importorskip("numpy")
         observed = [0.1, 0.4, 0.9]
+        seeds = np.asarray([strategy.tensor_seed()], dtype=np.uint64)
         for round_number in (1, 3, 17):
-            block = list(strategy.value_block(round_number, 9, observed))
+            row = strategy.value_tensor(round_number, 9, np.asarray([observed]), seeds)
             scalar = [strategy.value(round_number, q, observed) for q in range(9)]
-            assert block == scalar
+            assert list(np.asarray(row)[0]) == scalar
 
 
 class TestSeededDelayPRF:
     @given(seed=seeds, round_number=rounds, n=sizes)
     @settings(max_examples=60, deadline=None)
-    def test_scalar_and_block_paths_identical(self, seed, round_number, n):
+    def test_scalar_and_tensor_paths_identical(self, seed, round_number, n):
         np = pytest.importorskip("numpy")
         model = SeededDelay(0.25, 4.0, seed=seed)
         probe = Message(kind="VALUE", round=round_number, value=0.0)
@@ -144,8 +150,9 @@ class TestSeededDelayPRF:
             [model.delay(sender, recipient, probe, 0.0) for sender in range(n)]
             for recipient in range(n)
         ]
-        block = np.asarray(model.delay_block(round_number, n))
-        assert np.array_equal(np.asarray(scalar), block)
+        seeds = np.asarray([model.tensor_seed()], dtype=np.uint64)
+        tensor = np.asarray(model.delay_tensor(round_number, n, seeds))
+        assert np.array_equal(np.asarray(scalar), tensor[0])
 
     @given(seed=seeds, round_number=rounds)
     @settings(max_examples=60, deadline=None)
@@ -157,12 +164,13 @@ class TestSeededDelayPRF:
                 delay = model.delay(sender, recipient, probe, 1.0)
                 assert 0.25 <= delay <= 4.0
 
-    def test_rank_block_uses_native_bulk_path(self):
+    def test_rank_tensor_is_the_delay_tensor(self):
         np = pytest.importorskip("numpy")
         model = SeededDelay(0.1, 2.0, seed=5)
         policy = DelayRankOmission(model)
-        ranks = np.asarray(policy.rank_block(3, 7))
-        assert np.array_equal(ranks, np.asarray(model.delay_block(3, 7)))
+        seeds = np.asarray([policy.tensor_seed()], dtype=np.uint64)
+        ranks = np.asarray(policy.rank_tensor(3, 7, seeds))[0]
+        assert np.array_equal(ranks, np.asarray(model.delay_tensor(3, 7, seeds))[0])
         # The scalar quorum must agree with the bulk ranking's (rank, id) order.
         candidates = list(range(7))
         for recipient in range(7):

@@ -13,9 +13,9 @@ programs at once — anti-convergence with two stretches and both parities,
 random with seeds shared across senders and executions, fixed and
 equivocate, and a program reading both its observed values and a seed of
 its own per sender, so one execution may be evaluated once per seed (an
-explicit example pins executions 0, 0 and 2) — a stateless strategy
-without a tensor form, silent and crashing processes, non-finite reports
-and float32, and requires equal samples, short rows and delivery counts.
+explicit example pins executions 0, 0 and 2) — silent and crashing
+processes, non-finite reports and float32, and requires equal samples,
+short rows and delivery counts.
 
 A second property pins the row contract the stacking relies on: for every
 shipped strategy, ``value_tensor`` over stacked rows equals one call per row.
@@ -43,20 +43,6 @@ from repro.net.adversary import (
 from repro.sim import ndbatch
 from repro.sim.engine import EngineCapabilityError
 from repro.sim.ndbatch import _async_samples, _Block, _injected_values, _sync_samples
-
-
-class MirroredMean(ByzantineValueStrategy):
-    """Stateless, with no tensor form: the engine asks it per recipient."""
-
-    stateless = True
-
-    def __init__(self, offset: float) -> None:
-        self.offset = offset
-
-    def value(self, round_number, recipient, observed):
-        if not observed:
-            return self.offset
-        return self.offset - sum(observed) / len(observed) + 0.125 * (recipient % 3)
 
 
 class SeededShift(ByzantineValueStrategy):
@@ -95,9 +81,7 @@ def make_strategy(kind: str):
         return RandomValueStrategy(-2.0, 3.0, seed=int(kind.split(":")[1]))
     if kind.startswith("fixed"):
         return FixedValueStrategy(float(kind.split(":")[1]))
-    if kind == "equivocate":
-        return EquivocatingStrategy(-1.0, 2.0)
-    return MirroredMean(0.75)
+    return EquivocatingStrategy(-1.0, 2.0)
 
 
 FINITE_KINDS = (
@@ -109,7 +93,6 @@ FINITE_KINDS = (
     "random:1",
     "fixed:5.5",
     "equivocate",
-    "mirrored",
 )
 NON_FINITE_KINDS = ("fixed:inf", "fixed:-inf", "fixed:nan")
 
@@ -125,14 +108,9 @@ def dense_injected(block, round_number):
     count, n, d = block.count, block.n, block.dimension
     injected = np.full((count, n, n, d), np.nan, dtype=np.float64)
     groups = {}
-    per_recipient = []
     for e, model in enumerate(block.fault_models):
         for pid, strategy in model.strategies.items():
-            key = strategy.tensor_key()
-            if key is None:
-                per_recipient.append((e, pid, strategy))
-            else:
-                groups.setdefault((pid, key), []).append(e)
+            groups.setdefault((pid, strategy.tensor_key()), []).append(e)
     for (pid, _key), members in groups.items():
         rows = np.asarray(members, dtype=np.intp)
         representative = block.fault_models[members[0]].strategies[pid]
@@ -145,13 +123,6 @@ def dense_injected(block, round_number):
             injected[rows, pid, :, c] = representative.value_tensor(
                 round_number, n, observed, seeds
             )
-    values = np.asarray(block.values, dtype=np.float64)
-    for e, pid, strategy in per_recipient:
-        for c in range(d):
-            observed = np.sort(values[e, block.holder_mask[e], c]).tolist()
-            injected[e, pid, :, c] = [
-                strategy.value(round_number, recipient, observed) for recipient in range(n)
-            ]
     np.copyto(injected, np.nan, where=~np.isfinite(injected))
     return np.asarray(injected, dtype=block.dtype)
 
@@ -169,7 +140,7 @@ def dense_async_samples(block, cand, cand_count, injected, updates, active, roun
     """Every quorum slot gathers a report, then the whole sample is scanned."""
     count, n = block.count, block.n
     offsets = (np.arange(count, dtype=np.int64) * n)[:, None, None]
-    flat = ndbatch._choose_quorums(block, cand, cand_count, updates, active, round_number, m)
+    flat = ndbatch._choose_quorums(block, cand, cand_count, round_number, m)
     flat += offsets
     sample = np.take(block.values.reshape(count * n, -1), flat, axis=0)
     strategy_chosen = np.take(block.strategy_mask.reshape(-1), flat)

@@ -2,9 +2,10 @@
 
 The engine a cell runs on changes nothing the paper guarantees, but a sweep
 must be able to say why each cell ran where it did, and the answer must not
-depend on the host.  ``auto`` is a pure function of the scenario: it skips
-ndbatch only when the scenario has a stateful quorum adversary or its
-estimated work is below :data:`repro.sim.engine.NDBATCH_MIN_WORK` (64).
+depend on the host.  ``auto`` is a pure function of the scenario: it runs a
+scenario on ndbatch when ndbatch can run it — every adversary component a
+stateless tensor program — and its estimated work reaches
+:data:`repro.sim.engine.NDBATCH_MIN_WORK` (64).
 
 :data:`TABLE` was recorded while ``auto`` still timed a per-host probe, with
 that probe pinned to 64; the scenario-only rule must reproduce every entry.
@@ -317,6 +318,8 @@ SINGLES = {
     "custom-omission": "batch",
     "stateless-strategy": "ndbatch",
     "stateful-strategy": "batch",
+    "no-program-strategy": "batch",
+    "no-program-delay": "batch",
     "adaptive-policy": "batch",
     "witness": "batch",
     "witness-mid-multicast": "des",
@@ -397,6 +400,10 @@ def _single_scenarios():
     tiny = [0.0, 0.3, 0.6, 1.0, 0.5, 0.2, 0.9]
     large = [0.04 * i for i in range(25)]
     stateful = type("Stateful", (RandomValueStrategy,), {"stateless": False})
+    # Stateless, but without a tensor program.
+    no_program = {"tensor_key": lambda self: None}
+    strategy_without_program = type("NoProgram", (RandomValueStrategy,), no_program)
+    delay_without_program = type("NoProgramDelay", (SeededDelay,), no_program)
     crash, byz = ("async-crash", large, 4), ("async-byzantine", large, 4)
     return {
         "tiny": (("async-crash", tiny, 2), {}),
@@ -420,6 +427,17 @@ def _single_scenarios():
         ),
         "stateful-strategy": (
             byz, {"fault_model": RoundFaultModel(strategies={24: stateful(-1.0, 1.0)})}
+        ),
+        "no-program-strategy": (
+            byz,
+            {
+                "fault_model": RoundFaultModel(
+                    strategies={24: strategy_without_program(-1.0, 1.0)}
+                )
+            },
+        ),
+        "no-program-delay": (
+            crash, {"delay_model": delay_without_program(0.1, 1.0, seed=1)}
         ),
         "adaptive-policy": (crash, {"round_policy": SpreadEstimateRounds()}),
         "witness": (("witness", tiny, 2), {}),

@@ -13,7 +13,7 @@ realised executions stay *exactly* differential against the scalar engines:
 
 The same holds for the quorum side: ``DelayRankOmission`` over
 tensor-programmed delay models routes through grouped ``rank_tensor`` calls —
-zero per-execution ``rank_block`` and zero per-recipient ``quorum`` calls.
+zero per-recipient ``quorum`` calls.
 """
 
 from __future__ import annotations
@@ -22,7 +22,6 @@ import pytest
 
 from repro.net.adversary import (
     AntiConvergenceStrategy,
-    ByzantineValueStrategy,
     DelayRankOmission,
     EquivocatingStrategy,
     FixedValueStrategy,
@@ -94,8 +93,6 @@ def strategy_call_counter(monkeypatch):
 
     for cls in STRATEGY_CLASSES:
         wrap(cls, "value")
-    # value_block lives on the base class since the tensor refactor.
-    wrap(ByzantineValueStrategy, "value_block")
     return calls
 
 
@@ -187,14 +184,13 @@ class TestZeroPerExecutionStrategyCalls:
         from repro.sim.ndbatch import run_ndbatch_block
 
         calls = []
-        for name in ("rank_block", "quorum"):
-            original = getattr(DelayRankOmission, name)
+        original = DelayRankOmission.quorum
 
-            def counting(self, *args, _original=original, _name=name, **kwargs):
-                calls.append(_name)
-                return _original(self, *args, **kwargs)
+        def counting(self, *args, **kwargs):
+            calls.append("quorum")
+            return original(self, *args, **kwargs)
 
-            monkeypatch.setattr(DelayRankOmission, name, counting)
+        monkeypatch.setattr(DelayRankOmission, "quorum", counting)
 
         count, n = 6, 9
         inputs = [[0.1 * i + 0.01 * e for i in range(n)] for e in range(count)]

@@ -117,6 +117,28 @@ class TestManifest:
         with pytest.raises(SweepJobError, match="different sweep"):
             SweepJob(other, tmp_path / "job", workers=1).run()
 
+    def test_mismatch_names_a_different_retry_policy(self, tmp_path):
+        # Same grid, resumed with a retry policy: only retry_policy differs.
+        from repro.sim.resilient import RetryPolicy
+
+        SweepJob(SPEC, tmp_path / "job", workers=1).run()
+        with pytest.raises(SweepJobError) as raised:
+            SweepJob(SPEC, tmp_path / "job", workers=1, retry=RetryPolicy()).run()
+        message = str(raised.value)
+        assert "retry_policy: stored None, requested {'max_attempts': 3" in message
+        assert "grid spec" not in message
+        assert "spec." not in message
+
+    def test_mismatch_names_each_differing_grid_axis(self, tmp_path):
+        SweepJob(SPEC, tmp_path / "job", workers=1).run()
+        other = dataclasses.replace(SPEC, seeds=(0, 1))
+        with pytest.raises(SweepJobError) as raised:
+            SweepJob(other, tmp_path / "job", workers=1).run()
+        message = str(raised.value)
+        assert "spec.seeds: stored [0, 1, 2, 3], requested [0, 1]" in message
+        assert "cell_count: stored 16, requested 8" in message
+        assert "spec.protocols" not in message
+
     def test_integer_epsilon_survives_the_manifest(self, tmp_path):
         from repro.sim.job import main, spec_from_manifest
 

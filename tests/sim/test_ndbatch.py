@@ -71,29 +71,38 @@ class TestSeededKeysBitEquivalence:
         expected = sorted(candidates, key=lambda s: (keys[s], s))[:4]
         assert list(quorum) == expected
 
-    def test_rank_block_matches_scalar_keys(self):
+    def test_rank_tensor_row_orders_scalar_quorums(self):
+        # The rank_tensor contract, stated against quorum: every recipient's
+        # quorum is the m candidates with the smallest (rank, sender) pairs.
         policy = SeededOmission(seed=5)
-        block = policy.rank_block(2, 6)
+        ranks = policy.rank_tensor(2, 6, np.array([policy.tensor_seed()], dtype=np.uint64))[0]
         for recipient in range(6):
             for sender in range(6):
-                assert block[recipient][sender] == seeded_rank_key(
+                assert int(ranks[recipient, sender]) == seeded_rank_key(
                     mix64(5), 2, recipient, sender
                 )
+            for candidates in ([0, 1, 2, 3, 4, 5], [0, 1, 3, 4, 5], [1, 2, 5, 4]):
+                expected = sorted(candidates, key=lambda s: (int(ranks[recipient, s]), s))[:3]
+                assert list(policy.quorum(2, recipient, candidates, 3)) == expected
 
     def test_use_numpy_flag_is_performance_only(self):
-        # The scalar (pure-Python) and numpy-assisted key paths must compute
-        # bit-identical keys — the flag is the engine benchmarks' baseline
-        # switch, never a behaviour switch.
+        # The scalar (pure-Python) and numpy-assisted key paths must pick
+        # identical quorums, both ordered by the tensor row's keys — the flag
+        # is the engine benchmarks' baseline switch, never a behaviour switch.
         scalar = SeededOmission(seed=9, use_numpy=False)
         vectorised = SeededOmission(seed=9, use_numpy=True)
+        seeds = np.array([vectorised.tensor_seed()], dtype=np.uint64)
         for round_number in (1, 4):
-            assert scalar.rank_block(round_number, 9) == vectorised.rank_block(
-                round_number, 9
-            )
+            ranks = vectorised.rank_tensor(round_number, 9, seeds)[0]
             for recipient in range(9):
-                assert list(
-                    scalar.quorum(round_number, recipient, list(range(9)), 5)
-                ) == list(vectorised.quorum(round_number, recipient, list(range(9)), 5))
+                for candidates in (list(range(9)), [0, 2, 3, 5, 6, 8]):
+                    expected = sorted(candidates, key=lambda s: int(ranks[recipient, s]))[:5]
+                    assert list(
+                        scalar.quorum(round_number, recipient, candidates, 5)
+                    ) == expected
+                    assert list(
+                        vectorised.quorum(round_number, recipient, candidates, 5)
+                    ) == expected
 
     def test_keys_embed_sender_id_in_low_bits(self):
         from repro.net.adversary import SENDER_MASK

@@ -3,9 +3,9 @@
 Unlike the batch-versus-event grid (where the two engines realise different
 legal schedules and only the correctness envelope is compared), the ndbatch
 engine is designed to reproduce the batch engine's executions *exactly*: the
-counter-based :class:`~repro.net.adversary.SeededOmission` PRF, the
-rank-block quorum contract and the per-recipient fallback all yield the same
-quorum for every (execution, round, recipient).  The engines may differ only
+counter-based :class:`~repro.net.adversary.SeededOmission` PRF and the
+``rank_tensor`` quorum contract both yield the same quorum for every
+(execution, round, recipient).  The engines may differ only
 in floating-point summation order (``math.fsum`` versus numpy's pairwise
 summation), so the differential bar is:
 
@@ -29,7 +29,6 @@ from repro.net.adversary import (
     RoundFaultModel,
     StaggeredExclusionDelay,
 )
-from repro.net.network import UniformRandomDelay
 from repro.sim.batch import run_batch_protocol
 from repro.sim.ndbatch import run_ndbatch_block, run_ndbatch_protocol
 from repro.sim.sweep import (
@@ -174,20 +173,6 @@ class TestDifferentialSmoke:
         ndbatch = run_ndbatch_protocol("async-byzantine", inputs, **kwargs)
         assert_engines_agree(batch, ndbatch, "nan refill")
 
-    def test_stateful_delay_model_uses_generic_fallback(self):
-        """Stateful policies must replay the batch engine's exact call order."""
-        n, t = 11, 3
-        inputs = [i / (n - 1) for i in range(n)]
-        batch = run_batch_protocol(
-            "async-crash", inputs, t=t, epsilon=EPSILON,
-            delay_model=UniformRandomDelay(low=0.1, high=2.0, seed=9),
-        )
-        ndbatch = run_ndbatch_protocol(
-            "async-crash", inputs, t=t, epsilon=EPSILON,
-            delay_model=UniformRandomDelay(low=0.1, high=2.0, seed=9),
-        )
-        assert_engines_agree(batch, ndbatch, "stateful delay model")
-
     def test_infinite_delay_rank_still_beats_non_candidates(self):
         # An infinite delay is a legal rank (constructors only reject <= 0);
         # the vector path must not confuse it with its non-candidate mask
@@ -210,7 +195,7 @@ class TestDifferentialSmoke:
             )
         assert_engines_agree(results[0], results[1], "infinite delay rank")
 
-    def test_rank_block_path_matches(self):
+    def test_delay_rank_policy_path_matches(self):
         n, t = 11, 3
         inputs = [i / (n - 1) for i in range(n)]
         results = []
@@ -223,7 +208,7 @@ class TestDifferentialSmoke:
                     ),
                 )
             )
-        assert_engines_agree(results[0], results[1], "rank-block path")
+        assert_engines_agree(results[0], results[1], "delay-rank policy")
 
 
 @pytest.mark.slow

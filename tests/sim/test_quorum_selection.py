@@ -1,14 +1,13 @@
 """Quorum selection of the ndbatch round: slabs and shared rankings.
 
-:func:`repro.sim.ndbatch._choose_quorums` ranks the seeded executions, the
-per-seed tensor groups and the ranked executions slab by slab (at most
-``QUORUM_SLAB_KEYS`` keys at a time) and ranks a shared tensor group once
-for all its members.  The reference below is the formula those paths
-replaced, kept here: every key or rank of the round as one ``(E, n, n)``
-tensor, masked, sorted and cut to the quorum size.  The property draws
-shapes that cross slab boundaries, blocks where only some executions are
-seeded, masked and starving rows, shared and per-seed tensor groups, and
-ranked and per-recipient policies, and requires equal quorums.
+:func:`repro.sim.ndbatch._choose_quorums` ranks the seeded executions and
+the per-seed tensor groups slab by slab (at most ``QUORUM_SLAB_KEYS`` keys
+at a time) and ranks a shared tensor group once for all its members.  The
+reference below is the formula those paths replaced, kept here: every key
+or rank of the round as one ``(E, n, n)`` tensor, masked, sorted and cut to
+the quorum size.  The property draws shapes that cross slab boundaries,
+blocks where only some executions are seeded, masked and starving rows, and
+shared and per-seed tensor groups, and requires equal quorums.
 
 Also pinned here: one round's quorum step allocates far less than a
 block-sized key tensor, and twice the planner's per-execution model covers
@@ -31,6 +30,7 @@ from repro.net.adversary import (
     AntiConvergenceStrategy,
     DelayRankOmission,
     OmissionPolicy,
+    PartitionDelay,
     RoundFaultModel,
     SeededDelay,
     SeededOmission,
@@ -47,35 +47,11 @@ ONE_PER_SLAB = math.isqrt(QUORUM_SLAB_KEYS // 2) + 1
 THREE_PER_SLAB = math.isqrt(QUORUM_SLAB_KEYS // 3)
 
 
-class RankedOnly(OmissionPolicy):
-    """Answers ``rank_block`` only: tied and infinite ranks, no tensor form."""
-
-    def __init__(self, salt: int) -> None:
-        self.salt = salt
-
-    def quorum(self, round_number, recipient, candidates, m):
-        raise AssertionError("a ranked policy is never asked per recipient")
-
-    def rank_block(self, round_number, n):
-        senders = np.arange(n)
-        recipients = senders[:, None]
-        ranks = ((5 * senders + 3 * recipients + round_number + self.salt) % 4).astype(float)
-        ranks[(senders + recipients + self.salt) % 7 == 0] = math.inf
-        return ranks
-
-
-class PerRecipient(OmissionPolicy):
-    """Answers per-recipient ``quorum`` calls only."""
-
-    def quorum(self, round_number, recipient, candidates, m):
-        return sorted(candidates, key=lambda s: ((7 * s + recipient + round_number) % 5, -s))[:m]
-
-
 class SubSeeded(SeededOmission):
     """Not exactly a SeededOmission: a tensor group with integer rank keys."""
 
 
-KINDS = ("seeded", "subseeded", "per-seed", "shared-seed", "staggered", "ranked", "per-recipient")
+KINDS = ("seeded", "subseeded", "per-seed", "shared-seed", "staggered", "infinite")
 
 
 def make_policy(kind: str, seed: int, n: int) -> OmissionPolicy:
@@ -89,9 +65,8 @@ def make_policy(kind: str, seed: int, n: int) -> OmissionPolicy:
         return DelayRankOmission(SeededDelay(0.1, 2.0, seed=17))
     if kind == "staggered":
         return DelayRankOmission(StaggeredExclusionDelay(n, exclude=n // 3, stride=-1, phase=2))
-    if kind == "ranked":
-        return RankedOnly(seed % 13)
-    return PerRecipient()
+    # Tied float ranks and infinite ones, which must still beat non-candidates.
+    return DelayRankOmission(PartitionDelay(camp_a=range(0, n, 3), slow=math.inf))
 
 
 def make_block(kinds, schedules, n, t, rounds=3, protocol="async-crash", strategies=None):
@@ -107,20 +82,16 @@ def make_block(kinds, schedules, n, t, rounds=3, protocol="async-crash", strateg
     return _Block(protocol, inputs, t, 1e-3, bounds, rounds, models, policies, "float64")
 
 
-def reference_quorums(policies, cand, cand_count, updates, active, round_number, m):
+def reference_quorums(policies, cand, round_number, m):
     """Every key or rank of the round as one (E, n, n) tensor, then sorted."""
     count, n = cand.shape[:2]
     chosen = np.zeros((count, n, m), dtype=np.int64)
-    seeded, ranked, generic, groups = [], [], [], {}
+    seeded, groups = [], {}
     for e, policy in enumerate(policies):
         if type(policy) is SeededOmission:
             seeded.append(e)
-        elif policy.tensor_key() is not None:
-            groups.setdefault(policy.tensor_key(), []).append(e)
-        elif policy.rank_block(1, n) is not None:
-            ranked.append(e)
         else:
-            generic.append(e)
+            groups.setdefault(policy.tensor_key(), []).append(e)
     if seeded:
         seed_mix = np.array([mix64(policies[e].seed) for e in seeded], dtype=np.uint64)
         keys = seeded_rank_key_block(seed_mix, round_number, n)
@@ -136,20 +107,6 @@ def reference_quorums(policies, cand, cand_count, updates, active, round_number,
         else:
             masked = np.where(cand[members], ranks.astype(np.float64), np.nan)
         chosen[members] = np.argsort(masked, axis=2, kind="stable")[:, :, :m]
-    if ranked:
-        ranks = np.array(
-            [policies[e].rank_block(round_number, n) for e in ranked], dtype=np.float64
-        )
-        masked = np.where(cand[ranked], ranks, np.nan)
-        chosen[ranked] = np.argsort(masked, axis=2, kind="stable")[:, :, :m]
-    for e in generic:
-        if not active[e]:
-            continue
-        for recipient in range(n):
-            if not updates[e, recipient] or cand_count[e, recipient] < m:
-                continue
-            candidates = np.nonzero(cand[e, recipient])[0].tolist()
-            chosen[e, recipient] = policies[e].quorum(round_number, recipient, candidates, m)
     return chosen
 
 
@@ -216,20 +173,15 @@ def quorum_rounds(draw, sizes, crossing):
         schedules = [schedule() for _ in range(count)]
     block = make_block(kinds, schedules, n, t)
     cand = layout_candidates(block, rng, draw(st.sampled_from(["full", "masked", "starving"])))
-    updates = rng.random((count, n)) < 0.9
-    active = rng.random(count) < 0.9
     round_number = draw(st.integers(1, 60))
-    return block, cand, updates, active, round_number
+    return block, cand, round_number
 
 
 def assert_matches_reference(case):
-    block, cand, updates, active, round_number = case
+    block, cand, round_number = case
     m = block.bounds.sample_size
-    cand_count = cand.sum(axis=2)
-    expected = reference_quorums(
-        block.policies, cand, cand_count, updates, active, round_number, m
-    )
-    chosen = _choose_quorums(block, cand, cand_count, updates, active, round_number, m)
+    expected = reference_quorums(block.policies, cand, round_number, m)
+    chosen = _choose_quorums(block, cand, cand.sum(axis=2), round_number, m)
     assert chosen.dtype == np.int64
     assert np.array_equal(chosen, expected)
 
@@ -267,13 +219,10 @@ class TestQuorumSelectionDifferential:
             schedules = [{n - 1: (1, 5), n - 2: (1, n // 2)}] * len(kinds)
             block = make_block(kinds, schedules, n, t)
             cand = layout_candidates(block, rng, "masked")
-            cand_count = cand.sum(axis=2)
-            updates = np.ones((len(kinds), n), dtype=bool)
-            active = np.ones(len(kinds), dtype=bool)
             m = block.bounds.sample_size
             calls.clear()
-            chosen = _choose_quorums(block, cand, cand_count, updates, active, 2, m)
-            expected = reference_quorums(block.policies, cand, cand_count, updates, active, 2, m)
+            chosen = _choose_quorums(block, cand, cand.sum(axis=2), 2, m)
+            expected = reference_quorums(block.policies, cand, 2, m)
             assert np.array_equal(chosen, expected)
             per_slab = max(1, QUORUM_SLAB_KEYS // (n * n))
             seeded = kinds.count("seeded")
@@ -290,9 +239,7 @@ class TestQuorumSelectionDifferential:
         assert [group[3] for group in block.policy_tensor_groups] == [False]
         cand = layout_candidates(block, np.random.default_rng(5), "masked")
         assert not np.array_equal(cand[0], cand[1])
-        updates = np.ones((len(schedules), n), dtype=bool)
-        active = np.ones(len(schedules), dtype=bool)
-        assert_matches_reference((block, cand, updates, active, 2))
+        assert_matches_reference((block, cand, 2))
 
     def test_shared_group_is_ranked_once_per_round(self, monkeypatch):
         # A deterministic delay program over one crash layout: one rank_tensor
@@ -325,8 +272,6 @@ class TestQuorumMemory:
         cand = np.ones((count, n, n), dtype=bool)
         cand[:, 40:, n - 1] = False  # a mid-multicast crash masks part of each row
         cand_count = cand.sum(axis=2)
-        updates = np.ones((count, n), dtype=bool)
-        active = np.ones(count, dtype=bool)
         m = block.bounds.sample_size
         started = not tracemalloc.is_tracing()
         if started:
@@ -334,7 +279,7 @@ class TestQuorumMemory:
         try:
             tracemalloc.reset_peak()
             before = tracemalloc.get_traced_memory()[0]
-            chosen = _choose_quorums(block, cand, cand_count, updates, active, 1, m)
+            chosen = _choose_quorums(block, cand, cand_count, 1, m)
             peak = tracemalloc.get_traced_memory()[1] - before
         finally:
             if started:
@@ -345,7 +290,7 @@ class TestQuorumMemory:
 
 class TestPlannerModelCoversEveryPath:
     @pytest.mark.parametrize("n, count", [(7, 512), (31, 128), (127, 32)])
-    @pytest.mark.parametrize("kind", ["seeded", "staggered", "per-seed", "ranked"])
+    @pytest.mark.parametrize("kind", ["seeded", "staggered", "per-seed"])
     @pytest.mark.parametrize("protocol", ["async-crash", "async-byzantine"])
     def test_twice_the_model_covers_a_blocks_peak(self, n, count, kind, protocol):
         rounds = 4

@@ -9,8 +9,8 @@ ways, mirroring how the scalar engines are pinned against each other:
   delivery and bit counts and per-process send counts compared with ``==``,
   never a tolerance — across protocols, fault models, omission policies,
   seeds, block splits (chunk sizes) and float dtypes (float64 and the
-  float32 opt-in; hypothesis property below).  The two scenarios only d=1
-  supports run there and are refused at d>1.
+  float32 opt-in; hypothesis property below).  The one scenario only d=1
+  supports, non-finite Byzantine reports, runs there and is refused at d>1.
 * **d>1 agrees exactly with the coordinate-wise composition.**  The tensor
   path shares one quorum selection per round across coordinates, the event
   composition runs ``d`` independent executions — yet integer costs must
@@ -42,7 +42,6 @@ from repro.net.adversary import (
     RoundFaultModel,
     StaggeredExclusionDelay,
 )
-from repro.net.network import UniformRandomDelay
 from repro.sim.engine import EngineCapabilityError
 from repro.sim.sweep import (
     CELL_COLUMNS,
@@ -201,17 +200,11 @@ def _non_finite_reports():
     return "async-byzantine", n, 2, dict(fault_models=[model], seeds=[7])
 
 
-def _stateful_delay_model():
-    policy = DelayRankOmission(UniformRandomDelay(low=0.1, high=2.0, seed=9))
-    return "async-crash", 11, 3, dict(omission_policies=[policy])
-
-
 class TestD1OnlyScenarios:
-    """Non-finite Byzantine reports refill per coordinate and stateful
-    per-recipient omission policies cannot share quorum draws across
-    coordinates: both run at d=1 and are refused at d>1."""
+    """Non-finite Byzantine reports refill per coordinate: they run at d=1
+    and are refused at d>1."""
 
-    SCENARIOS = [_non_finite_reports, _stateful_delay_model]
+    SCENARIOS = [_non_finite_reports]
 
     @pytest.mark.parametrize("scenario", SCENARIOS)
     def test_d1_runs_like_the_scalar_block(self, scenario):
