@@ -48,11 +48,13 @@ adversary *bit-identical* across engines:
   bulk calls, per-execution variation carried by the PRF seed vector, with
   a stable sort matching the scalar ``(rank, sender)`` tie-breaking.
 
-The engine runs tensor programs only.  An omission policy or a Byzantine
-value strategy without a ``tensor_key`` — e.g. a delay model drawing from a
-sequential RNG stream (:class:`~repro.net.network.UniformRandomDelay`) —
-raises :class:`~repro.sim.engine.EngineCapabilityError` naming the batch
-and event engines, which query such components one call at a time;
+The engine runs tensor programs only.  A block holding an omission policy
+or a Byzantine value strategy without a ``tensor_key`` — e.g. a delay model
+drawing from a sequential RNG stream
+(:class:`~repro.net.network.UniformRandomDelay`) — raises
+:class:`~repro.sim.engine.EngineCapabilityError` before any chunk runs,
+naming the batch engine, which queries such components one call at a time
+(the event engine takes no round-level fault model or policy);
 ``engine="auto"`` sends them there.
 
 No path materialises a block-sized ``(executions, n, n)`` tensor of 8-byte
@@ -69,7 +71,10 @@ staggered, partition or laggard grid — ranks identically by the
 ``rank_tensor`` call for a single seed and one stable argsort per round,
 broadcast to every member.  The samples are then gathered with flat
 ``np.take`` calls on ``(executions · n, …)`` views, one shared flat index
-per round.
+per round.  Every block hands the kernel a slab of executions at a time
+(:func:`_reduce_samples`), and an asynchronous block gathers its samples
+into one buffer reused every round, so its rounds allocate and free no
+sample-sized array.
 
 Byzantine value strategies must be ``stateless`` (pure functions of
 ``(round, recipient, observed)``) and declare a tensor program
@@ -125,7 +130,7 @@ from repro.net.adversary import (
 from repro.net.message import Message, message_bits
 from repro.net.network import DelayModel, FaultPlan, NetworkStats
 from repro.sim.batch import DIRECT_PROTOCOL_BOUNDS, _upfront_rounds
-from repro.sim.engine import EngineCapabilityError, capable_engines
+from repro.sim.engine import EngineCapabilityError, capable_engines, scenario_features
 from repro.sim.planner import plan_block, resolve_dtype
 from repro.sim.runner import ExecutionResult
 from repro.sim.vector import VectorExecutionResult
@@ -189,9 +194,10 @@ class _Block:
     """Per-execution scenario data and array state of one ndbatch block.
 
     ``inputs`` is the block's ``(executions, n, d)`` float64 input tensor
-    (``d = 1`` for scalar blocks); ``bounds`` and ``total_rounds`` were
-    checked for the whole block by :func:`_run_block`.  ``dtype`` is the
-    resolved float dtype name (:func:`repro.sim.planner.resolve_dtype`).
+    (``d = 1`` for scalar blocks); ``bounds``, ``total_rounds`` and the
+    components' tensor programs were checked for the whole block by
+    :func:`_run_block`.  ``dtype`` is the resolved float dtype name
+    (:func:`repro.sim.planner.resolve_dtype`).
     Only the value state runs at that dtype: schedules, masks and PRF seeds
     keep their exact integer dtypes, so float32 changes no quorum, only the
     value arithmetic.
@@ -252,19 +258,9 @@ class _Block:
         programs: Dict[tuple, List[Tuple[int, int]]] = {}
         for e, model in enumerate(self.fault_models):
             for pid, strategy in model.strategies.items():
-                key = strategy.tensor_key() if getattr(strategy, "stateless", False) else None
-                if key is None:
-                    raise EngineCapabilityError(
-                        "ndbatch",
-                        f"Byzantine value strategies that are stateful or without "
-                        f"a tensor program ({strategy.describe()}: strategies must "
-                        f"be stateless — pure functions of round/recipient/observed "
-                        f"— and declare tensor_key/value_tensor)",
-                        ("batch", "event"),
-                    )
                 if pid < n:
                     self.strategy_mask[e, pid] = True
-                    programs.setdefault(key, []).append((e, pid))
+                    programs.setdefault(strategy.tensor_key(), []).append((e, pid))
             for pid in model.silent:
                 if pid < n:
                     self.silent_mask[e, pid] = True
@@ -346,15 +342,7 @@ class _Block:
             if type(policy) is SeededOmission:
                 seeded_idx.append(e)
                 continue
-            key = policy.tensor_key()
-            if key is None:
-                raise EngineCapabilityError(
-                    "ndbatch",
-                    f"omission policies without a tensor program "
-                    f"({policy.describe()} declares no tensor_key/rank_tensor)",
-                    ("batch", "event"),
-                )
-            policy_groups.setdefault(key, []).append(e)
+            policy_groups.setdefault(policy.tensor_key(), []).append(e)
         # A group is "shared" when every member carries the same seed and
         # the same crash and strategy layout: by the tensor_key contract
         # the members then rank identically, over one candidate matrix per
@@ -380,6 +368,11 @@ class _Block:
         self.seed_mix = np.array(
             [mix64(self.policies[e].seed) for e in seeded_idx], dtype=np.uint64
         )
+
+        # An asynchronous round's sample tensor, reused every round.
+        if not self.synchronous:
+            shape = (count, n, bounds.sample_size, self.dimension)
+            self.samples = np.empty(shape, dtype=self.dtype)
 
 
 def _shared_rounds(
@@ -477,6 +470,27 @@ def _run_block(
     bounds = NDBATCH_PROTOCOL_BOUNDS[protocol](n, t)
     if strict and not bounds.resilience_ok:
         raise ResilienceError(f"{bounds.name} does not tolerate t={t} faults with n={n}")
+    # Refuse a component without a tensor program before any chunk runs,
+    # naming the engines capable of its round-level features, as engine.run does.
+    for model, policy in zip(models, policies):
+        refusals = [
+            f"Byzantine value strategies that are stateful or without a tensor "
+            f"program ({strategy.describe()}: strategies must be stateless — "
+            f"pure functions of round/recipient/observed — and declare "
+            f"tensor_key/value_tensor)"
+            for strategy in model.strategies.values()
+            if not getattr(strategy, "stateless", False) or strategy.tensor_key() is None
+        ]
+        if type(policy) is not SeededOmission and policy.tensor_key() is None:
+            refusals.append(
+                f"omission policies without a tensor program "
+                f"({policy.describe()} declares no tensor_key/rank_tensor)"
+            )
+        if refusals:
+            features = scenario_features(
+                protocol, n, t, fault_model=model, omission_policy=policy
+            )
+            raise EngineCapabilityError("ndbatch", refusals[0], capable_engines(features))
     total_rounds = _shared_rounds(bounds, inputs, epsilon, round_policy)
 
     started = time.perf_counter()
@@ -794,20 +808,14 @@ def _advance_block(block: _Block) -> tuple:
         delivered += round_delivered
 
         apply_mask = updates & active[:, None] & ~failed_round[:, None]
-        if clean_values and not failed_round.any():
-            # Crash-only blocks gather exclusively finite holder values, so
-            # the placeholder fill and the kernel's finiteness scan are
-            # provably redundant.
-            new_values = approximation_step_block(
-                sample, block.bounds, validate=False, dtype=block.dtype, axis=-2
-            )
-        else:
-            # Rows that do not update may hold placeholders or non-finite
-            # reports; zero them in place so the kernel's scan passes.
+        # Crash-only blocks gather exclusively finite holder values, so the
+        # placeholder fill and the kernel's finiteness scan are redundant.
+        # Otherwise rows that do not update may hold placeholders or
+        # non-finite reports; they are zeroed in place so the scan passes.
+        validate = not clean_values or bool(failed_round.any())
+        if validate:
             sample[~apply_mask] = 0
-            new_values = approximation_step_block(
-                sample, block.bounds, dtype=block.dtype, axis=-2
-            )
+        new_values = _reduce_samples(sample, block.bounds, block.dtype, validate)
         block.values = np.where(apply_mask[:, :, None], new_values, block.values)
         history.append(np.copy(block.values))
 
@@ -869,6 +877,23 @@ def _injected_values(block: _Block, round_number: int) -> np.ndarray:
         answer = np.asarray(answer, dtype=np.float64).reshape(pairs, d, n)
         by_slot[slots] = answer.transpose(0, 2, 1)[source]
     return reports
+
+
+def _reduce_samples(sample, bounds: AlgorithmBounds, dtype: str, validate: bool):
+    """One round's ``mean ∘ select_k ∘ reduce^j`` over ``sample[e, i, :, c]``,
+    by the kernel, whole executions and at most :data:`QUORUM_SLAB_KEYS`
+    values (or one execution) per call: the kernel sorts a copy, and a
+    sample-sized copy freed every round let heap placement, not live data,
+    set the peak memory.  Executions reduce alone, so slabs change no value.
+    """
+    count, n, m, d = sample.shape
+    step = max(1, QUORUM_SLAB_KEYS // (n * m * d))
+    new_values = np.empty((count, n, d), dtype=dtype)
+    for start in range(0, count, step):
+        new_values[start : start + step] = approximation_step_block(
+            sample[start : start + step], bounds, validate=validate, dtype=dtype, axis=-2
+        )
+    return new_values
 
 
 def _sync_samples(
@@ -935,7 +960,11 @@ def _async_samples(
     offsets = (np.arange(count, dtype=np.int64) * n)[:, None, None]
     flat = _choose_quorums(block, cand, cand_count, round_number, m)
     flat += offsets
-    sample = np.take(block.values.reshape(count * n, d), flat, axis=0)  # (E, n, m, d)
+    # (E, n, m, d) into the block's buffer.  Every index is in range, so
+    # "clip" changes no value; unlike "raise" it writes without a copy.
+    sample = np.take(
+        block.values.reshape(count * n, d), flat, axis=0, out=block.samples, mode="clip"
+    )
     nonfinite = None
     if reports is not None:
         nonfinite = np.zeros(count * n, dtype=bool)  # by (e*n + recipient)

@@ -352,7 +352,7 @@ class _Unit:
 
     indices: List[int]
     cells: List["SweepCell"]  # noqa: F821
-    #: The fused ndbatch chunks the unit runs as blocks (see
+    #: The fused ndbatch chunks of cell plans the unit runs as blocks (see
     #: ``repro.sim.sweep._ndbatch_dispatch_groups``), or ``None`` for a unit
     #: whose cells run one by one.
     group: Optional[Tuple] = None
@@ -597,8 +597,9 @@ class _Worker:
         self.result_recv = result_recv
 
     def dispatch(self, unit_id: int, unit: _Unit, chaos: Optional[ChaosPlan]) -> None:
-        # A group's chunks hold the unit's cell objects, so pickling sends
-        # each cell once.
+        # A group's chunks hold the plans of the unit's cells, built once in
+        # the parent; each plan holds the unit's cell object, so pickling
+        # sends each cell once.
         self.task_send.send(
             (unit_id, unit.cells, unit.group, unit.engine, unit.attempts + 1, chaos)
         )
@@ -793,6 +794,8 @@ def iter_resilient_outcomes(
 
     timeouts = retry is not None and retry.timeout_seconds is not None
     if worker_count <= 1 or (len(units) <= 1 and not timeouts):
+        # The heap alone holds the units, so a finished unit's plans are freed.
+        units.clear()
         yield from _serial_loop(heap, retry, chaos, on_failure, counter)
         return
     if retry is None:

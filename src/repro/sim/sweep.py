@@ -56,6 +56,7 @@ from typing import (
     NamedTuple,
     Optional,
     Sequence,
+    Set,
     Tuple,
     Union,
 )
@@ -70,7 +71,6 @@ from repro.core.rounds import (
     witness_bounds,
 )
 from repro.core.multidim import normalize_vector_inputs
-from repro.core.multiset import spread
 from repro.core.termination import (
     FixedRounds,
     default_round_policy,
@@ -85,10 +85,12 @@ from repro.net.adversary import (
     EquivocatingStrategy,
     FixedValueStrategy,
     LaggardDelay,
+    OmissionPolicy,
     PartitionDelay,
     PartitionReportDelay,
     RandomValueStrategy,
     RoundEchoByzantine,
+    RoundFaultModel,
     SeededDelay,
     SeededOmission,
     StaggeredExclusionDelay,
@@ -96,6 +98,7 @@ from repro.net.adversary import (
 )
 from repro.net.network import DelayModel, FaultPlan
 from repro.sim.engine import (
+    ENGINE_CAPABILITIES,
     ndbatch_min_work,
     require_capability,
     scenario_features,
@@ -706,6 +709,71 @@ def build_adversary_bundle(cell: SweepCell) -> AdversaryBundle:
     )
 
 
+class CellPlan(NamedTuple):
+    """One cell's scenario, derived once (:func:`_plan_cell`).
+
+    Block grouping, ``auto``'s engine choice, chunk packing and the ndbatch
+    chunk runner read the plan, and it travels inside its chunk to the
+    block that runs it, in process or pickled to a pool worker.
+    """
+
+    cell: SweepCell
+    #: ``n`` floats, or ``n`` length-``dimension`` vectors at ``d > 1``.
+    inputs: List
+    bounds: AlgorithmBounds
+    #: The upfront round count every engine runs for the cell.
+    rounds: int
+    #: ``None`` when the faults have no round-level form; ``features`` then
+    #: names message-level faults, which ndbatch refuses.
+    fault_model: Optional[RoundFaultModel]
+    omission: OmissionPolicy
+    features: Set[str]
+
+
+def _plan_cell(cell: SweepCell) -> CellPlan:
+    """:func:`_plan_cell_and_bundle`'s plan."""
+    return _plan_cell_and_bundle(cell)[0]
+
+
+def _plan_cell_and_bundle(cell: SweepCell) -> Tuple[CellPlan, AdversaryBundle]:
+    """Validate ``cell`` and derive everything it needs before it runs.
+
+    The one place a sweep cell becomes a scenario: its inputs, bounds and
+    round count (the fixed-round default policy over the input spread, ℓ∞
+    at ``d > 1``, which every engine runs), its adversary bundle's round
+    fault model and omission policy, and the scenario features the engine
+    choice reads.  The bundle is returned beside the plan for the event
+    engine, which runs its fault plan and delay model (planning only reads
+    them).
+    """
+    cell.validate()
+    bounds = PROTOCOL_BOUNDS[cell.protocol](cell.n, cell.t)
+    if cell.dimension > 1:
+        inputs: List = _cell_vector_inputs(cell)
+        rounds = default_vector_round_policy(bounds, inputs, cell.epsilon).rounds
+    else:
+        inputs = _cell_inputs(cell)
+        rounds = default_round_policy(bounds, inputs, cell.epsilon).rounds
+    bundle = build_adversary_bundle(cell)
+    try:
+        fault_model: Optional[RoundFaultModel] = round_fault_model(bundle.fault_plan, cell.n)
+    except ValueError:
+        fault_model = None
+    features = scenario_features(
+        cell.protocol, cell.n, cell.t,
+        fault_plan=bundle.fault_plan,
+        # Without a fault plan the (empty) model is not a round-level spec.
+        fault_model=fault_model if bundle.fault_plan is not None else None,
+        delay_model=bundle.delay_model,
+    )
+    omission = (
+        DelayRankOmission(bundle.delay_model)
+        if bundle.delay_model is not None
+        else SeededOmission(cell.seed)
+    )
+    return CellPlan(cell, inputs, bounds, rounds, fault_model, omission, features), bundle
+
+
 def _execute_cell(cell: SweepCell, engine: Optional[str] = None) -> ExecutionResult:
     cell.validate()
     inputs = _cell_inputs(cell)
@@ -732,58 +800,36 @@ _RUNTIME_TO_ENGINE = {"des": "event", "lockstep": "event", "asyncio": "event"}
 
 def _outcome_from_result(
     cell: SweepCell,
-    result: ExecutionResult,
+    result: Union[ExecutionResult, VectorExecutionResult],
     bounds: Optional[AlgorithmBounds] = None,
 ) -> CellOutcome:
-    """Compress one :class:`~repro.sim.runner.ExecutionResult` into a cell outcome."""
-    if bounds is None:
-        bounds = PROTOCOL_BOUNDS[cell.protocol](cell.n, cell.t)
-    comparison = compare_to_bound(bounds, result.trajectory)
-    return CellOutcome(
-        cell=cell,
-        ok=result.ok,
-        all_decided=result.report.all_decided,
-        rounds=result.rounds_used,
-        messages=result.stats.messages_sent,
-        bits=result.stats.bits_sent,
-        output_spread=result.report.output_spread,
-        theoretical_contraction=bounds.contraction,
-        worst_contraction=comparison.measured_worst_contraction,
-        mean_contraction=comparison.measured_mean_contraction,
-        bound_respected=comparison.bound_respected,
-        wall_time_seconds=result.wall_time_seconds,
-        violations=tuple(result.report.violations),
-        engine_used=_RUNTIME_TO_ENGINE.get(result.runtime, result.runtime),
-    )
+    """Compress one scalar or vector execution result into a cell outcome.
 
-
-def _outcome_from_vector_result(
-    cell: SweepCell,
-    result: VectorExecutionResult,
-    bounds: Optional[AlgorithmBounds] = None,
-) -> CellOutcome:
-    """Compress one vector execution into a cell outcome.
-
-    The contraction comparison runs on the ℓ∞ diameter trajectory — the
-    per-round contraction bound holds per coordinate, hence for the maximum
-    over coordinates, so the scalar bound machinery applies unchanged.
-    ``output_spread`` is the honest outputs' ℓ∞ diameter.
+    A vector result's contraction comparison runs on the ℓ∞ diameter
+    trajectory — the per-round contraction bound holds per coordinate, hence
+    for the maximum over coordinates, so the scalar bound machinery applies
+    unchanged — and its ``output_spread`` is the honest outputs' ℓ∞ diameter.
     """
     if bounds is None:
         bounds = PROTOCOL_BOUNDS[cell.protocol](cell.n, cell.t)
     comparison = compare_to_bound(bounds, result.trajectory)
-    if result.stats is not None:
-        bits = result.stats.bits_sent
+    if not isinstance(result, VectorExecutionResult):
+        messages, bits = result.stats.messages_sent, result.stats.bits_sent
+        output_spread = result.report.output_spread
     else:
-        bits = sum(r.stats.bits_sent for r in result.coordinate_results)
+        messages, output_spread = result.total_messages, result.report.max_linf_distance
+        if result.stats is not None:
+            bits = result.stats.bits_sent
+        else:
+            bits = sum(r.stats.bits_sent for r in result.coordinate_results)
     return CellOutcome(
         cell=cell,
         ok=result.ok,
         all_decided=result.report.all_decided,
         rounds=result.rounds_used,
-        messages=result.total_messages,
+        messages=messages,
         bits=bits,
-        output_spread=result.report.max_linf_distance,
+        output_spread=output_spread,
         theoretical_contraction=bounds.contraction,
         worst_contraction=comparison.measured_worst_contraction,
         mean_contraction=comparison.measured_mean_contraction,
@@ -797,59 +843,43 @@ def _outcome_from_vector_result(
 def _run_vector_cell(cell: SweepCell, engine: Optional[str] = None) -> CellOutcome:
     """Execute one ``dimension > 1`` cell on its (resolved) engine.
 
-    All engines share one round policy —
-    :func:`repro.core.termination.default_vector_round_policy`, fixed rounds
-    over the ℓ∞ input spread — so round counts (hence message/bit costs)
-    are engine-independent, exactly as for scalar cells:
+    The cell is planned once (:func:`_plan_cell`).  Every engine runs the
+    plan's round count — fixed rounds over the ℓ∞ input spread — so round
+    counts (hence message/bit costs) are engine-independent, exactly as for
+    scalar cells:
 
-    - ``ndbatch``: the ``(executions, n, d)`` tensor fast path
-      (:func:`repro.sim.ndbatch.run_vector_block`), one shared quorum
-      selection per round across coordinates.
+    - ``ndbatch``: the plan runs as a one-plan chunk
+      (:func:`_run_ndbatch_chunk`) on the ``(executions, n, d)`` tensor
+      fast path, one shared quorum selection per round across coordinates.
     - ``event``: :func:`repro.sim.vector.run_vector_protocol`, one event
-      execution per coordinate.
+      execution per coordinate, over the adversary bundle the plan was
+      derived from.
     - ``batch``: the numpy-free degradation path — one pure-Python batch
       execution per coordinate (fresh adversary bundle each, so every
       coordinate faces an identically initialised adversary), assembled via
       :func:`repro.sim.vector.compose_coordinate_results`.
     """
-    cell.validate()
+    plan, bundle = _plan_cell_and_bundle(cell)
     chosen = cell.engine if engine is None else engine
-    vectors = _cell_vector_inputs(cell)
-    bounds = PROTOCOL_BOUNDS[cell.protocol](cell.n, cell.t)
-    policy = default_vector_round_policy(bounds, vectors, cell.epsilon)
     if chosen == "auto":
         # One execution: work = rounds × n × d for the block-setup cost
         # model, the rule repro.sim.engine.run applies to scalar cells.
-        chosen = _auto_engine_for(cell, work=policy.rounds * cell.n * cell.dimension)
+        chosen = select_engine(plan.features, plan.rounds * cell.n * cell.dimension)
     # The engine= override skips cell.validate(); an unknown name would
     # otherwise fall through to the batch branch below.
     require_capability(chosen, {f"protocol:{cell.protocol}"})
-    bundle = build_adversary_bundle(cell)
     if chosen == "ndbatch":
         if run_vector_block is None:
             raise ImportError(
                 "engine='ndbatch' requires numpy; install numpy or use engine='batch'"
             )
-        fault_model = round_fault_model(bundle.fault_plan, cell.n)
-        omission = (
-            DelayRankOmission(bundle.delay_model)
-            if bundle.delay_model is not None
-            else SeededOmission(cell.seed)
-        )
-        [result] = run_vector_block(
-            cell.protocol,
-            [vectors],
-            t=cell.t,
-            epsilon=cell.epsilon,
-            round_policy=policy,
-            fault_models=[fault_model],
-            omission_policies=[omission],
-            seeds=[cell.seed],
-        )
-    elif chosen == "event":
+        [outcome] = _run_ndbatch_chunk((plan.rounds, [plan], {}))
+        return outcome
+    policy = FixedRounds(plan.rounds)
+    if chosen == "event":
         result = run_vector_protocol(
             cell.protocol,
-            vectors,
+            plan.inputs,
             t=cell.t,
             epsilon=cell.epsilon,
             round_policy=policy,
@@ -859,7 +889,7 @@ def _run_vector_cell(cell: SweepCell, engine: Optional[str] = None) -> CellOutco
     else:  # batch — the numpy-free coordinate-wise degradation path
         from repro.sim.batch import run_batch_protocol
 
-        normalized = normalize_vector_inputs(vectors)
+        normalized = normalize_vector_inputs(plan.inputs)
         coordinate_results = []
         for coordinate in range(cell.dimension):
             fresh = build_adversary_bundle(cell)
@@ -878,7 +908,7 @@ def _run_vector_cell(cell: SweepCell, engine: Optional[str] = None) -> CellOutco
         result = compose_coordinate_results(
             cell.protocol, normalized, cell.epsilon, coordinate_results, runtime="batch"
         )
-    return _outcome_from_vector_result(cell, result, bounds)
+    return _outcome_from_result(cell, result, plan.bounds)
 
 
 def run_cell(cell: SweepCell, engine: Optional[str] = None) -> CellOutcome:
@@ -903,93 +933,53 @@ def _resolve_workers(workers: Optional[int], cell_count: int) -> int:
     return max(1, min(os.cpu_count() or 1, cell_count))
 
 
-def _fault_program_key(cell: SweepCell) -> Tuple:
-    """Tensor fault-program identity of one cell's adversary.
+def _fault_program_key(plan: CellPlan) -> Tuple:
+    """Tensor fault-program identity of one planned cell's adversary.
 
     Cells sharing a program — same strategy *programs* (class + parameters,
     :meth:`~repro.net.adversary.ByzantineValueStrategy.tensor_key`) at the
-    same sender ids, same quorum program — advance through one grouped
-    tensor call per round on the vectorised engine, so blocks group by
-    program rather than splitting on strategy instance identity: the
-    per-cell seed variation lives entirely in the PRF seed vectors.  Crash
-    schedules, silent sets and corrupted inputs are deliberately excluded —
-    they are plain mask tensors, vectorised for any mix.  A component without
-    a tensor form keys as ``None``; the engine refuses any block holding one.
+    same sender ids, same quorum program
+    (:meth:`~repro.net.adversary.OmissionPolicy.tensor_key`) — advance
+    through one grouped tensor call per round on the vectorised engine, so
+    blocks group by program rather than splitting on strategy instance
+    identity: the per-cell seed variation lives entirely in the PRF seed
+    vectors.  Crash schedules, silent sets and corrupted inputs are
+    deliberately excluded — they are plain mask tensors, vectorised for any
+    mix.  A component without a tensor form keys as ``None``; the engine
+    refuses any block holding one.
     """
-    bundle = build_adversary_bundle(cell)
-    try:
-        model = round_fault_model(bundle.fault_plan, cell.n)
-    except ValueError:
-        return ("message-level", cell.adversary)
-    strategies = tuple(  # tensor keys are seed-invariant (programs, not draws)
-        (pid, strategy.tensor_key()) for pid, strategy in sorted(model.strategies.items())
+    if plan.fault_model is None:
+        return ("message-level", plan.cell.adversary)
+    strategies = tuple(
+        (pid, strategy.tensor_key())
+        for pid, strategy in sorted(plan.fault_model.strategies.items())
     )
-    if bundle.delay_model is not None:
-        quorum = bundle.delay_model.tensor_key()
-    else:
-        quorum = ("seeded-omission",)
-    return (strategies, quorum)
+    return (strategies, plan.omission.tensor_key())
 
 
 def _group_ndbatch_blocks(
-    cells: Sequence[SweepCell],
-) -> List[Tuple[int, List[int], List[List[float]]]]:
-    """Group cells into shape-compatible ndbatch blocks.
+    plans: Sequence[CellPlan],
+) -> List[Tuple[int, List[int], List[CellPlan]]]:
+    """Group planned cells into shape-compatible ndbatch blocks.
 
-    Cells sharing ``(protocol, n, t, epsilon, round count)`` and a tensor
-    fault program (:func:`_fault_program_key`) advance together as one value
-    matrix — whole-block adversary tensors, one grouped strategy/quorum call
-    per round.  Returns ``(rounds, cell_indices, inputs_block)`` per block,
-    in first-appearance order, so reassembly into grid order is
-    deterministic; inputs are generated once here and carried into the block
-    (workers would otherwise regenerate every workload).
+    Cells sharing ``(protocol, n, t, epsilon, dimension, round count)`` and a
+    tensor fault program (:func:`_fault_program_key`) advance together as
+    one value matrix — whole-block adversary tensors, one grouped
+    strategy/quorum call per round.  Returns ``(rounds, plan_indices,
+    plans)`` per block, in first-appearance order, so reassembly into grid
+    order is deterministic; the plans carry their cells' inputs and
+    adversaries into the block, so no worker rebuilds them.
     """
-    blocks: Dict[Tuple, Tuple[int, List[int], List[List[float]]]] = {}
-    bounds_cache: Dict[Tuple[str, int, int], AlgorithmBounds] = {}
-    # Program keys are seed-invariant (tensor_key identifies the program;
-    # draws vary by PRF seed), so one bundle build per (adversary, shape)
-    # serves every seed of the grid.  A custom adversary whose program *did*
-    # vary by seed would merely over-merge blocks — the engine regroups by
-    # the true per-execution tensor keys inside each block, so outcomes
-    # cannot change.
-    program_cache: Dict[Tuple, Tuple] = {}
-    for index, cell in enumerate(cells):
-        shape = (cell.protocol, cell.n, cell.t)
-        bounds = bounds_cache.get(shape)
-        if bounds is None:
-            bounds = PROTOCOL_BOUNDS[cell.protocol](cell.n, cell.t)
-            bounds_cache[shape] = bounds
-        # adversary_params is part of the slot: two parameterisations of one
-        # family are different programs and must not share a cached key.
-        program_slot = (cell.adversary, cell.adversary_params) + shape
-        program_key = program_cache.get(program_slot)
-        if program_key is None:
-            program_key = _fault_program_key(cell)
-            program_cache[program_slot] = program_key
-        if cell.dimension > 1:
-            # Vector cells: inputs are (n, d) nested lists and the shared
-            # round count covers the ℓ∞ (max-per-coordinate) spread — the
-            # same policy every vector engine path runs.
-            inputs: List = _cell_vector_inputs(cell)
-            rounds = default_vector_round_policy(
-                bounds, inputs, cell.epsilon
-            ).required_rounds(bounds.contraction, cell.epsilon, None)
-        else:
-            inputs = _cell_inputs(cell)
-            if bounds.resilience_ok:
-                # Fast path for the common case; identical to the engines'
-                # default_round_policy (FixedRounds over the input spread).
-                rounds = bounds.rounds_for(spread(inputs), cell.epsilon)
-            else:
-                # Out-of-model (n, t): defer to the policy itself so grouping
-                # can never drift from what the engines would run.
-                rounds = default_round_policy(bounds, inputs, cell.epsilon).required_rounds(
-                    bounds.contraction, cell.epsilon, None
-                )
-        key = (cell.protocol, cell.n, cell.t, cell.epsilon, cell.dimension, rounds, program_key)
-        entry = blocks.setdefault(key, (rounds, [], []))
+    blocks: Dict[Tuple, Tuple[int, List[int], List[CellPlan]]] = {}
+    for index, plan in enumerate(plans):
+        cell = plan.cell
+        key = (
+            cell.protocol, cell.n, cell.t, cell.epsilon, cell.dimension,
+            plan.rounds, _fault_program_key(plan),
+        )
+        entry = blocks.setdefault(key, (plan.rounds, [], []))
         entry[1].append(index)
-        entry[2].append(inputs)
+        entry[2].append(plan)
     return list(blocks.values())
 
 
@@ -1002,9 +992,9 @@ DEFAULT_MAX_BLOCK_SIZE = 256
 
 
 def _split_blocks(
-    blocks: Sequence[Tuple[int, List[int], List[List[float]]]],
+    blocks: Sequence[Tuple[int, List[int], List[CellPlan]]],
     max_block_size: int,
-) -> List[Tuple[int, List[int], List[List[float]]]]:
+) -> List[Tuple[int, List[int], List[CellPlan]]]:
     """Cap block sizes and round-robin-interleave the chunks across blocks.
 
     Splitting bounds the largest single work item a pool worker can receive;
@@ -1014,79 +1004,55 @@ def _split_blocks(
     """
     if max_block_size < 1:
         raise ValueError("max_block_size must be at least 1")
-    per_block: List[List[Tuple[int, List[int], List[List[float]]]]] = []
-    for rounds, indices, inputs_block in blocks:
+    per_block: List[List[Tuple[int, List[int], List[CellPlan]]]] = []
+    for rounds, indices, plans in blocks:
         per_block.append(
             [
                 (
                     rounds,
                     indices[start : start + max_block_size],
-                    inputs_block[start : start + max_block_size],
+                    plans[start : start + max_block_size],
                 )
                 for start in range(0, len(indices), max_block_size)
             ]
         )
-    interleaved: List[Tuple[int, List[int], List[List[float]]]] = []
+    interleaved: List[Tuple[int, List[int], List[CellPlan]]] = []
     for layer in itertools.zip_longest(*per_block):
         interleaved.extend(chunk for chunk in layer if chunk is not None)
     return interleaved
 
 
 def _run_ndbatch_chunk(chunk) -> List[CellOutcome]:
-    """Execute one shape-compatible block of cells on the vectorised engine.
+    """Execute one shape-compatible block of planned cells on the vectorised engine.
 
-    ``chunk`` is ``(rounds, cells, inputs_block, options)``; ``options`` holds
+    ``chunk`` is ``(rounds, plans, options)``: the plans (:func:`_plan_cell`)
+    share protocol, shape, dimension and ``rounds``, and ``options`` holds
     the ``dtype``/``budget_bytes`` keys forwarded to
-    :func:`repro.sim.ndbatch.run_ndbatch_block` (the block's float dtype and
-    the memory planner's bytes budget).
+    :func:`repro.sim.ndbatch.run_ndbatch_block` or, at ``d > 1``,
+    :func:`repro.sim.ndbatch.run_vector_block` (the block's float dtype and
+    the memory planner's bytes budget).  A plan ndbatch cannot run — faults
+    with no round-level form among them — raises
+    :class:`~repro.sim.engine.EngineCapabilityError` here, inside its unit,
+    before any block runs.
     """
-    rounds, cells, inputs_block, options = chunk
-    first = cells[0]
-    fault_models = []
-    policies = []
-    for cell in cells:
-        cell.validate()
-        bundle = build_adversary_bundle(cell)
-        fault_models.append(round_fault_model(bundle.fault_plan, cell.n))
-        policies.append(
-            DelayRankOmission(bundle.delay_model)
-            if bundle.delay_model is not None
-            else SeededOmission(cell.seed)
-        )
-    bounds = PROTOCOL_BOUNDS[first.protocol](first.n, first.t)
-    if first.dimension > 1:
-        # Blocks group by dimension (see _group_ndbatch_blocks), so the whole
-        # chunk runs the (executions, n, d) tensor fast path.
-        vector_results = run_vector_block(
-            first.protocol,
-            inputs_block,
-            t=first.t,
-            epsilon=first.epsilon,
-            round_policy=FixedRounds(rounds),
-            fault_models=fault_models,
-            omission_policies=policies,
-            seeds=[cell.seed for cell in cells],
-            strict=True,
-            **options,
-        )
-        return [
-            _outcome_from_vector_result(cell, result, bounds)
-            for cell, result in zip(cells, vector_results)
-        ]
-    results = run_ndbatch_block(
+    rounds, plans, options = chunk
+    for plan in plans:
+        require_capability("ndbatch", plan.features)
+    first = plans[0].cell
+    results = (run_vector_block if first.dimension > 1 else run_ndbatch_block)(
         first.protocol,
-        inputs_block,
+        [plan.inputs for plan in plans],
         t=first.t,
         epsilon=first.epsilon,
         round_policy=FixedRounds(rounds),
-        fault_models=fault_models,
-        omission_policies=policies,
+        fault_models=[plan.fault_model for plan in plans],
+        omission_policies=[plan.omission for plan in plans],
         strict=True,
         **options,
     )
     return [
-        _outcome_from_result(cell, result, bounds)
-        for cell, result in zip(cells, results)
+        _outcome_from_result(plan.cell, result, plan.bounds)
+        for plan, result in zip(plans, results)
     ]
 
 
@@ -1110,8 +1076,9 @@ def _pack_chunk_groups(
 ) -> Tuple[Tuple[int, ...], ...]:
     """Fuse equal-program, mixed-shape chunks into dispatch groups.
 
-    Builds the planner's ``(program_key, ShapeCost)`` view of each chunk and
-    lets :func:`repro.sim.planner.pack_dispatch_groups` decide pad-vs-split;
+    Builds the planner's ``(program_key, ShapeCost)`` view of each chunk
+    from its first plan and lets
+    :func:`repro.sim.planner.pack_dispatch_groups` decide pad-vs-split;
     equal-shape chunks always stay singleton (the round-robin interleave of
     :func:`_split_blocks` already load-balances them), so homogeneous grids
     dispatch exactly as before.
@@ -1119,9 +1086,8 @@ def _pack_chunk_groups(
     from repro.sim.planner import ShapeCost, pack_dispatch_groups
 
     shapes = []
-    for rounds, chunk_cells, _inputs, _options in chunks:
-        first = chunk_cells[0]
-        bounds = PROTOCOL_BOUNDS[first.protocol](first.n, first.t)
+    for rounds, plans, _options in chunks:
+        first = plans[0]
         shapes.append(
             (
                 _fault_program_key(first),
@@ -1131,9 +1097,9 @@ def _pack_chunk_groups(
                     # footprint (quorum tensors stay d-free — see
                     # planner.bytes_per_execution — so this slightly
                     # over-estimates, which only makes packing conservative).
-                    count=len(chunk_cells) * first.dimension,
-                    n=first.n,
-                    m=bounds.sample_size,
+                    count=len(plans) * first.cell.dimension,
+                    n=first.cell.n,
+                    m=first.bounds.sample_size,
                     rounds=rounds,
                 ),
             )
@@ -1151,36 +1117,46 @@ def _ndbatch_dispatch_groups(
     """The block share of a cell list's work-unit decomposition.
 
     Returns one ``(cell_indices, group)`` pair per dispatch unit: ``group`` is
-    a tuple of ndbatch chunks ``(rounds, cells, inputs_block, options)``
-    fused by :func:`_pack_chunk_groups`, ``cell_indices`` the chunks' cells in
-    order, and ``options`` carries ``dtype``/``budget_bytes``.  ``dtype`` is
-    a resolved name (:func:`repro.sim.planner.resolve_dtype`): the caller
+    a tuple of ndbatch chunks ``(rounds, plans, options)`` fused by
+    :func:`_pack_chunk_groups`, ``cell_indices`` the chunks' cells in order,
+    and ``options`` carries ``dtype``/``budget_bytes``.  ``dtype`` is a
+    resolved name (:func:`repro.sim.planner.resolve_dtype`): the caller
     checks it before any cell runs, so a bad selection fails the sweep up
     front instead of failing (or quarantining) every block.
 
-    ``engine="ndbatch"`` covers every cell.  ``engine="auto"`` covers the
-    cells :func:`_auto_engine_for` sends to ndbatch whose shape-compatible
-    block repays the vectorised engine's per-block setup: its work — cells ×
-    rounds × n × dimension — must reach :func:`ndbatch_min_work`.  Any other
-    engine covers none.  Uncovered cells run one by one on their own engine
-    (an auto cell re-applies the cost model to its own work, so a ``d > 1``
-    cell of a block below the threshold runs on batch).
+    Each covered cell is planned here, once (:func:`_plan_cell`), and its
+    plan travels in its chunk to the block that runs it.
+    ``engine="ndbatch"`` plans and covers every cell.  ``engine="auto"``
+    plans the cells of the protocols ndbatch runs and covers those whose
+    plan selects ndbatch (:func:`~repro.sim.engine.select_engine`) and
+    whose shape-compatible block repays the vectorised engine's per-block
+    setup: its work — cells × rounds × n × dimension — must reach
+    :func:`ndbatch_min_work`.  Any other engine covers none.  Uncovered
+    cells run one by one on their own engine, which derives their scenario
+    where they run (an auto cell re-applies the cost model to its own work,
+    so a ``d > 1`` cell of a block below the threshold runs on batch).
     Blocks are split at ``max_block_size`` and round-robin interleaved
     (:func:`_split_blocks`).
     """
     if engine == "ndbatch":
-        blocks = _group_ndbatch_blocks(cells)
+        blocks = _group_ndbatch_blocks([_plan_cell(cell) for cell in cells])
     elif engine == "auto":
-        candidates = [
-            index for index, cell in enumerate(cells) if _auto_engine_for(cell) == "ndbatch"
-        ]
-        grouped = _group_ndbatch_blocks([cells[i] for i in candidates])
+        candidates = []
+        plans = []
+        for index, cell in enumerate(cells):
+            if cell.protocol in ENGINE_CAPABILITIES["ndbatch"].protocols:
+                plan = _plan_cell(cell)
+                if select_engine(plan.features) == "ndbatch":
+                    candidates.append(index)
+                    plans.append(plan)
+        grouped = _group_ndbatch_blocks(plans)
         threshold = ndbatch_min_work() if grouped else 0
-        blocks = []
-        for rounds, indices, inputs_block in grouped:
-            first = cells[candidates[indices[0]]]
-            if len(indices) * rounds * first.n * first.dimension >= threshold:
-                blocks.append((rounds, [candidates[i] for i in indices], inputs_block))
+        blocks = [
+            (rounds, [candidates[i] for i in indices], block_plans)
+            for rounds, indices, block_plans in grouped
+            if len(indices) * rounds * block_plans[0].cell.n * block_plans[0].cell.dimension
+            >= threshold
+        ]
     else:
         return []
     if not blocks:
@@ -1191,10 +1167,7 @@ def _ndbatch_dispatch_groups(
         )
     options = {"dtype": dtype, "budget_bytes": budget_bytes}
     split = _split_blocks(blocks, max_block_size)
-    chunks = [
-        (rounds, [cells[i] for i in indices], inputs_block, options)
-        for rounds, indices, inputs_block in split
-    ]
+    chunks = [(rounds, plans, options) for rounds, _, plans in split]
     return [
         (
             [index for member in group for index in split[member][1]],
@@ -1207,18 +1180,13 @@ def _ndbatch_dispatch_groups(
 def _auto_engine_for(cell: SweepCell, work: Optional[int] = None) -> str:
     """Resolve one "auto" cell to the fastest capable engine.
 
-    Applies the rule :func:`repro.sim.engine.run` applies, to the features of
-    the cell's adversary bundle (:func:`~repro.sim.engine.select_engine`).
-    ``work`` feeds its block-setup cost model for a cell that runs on its
-    own; block candidates leave it out, because the threshold applies to
-    their whole block.
+    Applies the rule :func:`repro.sim.engine.run` applies
+    (:func:`~repro.sim.engine.select_engine`) to the features of the cell's
+    plan (:func:`_plan_cell`).  ``work`` feeds its block-setup cost model
+    for a cell that runs on its own; block candidates leave it out, because
+    the threshold applies to their whole block.
     """
-    bundle = build_adversary_bundle(cell)
-    features = scenario_features(
-        cell.protocol, cell.n, cell.t,
-        fault_plan=bundle.fault_plan, delay_model=bundle.delay_model,
-    )
-    return select_engine(features, work)
+    return select_engine(_plan_cell(cell).features, work)
 
 
 def _iter_indexed_outcomes(

@@ -28,6 +28,7 @@ from repro.sim.sweep import (
     ADVERSARY_SPECS,
     SweepSpec,
     _group_ndbatch_blocks,
+    _plan_cell,
     run_sweep,
 )
 
@@ -81,7 +82,7 @@ class TestRetryKeepsDispatchDecisions:
             dimensions=(3,),
             engine="auto",
         )
-        blocks = _group_ndbatch_blocks(list(spec.cells()))
+        blocks = _group_ndbatch_blocks([_plan_cell(cell) for cell in spec.cells()])
         work = [len(indices) * rounds * 7 for rounds, indices, _ in blocks]
         # A threshold every block clears only once its work is scaled by d=3.
         threshold = max(work) + 1
@@ -116,7 +117,7 @@ class TestRetryKeepsDispatchDecisions:
             dimensions=(3,),
             engine="auto",
         )
-        blocks = _group_ndbatch_blocks(list(spec.cells()))
+        blocks = _group_ndbatch_blocks([_plan_cell(cell) for cell in spec.cells()])
         work = [len(indices) * rounds * 7 for rounds, indices, _ in blocks]
         # A threshold no block clears even scaled by d=3, hence no single
         # cell either: each cell runs on its own, and the cost model must

@@ -24,6 +24,7 @@ from repro.sim.ndbatch import (
     NDBATCH_PROTOCOLS,
     run_ndbatch_block,
     run_ndbatch_protocol,
+    run_vector_block,
 )
 
 from tests.conftest import assert_execution_ok
@@ -139,6 +140,23 @@ class TestApproximationStepBlock:
         with pytest.raises(ValueError, match="extremes"):
             approximation_step_block(np.zeros((2, 4)), bounds)
 
+    @pytest.mark.parametrize("dtype", ["float64", "float32"])
+    @pytest.mark.parametrize("d", [1, 3])
+    def test_slab_reduction_equals_one_kernel_call(self, d, dtype):
+        # The engine reduces a round's samples a slab of executions at a
+        # time; four slabs, the last one short, change no bit.
+        from repro.sim.ndbatch import QUORUM_SLAB_KEYS, _reduce_samples
+
+        bounds = async_byzantine_bounds(61, 12)
+        shape = (61, bounds.sample_size, d)
+        count = 3 * (QUORUM_SLAB_KEYS // (shape[0] * shape[1] * d)) + 2
+        rng = np.random.default_rng(d)
+        sample = rng.uniform(-5, 5, size=(count,) + shape).astype(dtype)
+        whole = approximation_step_block(sample, bounds, dtype=dtype, axis=-2)
+        slabbed = _reduce_samples(sample, bounds, dtype, validate=True)
+        assert slabbed.dtype == whole.dtype
+        assert np.array_equal(slabbed, whole)
+
 
 class TestBlockValidation:
     def test_protocols_match_batch_engine(self):
@@ -200,6 +218,22 @@ class TestBlockValidation:
             "async-byzantine", [0.0] * 7, t=2, epsilon=0.1, strict=False
         )
         assert result.report.all_decided
+
+    def test_sample_too_small_for_its_reduction_raises(self):
+        # n=6, t=2: a round's sample holds n - t = 4 values, too few to drop
+        # j = 2 extremes from each side.  strict=False skips the resilience
+        # check only; the reduction still refuses, at d = 1 and d = 3.
+        message = "cannot remove 2 extremes from each side of a multiset of size 4"
+        with pytest.raises(ValueError, match=message):
+            run_ndbatch_protocol(
+                "async-byzantine", [0.2 * i for i in range(6)], t=2, epsilon=0.1,
+                strict=False,
+            )
+        with pytest.raises(ValueError, match=message):
+            run_vector_block(
+                "async-byzantine", [[[0.2 * i, 0.0, -0.1 * i] for i in range(6)]],
+                t=2, epsilon=0.1, strict=False,
+            )
 
     def test_mismatched_sequence_lengths_rejected(self):
         with pytest.raises(ValueError, match="equal lengths"):

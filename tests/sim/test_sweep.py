@@ -27,6 +27,7 @@ from repro.sim.sweep import (
     SweepSpec,
     _group_ndbatch_blocks,
     _iter_indexed_outcomes,
+    _plan_cell,
     _split_blocks,
     adversary_fits_protocol,
     iter_sweep_jsonl,
@@ -216,22 +217,23 @@ class TestNdbatchEngine:
             SPEC, engine="ndbatch", workloads=("uniform", "extremes")
         )
         cells = list(spec.cells())
-        blocks = _group_ndbatch_blocks(cells)
+        blocks = _group_ndbatch_blocks([_plan_cell(cell) for cell in cells])
         covered = sorted(i for _, indices, _ in blocks for i in indices)
         assert covered == list(range(len(cells)))  # every cell in exactly one block
-        for rounds, indices, inputs_block in blocks:
+        for rounds, indices, plans in blocks:
             shapes = {(cells[i].protocol, cells[i].n, cells[i].t) for i in indices}
             assert len(shapes) == 1
             assert rounds >= 0
-            assert len(inputs_block) == len(indices)
-            assert all(len(row) == cells[indices[0]].n for row in inputs_block)
+            assert [plan.cell for plan in plans] == [cells[i] for i in indices]
+            assert all(plan.rounds == rounds for plan in plans)
+            assert all(len(plan.inputs) == cells[indices[0]].n for plan in plans)
 
 
 class TestBlockSplitting:
     def test_split_blocks_caps_sizes_and_covers_every_cell(self):
         spec = dataclasses.replace(SPEC, engine="ndbatch", seeds=tuple(range(6)))
         cells = list(spec.cells())
-        blocks = _group_ndbatch_blocks(cells)
+        blocks = _group_ndbatch_blocks([_plan_cell(cell) for cell in cells])
         chunks = _split_blocks(blocks, max_block_size=4)
         assert max(len(indices) for _, indices, _ in chunks) <= 4
         covered = sorted(i for _, indices, _ in chunks for i in indices)
@@ -240,7 +242,7 @@ class TestBlockSplitting:
 
     def test_chunks_round_robin_across_source_blocks(self):
         spec = dataclasses.replace(SPEC, engine="ndbatch", seeds=tuple(range(6)))
-        blocks = _group_ndbatch_blocks(list(spec.cells()))
+        blocks = _group_ndbatch_blocks([_plan_cell(cell) for cell in spec.cells()])
         chunks = _split_blocks(blocks, max_block_size=4)
         # With >= 2 source blocks the first two chunks must come from
         # different blocks (interleaved), not the same block back to back.

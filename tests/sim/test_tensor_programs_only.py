@@ -16,7 +16,12 @@ per-recipient ``quorum`` calls only, and the stateful
   ndbatch;
 * as a sweep adversary (the three that have a message-level form), ``auto``
   cells and ``auto`` sweeps run on batch at d ∈ {1, 3} and equal batch
-  runs, while explicit ndbatch cells and sweeps raise.
+  runs, while explicit ndbatch cells and sweeps raise (and, under a retry
+  policy, demote to batch).
+
+A block is refused before any of its chunks runs, and the block entry
+points name the same capable engines as ``engine.run``: batch only, since
+the event engine takes no round-level fault model or omission policy.
 """
 
 from __future__ import annotations
@@ -36,8 +41,10 @@ from repro.net.adversary import (
     RoundFaultModel,
 )
 from repro.net.network import DelayModel, UniformRandomDelay
+import repro.sim.ndbatch as ndbatch_module
 from repro.sim.engine import EngineCapabilityError, run
 from repro.sim.ndbatch import run_ndbatch_block, run_vector_block
+from repro.sim.resilient import RetryPolicy
 from repro.sim.sweep import (
     ADVERSARY_SPECS,
     AdversaryBundle,
@@ -159,6 +166,52 @@ def test_block_entry_points_refuse(name, dimension):
     _assert_refused_towards_batch(raised)
 
 
+@pytest.mark.parametrize("dimension", [1, 3])
+@pytest.mark.parametrize("name", ["mirrored-mean", "uniform-random-delay"])
+def test_block_refused_before_any_chunk_runs(monkeypatch, name, dimension):
+    # Three executions in chunks of one; only the last holds the component.
+    protocol, n, t, scenario = COMPONENTS[name]
+    kwargs = scenario()
+    policy = None
+    if "delay_model" in kwargs:
+        policy = DelayRankOmission(kwargs["delay_model"])
+    advanced = []
+    advance = ndbatch_module._advance_block
+
+    def counting(block):
+        advanced.append(block.count)
+        return advance(block)
+
+    monkeypatch.setattr(ndbatch_module, "_advance_block", counting)
+    entry = run_ndbatch_block if dimension == 1 else run_vector_block
+    with pytest.raises(EngineCapabilityError) as raised:
+        entry(
+            protocol, [_inputs(n, dimension)] * 3, t=t, epsilon=EPSILON,
+            fault_models=[None, None, kwargs.get("fault_model")],
+            omission_policies=[None, None, policy],
+            chunk_executions=1,
+        )
+    _assert_refused_towards_batch(raised)
+    assert advanced == []
+
+
+@pytest.mark.parametrize("name", ["mirrored-mean", "per-recipient", "ranked-only"])
+def test_block_and_front_door_name_the_same_capable_engines(name):
+    protocol, n, t, scenario = COMPONENTS[name]
+    kwargs = scenario()
+    with pytest.raises(EngineCapabilityError) as block:
+        run_ndbatch_block(
+            protocol, [_inputs(n, 1)], t=t, epsilon=EPSILON,
+            fault_models=[kwargs.get("fault_model")],
+            omission_policies=[kwargs.get("omission_policy")],
+        )
+    with pytest.raises(EngineCapabilityError) as front_door:
+        run(protocol, _inputs(n, 1), t=t, epsilon=EPSILON, engine="ndbatch", **scenario())
+    # The event engine takes no RoundFaultModel or OmissionPolicy.
+    assert block.value.capable == front_door.value.capable == ("batch",)
+    assert "tensor program" in str(block.value)
+
+
 @pytest.mark.parametrize("name", sorted(COMPONENTS))
 def test_explicit_ndbatch_run_refuses(name):
     protocol, n, t, scenario = COMPONENTS[name]
@@ -210,3 +263,12 @@ def test_sweep_cells_run_on_batch_and_refuse_ndbatch(monkeypatch, name, dimensio
     with pytest.raises(EngineCapabilityError) as raised:
         run_sweep(dataclasses.replace(spec, engine="ndbatch"), workers=1)
     assert "batch" in raised.value.capable
+
+    # Under a retry policy the refusal stays inside the block's unit, which
+    # splits and demotes every cell to batch.
+    retried = run_sweep(
+        dataclasses.replace(spec, engine="ndbatch"), workers=1,
+        retry=RetryPolicy(max_attempts=1),
+    )
+    assert [outcome.engine_used for outcome in retried] == ["batch"] * 4
+    assert [outcome.demoted_from for outcome in retried] == ["ndbatch"] * 4
