@@ -139,14 +139,23 @@ class EngineCapabilities:
     #: ``None`` means there is nothing to demote to.
     demotes_to: Optional[str] = None
 
+    def __post_init__(self) -> None:
+        # ``supports``/``missing`` run for every engine selection (once per
+        # sweep cell), so the full set is built once per engine.
+        object.__setattr__(
+            self,
+            "_feature_set",
+            self.features | frozenset(f"protocol:{p}" for p in self.protocols),
+        )
+
     def feature_set(self) -> FrozenSet[str]:
-        return self.features | frozenset(f"protocol:{p}" for p in self.protocols)
+        return self._feature_set
 
     def supports(self, required: Iterable[str]) -> bool:
-        return set(required) <= self.feature_set()
+        return set(required) <= self._feature_set
 
     def missing(self, required: Iterable[str]) -> Tuple[str, ...]:
-        return tuple(sorted(set(required) - self.feature_set()))
+        return tuple(sorted(set(required) - self._feature_set))
 
 
 #: Engine name → capability record, fastest engine first.

@@ -505,6 +505,8 @@ class SweepCell:
 
     def __post_init__(self) -> None:
         params = self.adversary_params
+        if params == ():
+            return  # the default: already canonical, nothing to sort
         items = params.items() if isinstance(params, dict) else params
         normalized = tuple(sorted((str(key), value) for key, value in items))
         object.__setattr__(self, "adversary_params", normalized)
@@ -1646,7 +1648,11 @@ class SweepSummaryFold:
 
     def update(self, outcome: CellOutcome) -> None:
         """Fold one outcome into its summary group."""
-        self._groups.setdefault(_summary_key(outcome.cell), _GroupFold()).update(outcome)
+        key = _summary_key(outcome.cell)
+        group = self._groups.get(key)
+        if group is None:
+            group = self._groups[key] = _GroupFold()
+        group.update(outcome)
         self._total += 1
 
     def update_many(self, outcomes: Iterable[CellOutcome]) -> "SweepSummaryFold":

@@ -86,9 +86,11 @@ class TestParamsInCellIds:
             engine="batch",
         )
         assert cell_id(cell) == "f1add43e3fb0b6af"
-        assert cell_id(dataclasses.replace(cell, adversary_params=())) == (
-            "f1add43e3fb0b6af"
-        )
+        for empty in ((), {}, []):
+            bare = dataclasses.replace(cell, adversary_params=empty)
+            assert bare.adversary_params == ()
+            assert bare == cell and hash(bare) == hash(cell)
+            assert cell_id(bare) == "f1add43e3fb0b6af"
 
     @given(cell=param_cells())
     @settings(max_examples=60, deadline=None)
