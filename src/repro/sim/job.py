@@ -96,6 +96,7 @@ from repro.sim.sweep import (
     SweepCell,
     SweepSpec,
     SweepSummaryFold,
+    _cell_payload,
     _iter_indexed_outcomes,
     _outcome_from_payload,
     _outcome_to_json_line,
@@ -142,32 +143,16 @@ class SweepJobError(RuntimeError):
 def cell_id(cell: SweepCell) -> str:
     """Content-addressed ID of one sweep cell: 16 hex chars, stable everywhere.
 
-    The digest is taken over the cell's canonical JSON form (sorted keys,
-    no whitespace), so it depends only on the cell's fields — never on
-    process identity, dict order or ``PYTHONHASHSEED``.  Floats serialise
-    via ``repr`` (shortest round-trip form), which is stable across the
-    supported Python versions.  ``dimension`` enters the digest only when
-    it is not 1, so every scalar cell keeps the ID it had before the
-    dimension axis existed — v1 stores stay valid verbatim.
-    ``adversary_params`` follows the same omit-when-empty contract: only
-    parameterised attack-family cells (:mod:`repro.analysis.attacksearch`)
-    carry the key, so parameterless cells keep their historic IDs.
+    The digest is taken over the cell's canonical JSON form
+    (``repro.sim.sweep._cell_payload``, with sorted keys and no whitespace),
+    so it depends only on the cell's fields — never on process identity,
+    dict order or ``PYTHONHASHSEED``.  Floats serialise via ``repr``
+    (shortest round-trip form), which is stable across the supported Python
+    versions.  The form keys ``dimension`` only when it is not 1 and
+    ``adversary_params`` only when they are set, so scalar parameterless
+    cells keep their historic IDs and v1 stores stay valid verbatim.
     """
-    fields = {
-        "protocol": cell.protocol,
-        "n": cell.n,
-        "t": cell.t,
-        "epsilon": cell.epsilon,
-        "adversary": cell.adversary,
-        "workload": cell.workload,
-        "seed": cell.seed,
-        "engine": cell.engine,
-    }
-    if cell.dimension != 1:
-        fields["dimension"] = cell.dimension
-    if cell.adversary_params:
-        fields["adversary_params"] = dict(cell.adversary_params)
-    payload = json.dumps(fields, sort_keys=True, separators=(",", ":"))
+    payload = json.dumps(_cell_payload(cell), sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()[:16]
 
 

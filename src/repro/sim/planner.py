@@ -1,4 +1,4 @@
-"""Block memory planner: bytes-budgeted chunking and pad-vs-split fusion.
+"""Block memory planner and the sweep's dispatch-unit rule.
 
 The vectorised engine (:mod:`repro.sim.ndbatch`) materialises per-round
 tensors proportional to ``executions × n²`` — so before this module, block
@@ -15,12 +15,10 @@ streaming problem:
   ``(executions, n, m)`` whole.  Chunking cannot change outcomes (each
   execution's scenario is self-contained; guarded by
   ``tests/sim/test_planner.py``), so the plan is pure performance policy.
-* :func:`decide_pad_or_split` answers the PR 4 fusion follow-up: given
-  equal-program blocks of *different* ``(n, t)`` shapes, is it worth padding
-  them into one dispatch group (fewer pool round trips) or must they stay
-  split?  Padding is dispatch-level — the kernel never pads value matrices
-  (``m = n − t`` differs per shape, so there is no shared strided slice);
-  the decision is about co-scheduling whole chunks into one worker item.
+* :func:`pack_dispatch_groups` cuts a sweep's work — single cells, or its
+  ndbatch block chunks — into the units one pool round trip carries.  It
+  sizes units by cell count alone: a unit's chunks run one after another,
+  so the unit's peak memory is its largest chunk's.
 
 The cost model is a closed form over the engine's actual allocations (the
 candidate/quorum-index/sample/history tensors; rank keys are built in
@@ -31,6 +29,8 @@ over it costs the host.
 
 from __future__ import annotations
 
+import bisect
+import itertools
 import os
 from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple
@@ -39,12 +39,13 @@ __all__ = [
     "ENV_BUDGET",
     "ENV_DTYPE",
     "FLOAT_DTYPES",
+    "DEFAULT_UNIT_CELLS",
+    "MAX_UNIT_CELLS",
     "BlockPlan",
-    "ShapeCost",
     "available_memory_bytes",
     "bytes_per_execution",
-    "decide_pad_or_split",
     "default_budget_bytes",
+    "pack_dispatch_groups",
     "plan_block",
     "resolve_dtype",
 ]
@@ -168,8 +169,8 @@ def bytes_per_execution(
     * report tensor: a block with strategies keeps ``(S, n)`` floats per
       execution, one row per strategy slot, where ``S ≤ t < n`` is the
       block's largest strategy count.  It is charged as ``(n, n)`` floats
-      unconditionally — an upper bound, so plans and dispatch groups do not
-      depend on the adversary;
+      unconditionally — an upper bound, so plans do not depend on the
+      adversary;
     * gathered sample ``(n, m)`` float, the gathered reports, and the
       kernel's sorted copy;
     * value history ``(rounds + 1, n)`` float plus ~8 per-``(count, n)``
@@ -226,15 +227,13 @@ def plan_block(
     rounds: int,
     dtype: str = "float64",
     budget_bytes: Optional[int] = None,
-    max_chunk: Optional[int] = None,
     dimension: int = 1,
 ) -> BlockPlan:
     """Plan the execution-chunk size of one ``(count, n, m, rounds)`` block.
 
     The chunk is the largest execution count whose modelled peak footprint
     (with ×2 headroom for op temporaries) fits ``budget_bytes`` (default
-    :func:`default_budget_bytes`), clamped to ``[1, count]`` and optionally
-    to ``max_chunk`` (the sweep's load-balancing block cap).  Chunk size is
+    :func:`default_budget_bytes`), clamped to ``[1, count]``.  Chunk size is
     performance policy only: outcomes are invariant to it.
     """
     if count < 0:
@@ -245,10 +244,6 @@ def plan_block(
     per_execution = bytes_per_execution(n, m, rounds, dtype, dimension=dimension)
     fit = max(1, budget // (2 * per_execution))
     chunk = min(count, fit) if count else 0
-    if max_chunk is not None:
-        if max_chunk < 1:
-            raise ValueError("max_chunk must be at least 1")
-        chunk = min(chunk, max_chunk) if chunk else 0
     chunk_count = -(-count // chunk) if count else 0
     return BlockPlan(
         chunk_executions=max(1, chunk) if count else 0,
@@ -258,96 +253,59 @@ def plan_block(
     )
 
 
-@dataclass(frozen=True)
-class ShapeCost:
-    """One equal-program chunk competing for a shared dispatch group."""
+#: Most cells in a dispatch unit on one worker, and in a unit of a sweep too
+#: small for guided units; the fewest a guided unit takes.  The tail of every
+#: large sweep goes out in units this small, so the workers finish together.
+DEFAULT_UNIT_CELLS = 8
 
-    count: int
-    n: int
-    m: int
-    rounds: int
-
-
-#: Fused dispatch may waste at most this fraction of its padded footprint.
-#: Beyond it, the small shapes are paying more in padding than they save in
-#: pool round trips — split instead.
-PAD_WASTE_LIMIT = 0.5
-
-
-def decide_pad_or_split(
-    shapes: Sequence[ShapeCost],
-    dtype: str = "float64",
-    budget_bytes: Optional[int] = None,
-    waste_limit: float = PAD_WASTE_LIMIT,
-) -> str:
-    """``"pad"`` or ``"split"`` for equal-program chunks of mixed shapes.
-
-    Fusing models the dispatch group as padded to its largest member shape
-    (one worker item, sequential kernel calls inside): worth it when the
-    padded footprint both fits the budget and wastes at most ``waste_limit``
-    of itself relative to the exact footprint.  Subsumes the PR 4 follow-up
-    on fusing equal-program blocks across ``(n, t)`` shapes.
-    """
-    if not shapes:
-        return "split"
-    budget = budget_bytes if budget_bytes is not None else default_budget_bytes()
-    n_max = max(shape.n for shape in shapes)
-    m_max = max(shape.m for shape in shapes)
-    rounds_max = max(shape.rounds for shape in shapes)
-    total = sum(shape.count for shape in shapes)
-    padded = total * bytes_per_execution(n_max, m_max, rounds_max, dtype)
-    exact = sum(
-        shape.count * bytes_per_execution(shape.n, shape.m, shape.rounds, dtype)
-        for shape in shapes
-    )
-    if 2 * padded > budget:
-        return "split"
-    if padded > 0 and (padded - exact) / padded > waste_limit:
-        return "split"
-    return "pad"
+#: Most cells in one guided dispatch unit, unless its one item holds more.
+#: Each unit costs the parent a pool round trip, and a poisoned cell's
+#: unit-mates rework with it: at 64, witness-batch's 1,536 cells go to two
+#: workers in 40 units, and a unit's timeout budget stays 64 cells' worth.
+MAX_UNIT_CELLS = 64
 
 
 def pack_dispatch_groups(
-    shapes: Sequence[Tuple[object, ShapeCost]],
-    dtype: str = "float64",
-    budget_bytes: Optional[int] = None,
+    weights: Sequence[int], worker_count: int
 ) -> Tuple[Tuple[int, ...], ...]:
-    """Greedily pack equal-program chunks into fused dispatch groups.
+    """Cut a sweep's work items into dispatch units, in order.
 
-    ``shapes`` is a sequence of ``(program_key, ShapeCost)`` pairs, one per
-    chunk, in dispatch order.  Consecutive chunks sharing a program key are
-    fused into one group while :func:`decide_pad_or_split` keeps answering
-    ``"pad"`` for the growing group; everything else stays singleton.
-    Returns the groups as tuples of chunk indices (order-preserving — a
-    flattened result enumerates every input index exactly once).
+    ``weights`` holds each item's cell count: 1 for a cell that runs on its
+    own, the chunk's size for an ndbatch block chunk, which is never split.
+    Returns the units as tuples of consecutive item indices, so the
+    flattened groups enumerate every index once, in order.
+
+    Four shares per worker.  A sweep of fewer than ``DEFAULT_UNIT_CELLS``
+    cells per share is cut into units of ``cells // shares`` cells (at
+    least one item).  A larger sweep is guided: each unit takes
+    ⌈remaining cells / shares⌉ cells, never fewer than ``DEFAULT_UNIT_CELLS``
+    nor more than ``MAX_UNIT_CELLS`` — on one worker, where a larger unit
+    saves no round trip and only delays the first stored outcome, never more
+    than ``DEFAULT_UNIT_CELLS`` — so the sweep goes out in a few dozen units
+    that shrink towards its end.  A unit takes items while they fit its
+    size, and always its first: only a unit of one item holds more.
+
+    The saving is parent CPU: a ``multiprocessing.Pool``'s worker-handler
+    thread also waits on the result pipe and re-runs its maintenance loop
+    until each result is read, so a round trip costs the parent about the
+    same whatever the unit holds.  A unit runs its chunks one after another,
+    so its peak memory is its largest chunk's, which :func:`plan_block`
+    bounds.
     """
-    groups: list = []
-    current: list = []
-    current_key: object = None
-    for index, (key, shape) in enumerate(shapes):
-        if current and key == current_key:
-            candidate = [shapes[i][1] for i in current] + [shape]
-            same_shape = all(
-                (s.n, s.m, s.rounds) == (shape.n, shape.m, shape.rounds)
-                for s in candidate
-            )
-            if not same_shape and decide_pad_or_split(
-                candidate, dtype, budget_bytes
-            ) == "pad":
-                current.append(index)
-                continue
-            if same_shape:
-                # Equal shapes never pad; fusing them is pure pool-round-trip
-                # savings, but the sweep's interleaving already load-balances
-                # them — keep them singleton so balancing is preserved.
-                groups.append(tuple(current))
-                current = [index]
-                current_key = key
-                continue
-        if current:
-            groups.append(tuple(current))
-        current = [index]
-        current_key = key
-    if current:
-        groups.append(tuple(current))
+    ends = list(itertools.accumulate(weights))
+    total = ends[-1] if ends else 0
+    shares = 4 * max(1, worker_count)
+    most = MAX_UNIT_CELLS if worker_count > 1 else DEFAULT_UNIT_CELLS
+    guided = total >= DEFAULT_UNIT_CELLS * shares
+    groups = []
+    start = done = 0
+    while start < len(ends):
+        if guided:
+            size = min(most, max(DEFAULT_UNIT_CELLS, -(-(total - done) // shares)))
+        else:
+            size = max(1, total // shares)
+        stop = max(start + 1, bisect.bisect_right(ends, done + size, start))
+        groups.append(tuple(range(start, stop)))
+        done = ends[stop - 1]
+        start = stop
     return tuple(groups)

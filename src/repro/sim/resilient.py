@@ -86,6 +86,8 @@ from typing import (
 
 from repro.sim.chaos import ChaosError, ChaosPlan, inject_execution_faults
 from repro.sim.engine import demotion_target
+# The unit rule's bounds, kept importable beside the pools that use them.
+from repro.sim.planner import DEFAULT_UNIT_CELLS, MAX_UNIT_CELLS  # noqa: F401
 
 __all__ = [
     "FAULT_CLASS_CRASH",
@@ -105,18 +107,6 @@ __all__ = [
 FAULT_CLASS_RAISE = "raise"
 FAULT_CLASS_TIMEOUT = "timeout"
 FAULT_CLASS_CRASH = "worker-crash"
-
-#: Cells per pure-Python work unit on a grid too small for guided units
-#: (at most this many), and the fewest a guided unit takes (see
-#: :func:`_cells_units`).  The tail of every large grid goes out in units
-#: this small, so the workers finish together.
-DEFAULT_UNIT_CELLS = 8
-
-#: Most cells in one guided pure-Python work unit.  Each unit costs the
-#: parent a pool round trip, and a poisoned cell's unit-mates rework with
-#: it: at 64, witness-batch's 1,536 cells go to two workers in 40 units,
-#: and a unit's timeout budget stays 64 cells' worth.
-MAX_UNIT_CELLS = 64
 
 #: Parent event-loop poll granularity (deadline checks, liveness scan).
 #: Completions wake the loop immediately via ``connection.wait``; this only
@@ -239,27 +229,12 @@ class CellFailure:
     demoted_from: str = ""
 
     def as_payload(self) -> Dict:
-        cell = self.cell
-        cell_payload = {
-            "protocol": cell.protocol,
-            "n": cell.n,
-            "t": cell.t,
-            "epsilon": cell.epsilon,
-            "adversary": cell.adversary,
-            "workload": cell.workload,
-            "seed": cell.seed,
-            "engine": cell.engine,
-        }
-        if cell.dimension != 1:
-            # Keyed only for d > 1, matching the store's canonical cell form
-            # (scalar quarantine lines stay byte-identical to schema v1).
-            cell_payload["dimension"] = cell.dimension
-        if cell.adversary_params:
-            # Same omit-when-empty form as the store: the job layer matches
-            # a record to stored outcomes by the cell's value.
-            cell_payload["adversary_params"] = dict(cell.adversary_params)
+        # The store's canonical cell form: the job layer matches a record to
+        # stored outcomes by the cell's value.
+        from repro.sim.sweep import _cell_payload
+
         return {
-            "cell": cell_payload,
+            "cell": _cell_payload(self.cell),
             "cell_id": self.cell_id,
             "error_type": self.error_type,
             "message": self.message,
@@ -359,9 +334,9 @@ class _Unit:
 
     indices: List[int]
     cells: List["SweepCell"]  # noqa: F821
-    #: The fused ndbatch chunks of cell plans the unit runs as blocks (see
-    #: ``repro.sim.sweep._ndbatch_dispatch_groups``), or ``None`` for a unit
-    #: whose cells run one by one.
+    #: The ndbatch chunks of cell plans the unit runs as blocks, one after
+    #: another (see ``repro.sim.sweep._ndbatch_dispatch_groups``), or
+    #: ``None`` for a unit whose cells run one by one.
     group: Optional[Tuple] = None
     #: Engine override for per-cell units (``None`` → each cell's own engine).
     engine: Optional[str] = None
@@ -386,32 +361,14 @@ def _cells_units(
     indices: Sequence[int],
     worker_count: int,
 ) -> List[_Unit]:
-    """Cut per-cell work into units, in grid order, four shares per worker.
+    """Cut per-cell work into units, in grid order, by the sweep's one unit
+    rule (:func:`repro.sim.planner.pack_dispatch_groups`, one cell per item)."""
+    from repro.sim.planner import pack_dispatch_groups
 
-    A grid of fewer than ``DEFAULT_UNIT_CELLS`` cells per share is cut into
-    units of ``len(indices) // (4 · workers)`` cells (at least one).
-    A larger grid is guided: each unit takes ⌈remaining / (4 · workers)⌉
-    cells, never fewer than ``DEFAULT_UNIT_CELLS`` nor more than
-    ``MAX_UNIT_CELLS``, so the grid goes out in a few dozen units that
-    shrink towards its end.  The saving is parent CPU: a
-    ``multiprocessing.Pool``'s worker-handler thread also waits on the
-    result pipe and re-runs its maintenance loop until each result is read,
-    so a round trip costs the parent about the same whatever the unit holds.
-    """
-    shares = 4 * max(1, worker_count)
-    count = len(indices)
-    guided = count >= DEFAULT_UNIT_CELLS * shares
     units = []
-    start = 0
-    while start < count:
-        if guided:
-            size = -(-(count - start) // shares)
-            size = min(MAX_UNIT_CELLS, max(DEFAULT_UNIT_CELLS, size))
-        else:
-            size = max(1, count // shares)
-        chunk = indices[start : start + size]
+    for group in pack_dispatch_groups([1] * len(indices), worker_count):
+        chunk = [indices[i] for i in group]
         units.append(_Unit(indices=chunk, cells=[cells[i] for i in chunk]))
-        start += size
     return units
 
 
@@ -769,10 +726,11 @@ def iter_resilient_outcomes(
 ) -> Iterator[Tuple[int, "CellOutcome"]]:  # noqa: F821
     """Yield ``(cell_index, outcome)`` pairs for a cell list.
 
-    The sweep execution core.  The cells split into work units once:
-    ndbatch chunk groups (``repro.sim.sweep._ndbatch_dispatch_groups``,
-    which receives ``dtype``/``budget_bytes``) and per-cell units for the
-    rest.  ``dtype`` is resolved first, for every engine
+    The sweep execution core.  The cells split into work units once, by
+    one rule (:func:`repro.sim.planner.pack_dispatch_groups`): units of
+    ndbatch chunks (``repro.sim.sweep._ndbatch_dispatch_groups``, which
+    receives ``dtype``/``budget_bytes``) and per-cell units for the rest.
+    ``dtype`` is resolved first, for every engine
     (:func:`repro.sim.planner.resolve_dtype`: kwarg, else
     ``REPRO_ARRAY_DTYPE``, else float64), so an unknown dtype raises
     :class:`ValueError` before any unit runs, even on a grid no ndbatch
@@ -804,7 +762,7 @@ def iter_resilient_outcomes(
     units = [
         _Unit(indices=indices, cells=[cells[i] for i in indices], group=group)
         for indices, group in _ndbatch_dispatch_groups(
-            cells, engine, max_block_size, dtype, budget_bytes
+            cells, engine, max_block_size, dtype, budget_bytes, worker_count
         )
     ]
     covered = {index for unit in units for index in unit.indices}

@@ -1059,54 +1059,11 @@ def _run_ndbatch_chunk(chunk) -> List[CellOutcome]:
 
 
 def _run_ndbatch_group(group) -> List[CellOutcome]:
-    """Execute one fused dispatch group (chunks sharing a fault program).
+    """Execute one dispatch unit's chunks, each as its own block, in order.
 
-    The memory planner (:func:`repro.sim.planner.pack_dispatch_groups`) fuses
-    equal-program chunks of *different* ``(n, t)`` shapes into one pool work
-    item when their padded footprint fits the bytes budget — fewer pool round
-    trips for mixed-shape grids; the kernel calls inside stay per-shape, so
-    outcomes are identical to dispatching the chunks separately.  Returns the
-    outcomes in chunk order.
+    Returns the outcomes in chunk order.
     """
     return [outcome for chunk in group for outcome in _run_ndbatch_chunk(chunk)]
-
-
-def _pack_chunk_groups(
-    chunks: Sequence[Tuple],
-    dtype: str,
-    budget_bytes: Optional[int],
-) -> Tuple[Tuple[int, ...], ...]:
-    """Fuse equal-program, mixed-shape chunks into dispatch groups.
-
-    Builds the planner's ``(program_key, ShapeCost)`` view of each chunk
-    from its first plan and lets
-    :func:`repro.sim.planner.pack_dispatch_groups` decide pad-vs-split;
-    equal-shape chunks always stay singleton (the round-robin interleave of
-    :func:`_split_blocks` already load-balances them), so homogeneous grids
-    dispatch exactly as before.
-    """
-    from repro.sim.planner import ShapeCost, pack_dispatch_groups
-
-    shapes = []
-    for rounds, plans, _options in chunks:
-        first = plans[0]
-        shapes.append(
-            (
-                _fault_program_key(first),
-                ShapeCost(
-                    # d > 1 chunks carry d value floats per (execution, pid)
-                    # slot; scaling the count approximates the value-array
-                    # footprint (quorum tensors stay d-free — see
-                    # planner.bytes_per_execution — so this slightly
-                    # over-estimates, which only makes packing conservative).
-                    count=len(plans) * first.cell.dimension,
-                    n=first.cell.n,
-                    m=first.bounds.sample_size,
-                    rounds=rounds,
-                ),
-            )
-        )
-    return pack_dispatch_groups(shapes, dtype=dtype, budget_bytes=budget_bytes)
 
 
 def _ndbatch_dispatch_groups(
@@ -1115,12 +1072,15 @@ def _ndbatch_dispatch_groups(
     max_block_size: int,
     dtype: str = "float64",
     budget_bytes: Optional[int] = None,
+    worker_count: int = 1,
 ) -> List[Tuple[List[int], Tuple[Tuple, ...]]]:
     """The block share of a cell list's work-unit decomposition.
 
     Returns one ``(cell_indices, group)`` pair per dispatch unit: ``group`` is
-    a tuple of ndbatch chunks ``(rounds, plans, options)`` fused by
-    :func:`_pack_chunk_groups`, ``cell_indices`` the chunks' cells in order,
+    a tuple of ndbatch chunks ``(rounds, plans, options)``, cut into units
+    for ``worker_count`` workers by the sweep's one unit rule
+    (:func:`repro.sim.planner.pack_dispatch_groups`, each chunk an item
+    weighing its cell count), ``cell_indices`` the chunks' cells in order,
     and ``options`` carries ``dtype``/``budget_bytes``.  ``dtype`` is a
     resolved name (:func:`repro.sim.planner.resolve_dtype`): the caller
     checks it before any cell runs, so a bad selection fails the sweep up
@@ -1167,6 +1127,8 @@ def _ndbatch_dispatch_groups(
         raise ImportError(
             "engine='ndbatch' requires numpy; install numpy or use engine='batch'"
         )
+    from repro.sim.planner import pack_dispatch_groups
+
     options = {"dtype": dtype, "budget_bytes": budget_bytes}
     split = _split_blocks(blocks, max_block_size)
     chunks = [(rounds, plans, options) for rounds, _, plans in split]
@@ -1175,7 +1137,9 @@ def _ndbatch_dispatch_groups(
             [index for member in group for index in split[member][1]],
             tuple(chunks[member] for member in group),
         )
-        for group in _pack_chunk_groups(chunks, dtype, budget_bytes)
+        for group in pack_dispatch_groups(
+            [len(plans) for _, plans, _ in chunks], worker_count
+        )
     ]
 
 
@@ -1208,8 +1172,8 @@ def _iter_indexed_outcomes(
     (:mod:`repro.sim.job`) and the attack search: one unit decomposition
     (:func:`_ndbatch_dispatch_groups` plus per-cell units) run by
     :func:`repro.sim.resilient.iter_resilient_outcomes`.  Outcomes stream as
-    units complete — per unit of cells for batch/event, per fused chunk group
-    for ndbatch/auto — so persistence layers can flush completed work
+    units complete — per unit of cells for batch/event, per unit of block
+    chunks for ndbatch/auto — so persistence layers can flush completed work
     incrementally.  Without a retry policy they are yielded in unit order,
     which is grid order for batch/event; the fault-tolerant pool yields in
     completion order.  Indices restore grid order either way.
@@ -1411,6 +1375,33 @@ class SweepStoreWarning(RuntimeWarning):
     """
 
 
+def _cell_payload(cell: SweepCell) -> Dict:
+    """A cell's canonical JSON form: the ``"cell"`` of a store line and of a
+    quarantine record, and what :func:`repro.sim.job.cell_id` digests.
+
+    ``dimension`` is keyed only when it is not 1, and ``adversary_params``
+    only for parameterised cells (attack-search candidates, found attacks
+    pinned with explicit payloads), so scalar parameterless cells keep the
+    lines and IDs they had before either axis existed: old stores stay valid
+    verbatim and canonical re-writes do not churn them.
+    """
+    payload = {
+        "protocol": cell.protocol,
+        "n": cell.n,
+        "t": cell.t,
+        "epsilon": cell.epsilon,
+        "adversary": cell.adversary,
+        "workload": cell.workload,
+        "seed": cell.seed,
+        "engine": cell.engine,
+    }
+    if cell.dimension != 1:
+        payload["dimension"] = cell.dimension
+    if cell.adversary_params:
+        payload["adversary_params"] = dict(cell.adversary_params)
+    return payload
+
+
 def _outcome_to_json_line(outcome: CellOutcome, include_wall_time: bool = True) -> str:
     """One JSON line for a :class:`CellOutcome` (non-finite floats included).
 
@@ -1421,18 +1412,8 @@ def _outcome_to_json_line(outcome: CellOutcome, include_wall_time: bool = True) 
     — the canonical form the job layer writes, making resumed stores
     bit-identical to uninterrupted ones.
     """
-    cell = outcome.cell
     payload = {
-        "cell": {
-            "protocol": cell.protocol,
-            "n": cell.n,
-            "t": cell.t,
-            "epsilon": cell.epsilon,
-            "adversary": cell.adversary,
-            "workload": cell.workload,
-            "seed": cell.seed,
-            "engine": cell.engine,
-        },
+        "cell": _cell_payload(outcome.cell),
         "ok": outcome.ok,
         "all_decided": outcome.all_decided,
         "rounds": outcome.rounds,
@@ -1448,16 +1429,6 @@ def _outcome_to_json_line(outcome: CellOutcome, include_wall_time: bool = True) 
         "engine_used": outcome.engine_used,
         "demoted_from": outcome.demoted_from,
     }
-    if cell.dimension != 1:
-        # Only d > 1 cells carry the key: scalar lines stay byte-identical to
-        # pre-dimension stores, so resume/merge/compaction of old stores keep
-        # working and canonical re-writes don't churn d=1 records.
-        payload["cell"]["dimension"] = cell.dimension
-    if cell.adversary_params:
-        # Same omit-when-empty contract as "dimension": only parameterised
-        # cells (attack-search candidates, found attacks pinned with explicit
-        # payloads) carry the key, so existing stores stay byte-valid.
-        payload["cell"]["adversary_params"] = dict(cell.adversary_params)
     if not include_wall_time:
         del payload["wall_time_seconds"]
     return json.dumps(payload) + "\n"
@@ -1630,20 +1601,13 @@ class SweepSummaryFold:
         summary groups — they are accounted separately so a fold can report
         "N cells excluded with reason" instead of passing them off as
         missing (:func:`repro.sim.job.fold_sweep_jsonl` wires this up from
-        the quarantine stores).  Passing the failed ``cell`` (anything with
-        the grouping fields, e.g. :attr:`~repro.sim.resilient.CellFailure.
-        cell`) additionally attributes the exclusion to its summary group,
+        the quarantine stores).  Passing the failed :class:`SweepCell`
+        (:attr:`~repro.sim.resilient.CellFailure.cell`) additionally
+        attributes the exclusion to its summary group,
         surfacing as the per-row ``quarantined_count`` in :meth:`records`;
         without it the cell still counts at fold level.
         """
-        key = None
-        if cell is not None:
-            key = (
-                cell.protocol, cell.n, cell.t, cell.epsilon,
-                cell.adversary, cell.workload, cell.engine,
-                getattr(cell, "dimension", 1),
-                tuple(getattr(cell, "adversary_params", ()) or ()),
-            )
+        key = _summary_key(cell) if cell is not None else None
         self._quarantined[cell_id] = (fault_class, key)
 
     def update(self, outcome: CellOutcome) -> None:

@@ -3,7 +3,7 @@
 Every sweep — with or without a :class:`~repro.sim.resilient.RetryPolicy` —
 runs through the same unit decomposition.  These tests pin what used to
 drift between the fail-fast and the retrying paths (the dtype option, the
-auto cost model, pad-vs-split packing), the up-front dtype check on every
+auto cost model, the dispatch-unit rule), the up-front dtype check on every
 engine, which units digest a cell ID, the fail-fast meaning of
 ``retry=None``, and the fault-tolerant pool's wakeups.
 """
@@ -141,23 +141,25 @@ class TestRetryKeepsDispatchDecisions:
         packed = []
         original = planner_module.pack_dispatch_groups
 
-        def spy(shapes, *args, **kwargs):
-            groups = original(shapes, *args, **kwargs)
-            packed.append(groups)
+        def spy(weights, worker_count):
+            groups = original(weights, worker_count)
+            packed.append((list(weights), worker_count, groups))
             return groups
 
         monkeypatch.setattr(planner_module, "pack_dispatch_groups", spy)
         spec = SweepSpec(
             protocols=("async-crash",),
             system_sizes=((7, 2), (10, 3)),
-            seeds=(0, 1, 2),
+            seeds=(0, 1, 2, 3),
             engine="ndbatch",
         )
         plain = run_sweep(spec, workers=1)
         packed.clear()
         retried = run_sweep(spec, workers=1, retry=RetryPolicy())
-        assert packed, "the retrying path never consulted the pad-vs-split packer"
-        assert any(len(group) > 1 for group in packed[0])  # shapes were fused
+        assert packed, "the retrying path never consulted the unit rule"
+        # Four chunks of 8 cells: units of 8 // 4 = 2 cells, so the one-cell
+        # chunks of n = 7 and n = 10 share a unit.  No cell runs on its own.
+        assert packed == [([3, 1, 1, 3], 1, ((0,), (1, 2), (3,))), ([], 1, ())]
         assert retried == plain
 
 

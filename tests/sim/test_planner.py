@@ -4,19 +4,24 @@ chunk-streaming it drives through :func:`repro.sim.ndbatch.run_ndbatch_block`.
 
 from __future__ import annotations
 
+import itertools
+
 import pytest
 
 pytest.importorskip("numpy", reason="the vectorised engine requires numpy")
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from repro.sim.planner import (
+    DEFAULT_UNIT_CELLS,
     ENV_BUDGET,
     ENV_DTYPE,
     FLOAT_DTYPES,
+    MAX_UNIT_CELLS,
     BlockPlan,
-    ShapeCost,
     available_memory_bytes,
     bytes_per_execution,
-    decide_pad_or_split,
     default_budget_bytes,
     pack_dispatch_groups,
     plan_block,
@@ -126,11 +131,6 @@ class TestPlanBlock:
         assert plan.chunk_executions == 1
         assert plan.chunk_count == 5
 
-    def test_max_chunk_clamps(self):
-        plan = plan_block(1000, 7, 5, 20, budget_bytes=1 << 34, max_chunk=64)
-        assert plan.chunk_executions == 64
-        assert plan.chunk_count == 16
-
     def test_empty_block(self):
         plan = plan_block(0, 7, 5, 20, budget_bytes=1 << 30)
         assert plan.chunk_executions == 0
@@ -141,70 +141,83 @@ class TestPlanBlock:
             plan_block(-1, 7, 5, 20)
         with pytest.raises(ValueError, match="budget_bytes"):
             plan_block(1, 7, 5, 20, budget_bytes=0)
-        with pytest.raises(ValueError, match="max_chunk"):
-            plan_block(1, 7, 5, 20, budget_bytes=1, max_chunk=0)
 
 
-class TestPadOrSplit:
-    def test_similar_shapes_pad(self):
-        shapes = [ShapeCost(64, 7, 5, 20), ShapeCost(64, 8, 6, 20)]
-        assert decide_pad_or_split(shapes, budget_bytes=1 << 34) == "pad"
-
-    def test_wildly_different_shapes_split(self):
-        # Padding many tiny chunks to one huge member wastes most of the
-        # padded footprint.
-        shapes = [ShapeCost(64, 4, 3, 5)] * 9 + [ShapeCost(1, 50, 40, 200)]
-        assert decide_pad_or_split(shapes, budget_bytes=1 << 40) == "split"
-
-    def test_budget_overflow_splits(self):
-        shapes = [ShapeCost(1000, 7, 5, 20), ShapeCost(1000, 8, 6, 20)]
-        assert decide_pad_or_split(shapes, budget_bytes=1024) == "split"
-
-    def test_empty_is_split(self):
-        assert decide_pad_or_split([]) == "split"
+def _unit_weights(weights, workers):
+    return [
+        sum(weights[i] for i in group)
+        for group in pack_dispatch_groups(weights, workers)
+    ]
 
 
-class TestPackDispatchGroups:
-    def test_flattened_groups_enumerate_every_chunk_once(self):
-        shapes = [
-            ("a", ShapeCost(8, 7, 5, 10)),
-            ("a", ShapeCost(8, 8, 6, 10)),
-            ("b", ShapeCost(8, 7, 5, 10)),
-            ("a", ShapeCost(8, 7, 5, 10)),
+#: ``(cells, workers)`` → the unit sizes ``resilient._cells_units`` recorded
+#: for one-cell items, as ``(size, repeat)`` runs.
+RECORDED_CELL_UNITS = {
+    (30, 1): [(7, 4), (2, 1)],
+    (30, 2): [(3, 10)],
+    (64, 3): [(5, 12), (4, 1)],
+    (200, 8): [(6, 33), (2, 1)],
+    (64, 2): [(8, 8)],
+    (100, 3): [(9, 1), (8, 11), (3, 1)],
+    (1536, 2): [(64, 17), (56, 1), (49, 1), (43, 1), (38, 1), (33, 1),
+                (29, 1), (25, 1), (22, 1), (20, 1), (17, 1), (15, 1),
+                (13, 1), (11, 1), (10, 1), (9, 1), (8, 7), (2, 1)],
+}
+
+
+def _runs(sizes):
+    return [(size, len(list(group))) for size, group in itertools.groupby(sizes)]
+
+
+class TestDispatchUnits:
+    """The sweep's one unit rule (:func:`pack_dispatch_groups`)."""
+
+    @pytest.mark.parametrize("count,workers", sorted(RECORDED_CELL_UNITS))
+    def test_one_cell_items_keep_the_recorded_cell_units(self, count, workers):
+        assert _runs(_unit_weights([1] * count, workers)) == RECORDED_CELL_UNITS[
+            count, workers
         ]
-        groups = pack_dispatch_groups(shapes, budget_bytes=1 << 34)
-        flattened = [index for group in groups for index in group]
-        assert sorted(flattened) == list(range(len(shapes)))
 
-    def test_consecutive_equal_program_mixed_shapes_fuse(self):
-        shapes = [
-            ("a", ShapeCost(8, 7, 5, 10)),
-            ("a", ShapeCost(8, 8, 6, 10)),
-            ("b", ShapeCost(8, 7, 5, 10)),
-        ]
-        groups = pack_dispatch_groups(shapes, budget_bytes=1 << 34)
-        assert groups == ((0, 1), (2,))
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_a_chunk_is_never_split_and_small_tails_fuse(self, workers):
+        # byz-vector's chunk sizes at seed 0 (1,152 cells).
+        weights = [96, 88, 7, 1] * 6
+        groups = pack_dispatch_groups(weights, workers)
+        assert groups == tuple(
+            unit for base in range(0, 24, 4)
+            for unit in ((base,), (base + 1,), (base + 2, base + 3))
+        )
 
-    def test_equal_shapes_stay_singleton_for_load_balancing(self):
-        shapes = [("a", ShapeCost(8, 7, 5, 10))] * 3
-        groups = pack_dispatch_groups(shapes, budget_bytes=1 << 34)
-        assert groups == ((0,), (1,), (2,))
+    def test_chunks_fill_a_guided_unit_in_order(self):
+        # 72 cells in 24 three-cell chunks on two workers: a guided unit of
+        # ⌈72 / 8⌉ = 9 cells takes three chunks, then units of 8 take two.
+        assert pack_dispatch_groups([3] * 24, 2) == ((0, 1, 2),) + tuple(
+            (i, i + 1) for i in range(3, 23, 2)
+        ) + ((23,),)
+        # Below 32 cells per worker, a unit holds total // shares cells.
+        assert pack_dispatch_groups([3] * 8, 2) == tuple((i,) for i in range(8))
+        assert pack_dispatch_groups([3] * 16, 2) == tuple(
+            (i, i + 1) for i in range(0, 16, 2)
+        )
 
-    def test_different_programs_never_fuse(self):
-        shapes = [
-            ("a", ShapeCost(8, 7, 5, 10)),
-            ("b", ShapeCost(8, 8, 6, 10)),
-        ]
-        groups = pack_dispatch_groups(shapes, budget_bytes=1 << 34)
-        assert groups == ((0,), (1,))
+    def test_no_items_no_units(self):
+        assert pack_dispatch_groups([], 1) == ()
+        assert pack_dispatch_groups([], 4) == ()
 
-    def test_budget_pressure_splits_fused_groups(self):
-        shapes = [
-            ("a", ShapeCost(512, 7, 5, 10)),
-            ("a", ShapeCost(512, 8, 6, 10)),
-        ]
-        groups = pack_dispatch_groups(shapes, budget_bytes=1024)
-        assert groups == ((0,), (1,))
+    @settings(max_examples=200, deadline=None)
+    @given(
+        weights=st.lists(st.integers(min_value=1, max_value=300), max_size=60),
+        workers=st.integers(min_value=1, max_value=8),
+    )
+    def test_units_partition_items_in_order_within_the_bounds(self, weights, workers):
+        groups = pack_dispatch_groups(weights, workers)
+        assert [i for group in groups for i in group] == list(range(len(weights)))
+        most = MAX_UNIT_CELLS if workers > 1 else DEFAULT_UNIT_CELLS
+        for group in groups:
+            assert group
+            # Only a unit of one item passes the cap.
+            if len(group) > 1:
+                assert sum(weights[i] for i in group) <= most
 
 
 def _inputs_block(count, n):
@@ -317,24 +330,23 @@ class TestSweepDtypePlumbing:
         with pytest.raises(ValueError, match="unknown array dtype"):
             run_sweep(spec, workers=1, dtype="float16")
 
-    def test_env_dtype_sizes_the_packer_like_the_planner(self, monkeypatch):
-        # REPRO_ARRAY_DTYPE reaches the dispatch packer as a resolved name,
-        # so pad-vs-split and plan_block model the same item size.
-        import repro.sim.sweep as sweep_module
+    def test_env_dtype_reaches_plan_block_resolved(self, monkeypatch):
+        # REPRO_ARRAY_DTYPE reaches the block planner as a resolved name.
+        import repro.sim.ndbatch as ndbatch_module
         from repro.sim.sweep import SweepSpec, run_sweep
 
         seen = []
-        packer = sweep_module._pack_chunk_groups
+        planner = ndbatch_module.plan_block
 
-        def spy(chunks, dtype, budget_bytes):
-            seen.append(dtype)
-            return packer(chunks, dtype, budget_bytes)
+        def spy(*args, **kwargs):
+            seen.append(kwargs["dtype"])
+            return planner(*args, **kwargs)
 
-        monkeypatch.setattr(sweep_module, "_pack_chunk_groups", spy)
-        monkeypatch.setenv(ENV_DTYPE, "float32")
+        monkeypatch.setattr(ndbatch_module, "plan_block", spy)
+        monkeypatch.setenv(ENV_DTYPE, " Float32 ")
         spec = SweepSpec(
             protocols=("async-crash",), system_sizes=((7, 2),), seeds=(0, 1),
             engine="ndbatch",
         )
         run_sweep(spec, workers=1)
-        assert seen == ["float32"]
+        assert seen and set(seen) == {"float32"}
