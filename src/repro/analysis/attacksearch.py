@@ -24,8 +24,8 @@ Three pieces:
 
 * **Scoring** (:func:`evaluate_candidate`): each candidate is evaluated as
   one block of seeded executions through the sweep execution core
-  (:func:`repro.sim.sweep._iter_indexed_outcomes` — the vectorised ndbatch
-  block path whenever the engine capability matrix allows).  Objectives
+  (:func:`repro.sim.resilient.iter_resilient_outcomes` — the vectorised
+  ndbatch block path whenever the engine capability matrix allows).  Objectives
   (:data:`OBJECTIVES`): ``rounds-to-eps`` (estimated rounds until the honest
   spread reaches ε at the observed contraction rate), ``rebound`` (how far
   the observed worst per-round contraction rebounds toward the theoretical
@@ -77,9 +77,9 @@ from repro.sim.sweep import (
     PROTOCOL_BOUNDS,
     SweepCell,
     _cell_inputs,
-    _iter_indexed_outcomes,
     CellOutcome,
 )
+from repro.sim.resilient import iter_resilient_outcomes
 from repro.core.multiset import spread
 
 __all__ = [
@@ -499,7 +499,7 @@ def evaluate_candidate(
     # chaos=None / retry=None here is load-bearing, not a default worth
     # omitting: run_sweep()/SweepJob treat chaos=None as "read REPRO_CHAOS",
     # the execution core treats it as "no chaos, period".
-    for index, outcome in _iter_indexed_outcomes(
+    for index, outcome in iter_resilient_outcomes(
         cells,
         setting.engine,
         workers,

@@ -87,6 +87,7 @@ from repro.sim.experiments import ExperimentRecord
 from repro.sim.resilient import (
     CellFailure,
     RetryPolicy,
+    iter_resilient_outcomes,
     read_quarantine_map,
     write_quarantine_line,
 )
@@ -97,7 +98,6 @@ from repro.sim.sweep import (
     SweepSpec,
     SweepSummaryFold,
     _cell_payload,
-    _iter_indexed_outcomes,
     _outcome_from_payload,
     _outcome_to_json_line,
     _summary_key,
@@ -713,12 +713,12 @@ class SweepJob:
         try:
             if pending:
                 with open(target, "a", encoding="utf-8") as handle:
-                    for _, outcome in _iter_indexed_outcomes(
+                    for _, outcome in iter_resilient_outcomes(
                         pending,
                         self.spec.engine,
                         self.workers,
                         self.max_block_size,
-                        retry=self.retry,
+                        self.retry,
                         chaos=self.chaos,
                         on_failure=record_failure,
                     ):

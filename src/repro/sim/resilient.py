@@ -41,17 +41,17 @@ runs a small event loop over per-worker pipes — dispatch to idle workers,
 wake on the first completion/EOF via ``connection.wait``, check deadlines —
 so no call ever blocks on a worker that will never answer.
 
-Entry point: :func:`iter_resilient_outcomes`, the one execution core behind
-``repro.sim.sweep._iter_indexed_outcomes`` — every
-:func:`repro.sim.sweep.run_sweep`, :class:`repro.sim.job.SweepJob` and
-attack-search evaluation runs through it, over one unit decomposition
+Entry point: :func:`iter_resilient_outcomes`, the one execution core —
+every :func:`repro.sim.sweep.run_sweep`, :class:`repro.sim.job.SweepJob`
+and attack-search evaluation calls it, over one unit decomposition
 (ndbatch chunk groups from ``repro.sim.sweep._ndbatch_dispatch_groups``,
-per-cell units for the rest).  Without a :class:`RetryPolicy` it fails
-fast: the first exception a unit raises propagates unchanged, a dead worker
-raises :class:`RuntimeError`, and nothing is retried or quarantined — so
-the units run on a plain ``multiprocessing.Pool``, whose ``imap`` already
-hands a worker's exception back in unit order.  With a policy (or a chaos
-plan, :mod:`repro.sim.chaos`) the fault-tolerant pool above runs them.
+per-cell units for the rest).  Without a :class:`RetryPolicy` or a chaos
+plan it fails fast: the first exception a unit raises propagates
+unchanged, a dead worker raises :class:`RuntimeError`, and nothing is
+retried or quarantined — so the units run on a plain
+``multiprocessing.Pool``, whose ``imap`` already hands a worker's exception
+back in unit order.  With a policy (or a chaos plan, :mod:`repro.sim.chaos`,
+which implies the default policy) the fault-tolerant pool above runs them.
 Everything stays deterministic where it
 can be: outcomes are pure functions of their cells, so same-engine retries
 and re-dispatches can never change a measurement, only wall-clock.
@@ -387,7 +387,7 @@ def _execute_unit(
 ) -> List["CellOutcome"]:  # noqa: F821
     """Execute one unit, applying any injected chaos faults first."""
     from repro.sim.job import cell_id
-    from repro.sim.sweep import _run_ndbatch_group, run_cell
+    from repro.sim.sweep import _run_ndbatch_chunk, run_cell
 
     # Computing cell IDs costs a SHA-256 per cell; only chaos lookups need
     # them, so the fault-free path must not pay for it.
@@ -396,7 +396,8 @@ def _execute_unit(
             inject_execution_faults(
                 chaos, [cell_id(cell) for cell in cells], attempt, allow_process_faults
             )
-        return _run_ndbatch_group(group)
+        # Each chunk runs as its own block, in order.
+        return [outcome for chunk in group for outcome in _run_ndbatch_chunk(chunk)]
     outcomes = []
     for cell in cells:
         if chaos is not None:
@@ -718,7 +719,7 @@ def iter_resilient_outcomes(
     engine: str,
     workers: Optional[int],
     max_block_size: int,
-    retry: Optional[RetryPolicy],
+    retry: Optional[RetryPolicy] = None,
     chaos: Optional[ChaosPlan] = None,
     on_failure: Optional[Callable[[CellFailure], None]] = None,
     dtype: Optional[str] = None,
@@ -739,9 +740,12 @@ def iter_resilient_outcomes(
     survives dead workers, and hung units are killed at their wall-clock
     deadline instead of blocking the sweep forever.  Quarantined cells are
     reported through ``on_failure`` (in completion order) and simply never
-    yielded — callers treat them as excluded-with-reason.  ``retry=None``
-    fails fast instead, on a ``multiprocessing.Pool``
-    (:func:`_fail_fast_pool`): the first failure is re-raised in the caller.
+    yielded — callers treat them as excluded-with-reason.  A ``chaos`` plan
+    without a policy runs under the default :class:`RetryPolicy`.
+    ``retry=None`` without chaos fails fast instead, on a
+    ``multiprocessing.Pool`` (:func:`_fail_fast_pool`): the first failure is
+    re-raised in the caller, unchanged (a pool worker's traceback chained as
+    its cause).
 
     The serial path (``workers=1``, or a single unit without a timeout to
     enforce) and the fail-fast pool yield in unit order.  The fault-tolerant
@@ -755,6 +759,8 @@ def iter_resilient_outcomes(
     from repro.sim.sweep import _ndbatch_dispatch_groups, _resolve_workers
 
     dtype = resolve_dtype(dtype)
+    if retry is None and chaos is not None:
+        retry = RetryPolicy()
     cells = list(cells)
     if not cells:
         return

@@ -776,25 +776,6 @@ def _plan_cell_and_bundle(cell: SweepCell) -> Tuple[CellPlan, AdversaryBundle]:
     return CellPlan(cell, inputs, bounds, rounds, fault_model, omission, features), bundle
 
 
-def _execute_cell(cell: SweepCell, engine: Optional[str] = None) -> ExecutionResult:
-    cell.validate()
-    inputs = _cell_inputs(cell)
-    bundle = build_adversary_bundle(cell)
-    # One front door for every engine: the dispatch layer selects the fastest
-    # capable engine for "auto" and validates explicit overrides against the
-    # capability matrix (EngineCapabilityError names the capable engines).
-    return run_on_engine(
-        cell.protocol,
-        inputs,
-        t=cell.t,
-        epsilon=cell.epsilon,
-        fault_plan=bundle.fault_plan,
-        delay_model=bundle.delay_model,
-        seed=cell.seed,
-        engine=cell.engine if engine is None else engine,
-    )
-
-
 #: ExecutionResult.runtime tag → engine name (the event engine has three
 #: runtimes; the round-level engines tag results with their own name).
 _RUNTIME_TO_ENGINE = {"des": "event", "lockstep": "event", "asyncio": "event"}
@@ -803,7 +784,7 @@ _RUNTIME_TO_ENGINE = {"des": "event", "lockstep": "event", "asyncio": "event"}
 def _outcome_from_result(
     cell: SweepCell,
     result: Union[ExecutionResult, VectorExecutionResult],
-    bounds: Optional[AlgorithmBounds] = None,
+    bounds: AlgorithmBounds,
 ) -> CellOutcome:
     """Compress one scalar or vector execution result into a cell outcome.
 
@@ -812,8 +793,6 @@ def _outcome_from_result(
     for the maximum over coordinates, so the scalar bound machinery applies
     unchanged — and its ``output_spread`` is the honest outputs' ℓ∞ diameter.
     """
-    if bounds is None:
-        bounds = PROTOCOL_BOUNDS[cell.protocol](cell.n, cell.t)
     comparison = compare_to_bound(bounds, result.trajectory)
     if not isinstance(result, VectorExecutionResult):
         messages, bits = result.stats.messages_sent, result.stats.bits_sent
@@ -842,43 +821,60 @@ def _outcome_from_result(
     )
 
 
-def _run_vector_cell(cell: SweepCell, engine: Optional[str] = None) -> CellOutcome:
-    """Execute one ``dimension > 1`` cell on its (resolved) engine.
+def run_cell(cell: SweepCell, engine: Optional[str] = None) -> CellOutcome:
+    """Execute one cell and compress the result into a :class:`CellOutcome`.
 
-    The cell is planned once (:func:`_plan_cell`).  Every engine runs the
-    plan's round count — fixed rounds over the ℓ∞ input spread — so round
-    counts (hence message/bit costs) are engine-independent, exactly as for
-    scalar cells:
+    ``engine`` overrides the cell's own engine without rewriting the cell —
+    the resilient layer uses this to demote a failing cell to a slower
+    engine while keeping its identity (and :func:`repro.sim.job.cell_id`)
+    unchanged.
+
+    The cell is planned once (:func:`_plan_cell_and_bundle`) and its engine
+    chosen once, from the plan's features, at every dimension: ``auto``
+    applies :func:`~repro.sim.engine.select_engine` to one execution's work
+    (rounds × n × dimension, the block-setup cost model), and an explicit
+    engine must cover the whole scenario
+    (:func:`~repro.sim.engine.require_capability`).  Every engine runs the
+    plan's round count, so round counts (hence message/bit costs) are
+    engine-independent:
 
     - ``ndbatch``: the plan runs as a one-plan chunk
-      (:func:`_run_ndbatch_chunk`) on the ``(executions, n, d)`` tensor
-      fast path, one shared quorum selection per round across coordinates.
-    - ``event``: :func:`repro.sim.vector.run_vector_protocol`, one event
-      execution per coordinate, over the adversary bundle the plan was
-      derived from.
-    - ``batch``: the numpy-free degradation path — one pure-Python batch
-      execution per coordinate (fresh adversary bundle each, so every
-      coordinate faces an identically initialised adversary), assembled via
+      (:func:`_run_ndbatch_chunk`); at ``d > 1`` on the ``(executions, n,
+      d)`` tensor path, one shared quorum selection per round across
+      coordinates.
+    - ``event`` and ``batch`` at ``d = 1``: :func:`repro.sim.engine.run`
+      over the plan's adversary bundle.
+    - ``event`` at ``d > 1``: :func:`repro.sim.vector.run_vector_protocol`,
+      one event execution per coordinate, over the plan's bundle.
+    - ``batch`` at ``d > 1``: the numpy-free degradation path — one
+      pure-Python batch execution per coordinate (fresh adversary bundle
+      each, so every coordinate faces an identically initialised
+      adversary), assembled via
       :func:`repro.sim.vector.compose_coordinate_results`.
     """
     plan, bundle = _plan_cell_and_bundle(cell)
     chosen = cell.engine if engine is None else engine
     if chosen == "auto":
-        # One execution: work = rounds × n × d for the block-setup cost
-        # model, the rule repro.sim.engine.run applies to scalar cells.
         chosen = select_engine(plan.features, plan.rounds * cell.n * cell.dimension)
-    # The engine= override skips cell.validate(); an unknown name would
-    # otherwise fall through to the batch branch below.
-    require_capability(chosen, {f"protocol:{cell.protocol}"})
+    else:
+        require_capability(chosen, plan.features)
     if chosen == "ndbatch":
-        if run_vector_block is None:
-            raise ImportError(
-                "engine='ndbatch' requires numpy; install numpy or use engine='batch'"
-            )
         [outcome] = _run_ndbatch_chunk((plan.rounds, [plan], {}))
         return outcome
     policy = FixedRounds(plan.rounds)
-    if chosen == "event":
+    if cell.dimension == 1:
+        result = run_on_engine(
+            cell.protocol,
+            plan.inputs,
+            t=cell.t,
+            epsilon=cell.epsilon,
+            round_policy=policy,
+            fault_plan=bundle.fault_plan,
+            delay_model=bundle.delay_model,
+            seed=cell.seed,
+            engine=chosen,
+        )
+    elif chosen == "event":
         result = run_vector_protocol(
             cell.protocol,
             plan.inputs,
@@ -911,20 +907,6 @@ def _run_vector_cell(cell: SweepCell, engine: Optional[str] = None) -> CellOutco
             cell.protocol, normalized, cell.epsilon, coordinate_results, runtime="batch"
         )
     return _outcome_from_result(cell, result, plan.bounds)
-
-
-def run_cell(cell: SweepCell, engine: Optional[str] = None) -> CellOutcome:
-    """Execute one cell and compress the result into a :class:`CellOutcome`.
-
-    ``engine`` overrides the cell's own engine without rewriting the cell —
-    the resilient layer uses this to demote a failing cell to a slower
-    engine while keeping its identity (and :func:`repro.sim.job.cell_id`)
-    unchanged.  Cells with ``dimension > 1`` route to the vector execution
-    paths (:func:`_run_vector_cell`); scalar cells are untouched.
-    """
-    if cell.dimension > 1:
-        return _run_vector_cell(cell, engine=engine)
-    return _outcome_from_result(cell, _execute_cell(cell, engine=engine))
 
 
 def _resolve_workers(workers: Optional[int], cell_count: int) -> int:
@@ -1058,14 +1040,6 @@ def _run_ndbatch_chunk(chunk) -> List[CellOutcome]:
     ]
 
 
-def _run_ndbatch_group(group) -> List[CellOutcome]:
-    """Execute one dispatch unit's chunks, each as its own block, in order.
-
-    Returns the outcomes in chunk order.
-    """
-    return [outcome for chunk in group for outcome in _run_ndbatch_chunk(chunk)]
-
-
 def _ndbatch_dispatch_groups(
     cells: Sequence[SweepCell],
     engine: str,
@@ -1093,34 +1067,38 @@ def _ndbatch_dispatch_groups(
     plan selects ndbatch (:func:`~repro.sim.engine.select_engine`) and
     whose shape-compatible block repays the vectorised engine's per-block
     setup: its work — cells × rounds × n × dimension — must reach
-    :func:`ndbatch_min_work`.  Any other engine covers none.  Uncovered
-    cells run one by one on their own engine, which derives their scenario
-    where they run (an auto cell re-applies the cost model to its own work,
-    so a ``d > 1`` cell of a block below the threshold runs on batch).
+    :func:`ndbatch_min_work`.  Any other engine covers none.  A cell whose
+    planning raises joins no block.  Uncovered cells run one by one in
+    :func:`run_cell`, which plans them where they run — inside the retry
+    machinery, so a planning error is retried and quarantined like any
+    other cell error — and re-applies an auto cell's cost model to its own
+    work (a ``d > 1`` cell of a block below the threshold runs on batch).
     Blocks are split at ``max_block_size`` and round-robin interleaved
     (:func:`_split_blocks`).
     """
-    if engine == "ndbatch":
-        blocks = _group_ndbatch_blocks([_plan_cell(cell) for cell in cells])
-    elif engine == "auto":
-        candidates = []
-        plans = []
-        for index, cell in enumerate(cells):
-            if cell.protocol in ENGINE_CAPABILITIES["ndbatch"].protocols:
-                plan = _plan_cell(cell)
-                if select_engine(plan.features) == "ndbatch":
-                    candidates.append(index)
-                    plans.append(plan)
-        grouped = _group_ndbatch_blocks(plans)
-        threshold = ndbatch_min_work() if grouped else 0
-        blocks = [
-            (rounds, [candidates[i] for i in indices], block_plans)
-            for rounds, indices, block_plans in grouped
-            if len(indices) * rounds * block_plans[0].cell.n * block_plans[0].cell.dimension
-            >= threshold
-        ]
-    else:
+    if engine not in ("auto", "ndbatch"):
         return []
+    ndbatch_protocols = ENGINE_CAPABILITIES["ndbatch"].protocols
+    candidates = []
+    plans = []
+    for index, cell in enumerate(cells):
+        if engine == "auto" and cell.protocol not in ndbatch_protocols:
+            continue
+        try:
+            plan = _plan_cell(cell)
+        except Exception:
+            continue  # run_cell raises it again, inside the retry machinery
+        if engine == "ndbatch" or select_engine(plan.features) == "ndbatch":
+            candidates.append(index)
+            plans.append(plan)
+    grouped = _group_ndbatch_blocks(plans)
+    threshold = ndbatch_min_work() if engine == "auto" and grouped else 0
+    blocks = [
+        (rounds, [candidates[i] for i in indices], block_plans)
+        for rounds, indices, block_plans in grouped
+        if len(indices) * rounds * block_plans[0].cell.n * block_plans[0].cell.dimension
+        >= threshold
+    ]
     if not blocks:
         return []
     if run_ndbatch_block is None:
@@ -1146,62 +1124,13 @@ def _ndbatch_dispatch_groups(
 def _auto_engine_for(cell: SweepCell, work: Optional[int] = None) -> str:
     """Resolve one "auto" cell to the fastest capable engine.
 
-    Applies the rule :func:`repro.sim.engine.run` applies
+    Applies the rule :func:`run_cell` applies
     (:func:`~repro.sim.engine.select_engine`) to the features of the cell's
     plan (:func:`_plan_cell`).  ``work`` feeds its block-setup cost model
     for a cell that runs on its own; block candidates leave it out, because
     the threshold applies to their whole block.
     """
     return select_engine(_plan_cell(cell).features, work)
-
-
-def _iter_indexed_outcomes(
-    cells: List[SweepCell],
-    engine: str,
-    workers: Optional[int],
-    max_block_size: int,
-    retry: Optional["RetryPolicy"] = None,  # noqa: F821
-    chaos: Optional["ChaosPlan"] = None,  # noqa: F821
-    on_failure: Optional[Callable] = None,
-    dtype: Optional[str] = None,
-    budget_bytes: Optional[int] = None,
-) -> Iterator[Tuple[int, CellOutcome]]:
-    """Yield ``(cell_index, outcome)`` for an explicit cell list, streaming.
-
-    The execution core shared by :func:`run_sweep`, the job layer
-    (:mod:`repro.sim.job`) and the attack search: one unit decomposition
-    (:func:`_ndbatch_dispatch_groups` plus per-cell units) run by
-    :func:`repro.sim.resilient.iter_resilient_outcomes`.  Outcomes stream as
-    units complete — per unit of cells for batch/event, per unit of block
-    chunks for ndbatch/auto — so persistence layers can flush completed work
-    incrementally.  Without a retry policy they are yielded in unit order,
-    which is grid order for batch/event; the fault-tolerant pool yields in
-    completion order.  Indices restore grid order either way.
-
-    ``retry=None`` with ``chaos=None`` means fail fast: the first exception a
-    unit raises propagates unchanged (re-raised in the parent, with the
-    worker's traceback chained as its cause) and a dead worker raises
-    :class:`RuntimeError`; nothing is retried or quarantined.  Passing
-    ``retry`` (a :class:`repro.sim.resilient.RetryPolicy`) or ``chaos`` (a
-    :class:`repro.sim.chaos.ChaosPlan`, which implies the default policy)
-    turns on fault tolerance: failing cells are retried, demoted and finally
-    reported via ``on_failure`` rather than yielded.
-    """
-    from repro.sim.resilient import RetryPolicy, iter_resilient_outcomes
-
-    if retry is None and chaos is not None:
-        retry = RetryPolicy()
-    yield from iter_resilient_outcomes(
-        cells,
-        engine,
-        workers,
-        max_block_size,
-        retry,
-        chaos=chaos,
-        on_failure=on_failure,
-        dtype=dtype,
-        budget_bytes=budget_bytes,
-    )
 
 
 def _check_store_clobber(jsonl_path: str, overwrite: bool) -> None:
@@ -1299,7 +1228,11 @@ def run_sweep(
     """
     from repro.sim.chaos import ChaosPlan, maybe_truncate_write
     from repro.sim.job import cell_id
-    from repro.sim.resilient import default_quarantine_path, write_quarantine_line
+    from repro.sim.resilient import (
+        default_quarantine_path,
+        iter_resilient_outcomes,
+        write_quarantine_line,
+    )
 
     cells = list(spec.cells())
     if chaos is None:
@@ -1330,12 +1263,12 @@ def run_sweep(
     )
     try:
         with store as handle:
-            for index, outcome in _iter_indexed_outcomes(
+            for index, outcome in iter_resilient_outcomes(
                 cells,
                 spec.engine,
                 workers,
                 max_block_size,
-                retry=retry,
+                retry,
                 chaos=chaos,
                 on_failure=record_failure,
                 dtype=dtype,

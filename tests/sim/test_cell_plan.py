@@ -4,9 +4,12 @@
 count, round fault model, omission policy and scenario features.  Block
 grouping, ``auto``'s engine choice, chunk packing and the ndbatch chunk
 runner read the plan, which travels inside its chunk to the block that runs
-it.  These tests count the adversary bundles, round fault models and engine
-selections a sweep makes, and check that plans pickled to pool workers run
-to the same outcomes.
+it; a cell that runs on its own is planned in :func:`repro.sim.sweep.run_cell`,
+which also checks its engine against the plan's features.  These tests count
+the adversary bundles, round fault models and engine selections a sweep and a
+single ``run_cell`` make, check that an explicit engine is refused the same
+way at every dimension, and check that plans pickled to pool workers run to
+the same outcomes.
 """
 
 from __future__ import annotations
@@ -17,8 +20,8 @@ import sys
 
 import pytest
 
-from repro.sim.engine import numpy_available
-from repro.sim.sweep import SweepSpec, run_sweep
+from repro.sim.engine import EngineCapabilityError, numpy_available
+from repro.sim.sweep import SweepCell, SweepSpec, run_cell, run_sweep
 
 needs_numpy = pytest.mark.skipif(
     not numpy_available(), reason="the vectorised engine requires numpy"
@@ -51,13 +54,17 @@ def _count_calls(monkeypatch, module_name, name):
     return calls
 
 
-def _counted_sweep(monkeypatch, spec):
+def _counted(monkeypatch, run):
     counters = {
         label: _count_calls(monkeypatch, module, name)
         for label, (module, name) in DERIVATIONS.items()
     }
-    outcomes = run_sweep(spec, workers=1)
-    return outcomes, {label: len(calls) for label, calls in counters.items()}
+    result = run()
+    return result, {label: len(calls) for label, calls in counters.items()}
+
+
+def _counted_sweep(monkeypatch, spec):
+    return _counted(monkeypatch, lambda: run_sweep(spec, workers=1))
 
 
 GRIDS = {
@@ -147,8 +154,8 @@ def test_event_vector_cells_run_on_their_plans_bundle(monkeypatch):
 def test_uncovered_auto_cells_derive_once_more_where_they_run(monkeypatch):
     # The n=4 block (2 cells × 7 rounds × 4 = 56 work) is below
     # ndbatch_min_work(): the parent plans its cells to group them, and they
-    # then run one by one through engine.run, which derives their scenario
-    # again.  Covered cells derive once.
+    # then run one by one through run_cell, which plans them again where
+    # they run.  Covered cells derive once.
     spec = SweepSpec(
         protocols=("async-crash",),
         system_sizes=((4, 1), (7, 2)),
@@ -163,3 +170,36 @@ def test_uncovered_auto_cells_derive_once_more_where_they_run(monkeypatch):
     uncovered = sum(outcome.engine_used != "ndbatch" for outcome in outcomes)
     assert counts["bundles"] <= spec.cell_count + uncovered, counts
     assert counts["selections"] <= spec.cell_count + uncovered, counts
+
+
+@needs_numpy
+@pytest.mark.parametrize("dimension", [1, 3])
+@pytest.mark.parametrize("engine", ["auto", "event", "batch", "ndbatch"])
+@pytest.mark.parametrize("protocol, n, t", [("async-crash", 7, 2), ("async-byzantine", 11, 2)])
+def test_single_run_cell_plans_once_and_selects_at_most_once(
+    monkeypatch, protocol, n, t, engine, dimension
+):
+    # auto sends the small async-crash cell to batch at d = 1 and the rest to
+    # ndbatch; a d > 1 batch cell also builds a fresh bundle per coordinate.
+    cell = SweepCell(protocol, n, t, 1e-3, "byz-anti", "uniform", 0, "auto", dimension)
+    outcome, counts = _counted(monkeypatch, lambda: run_cell(cell, engine=engine))
+    per_coordinate = dimension if outcome.engine_used == "batch" and dimension > 1 else 0
+    assert counts["bundles"] == 1 + per_coordinate, counts
+    assert counts["selections"] == (1 if engine == "auto" else 0), counts
+    if outcome.engine_used == "ndbatch":
+        assert counts["fault_models"] == 1, counts
+
+
+@pytest.mark.parametrize("engine", ["ndbatch", "batch"])
+def test_explicit_engine_is_checked_against_the_whole_scenario_at_every_dimension(engine):
+    # Mid-multicast crashes under the witness protocol: only the event engine
+    # runs them, whatever the dimension, and the refusal is the same.
+    refusals = []
+    for dimension in (1, 3):
+        cell = SweepCell("witness", 7, 2, 1e-3, "crash-staggered", "uniform", 0, "auto", dimension)
+        with pytest.raises(EngineCapabilityError) as raised:
+            run_cell(cell, engine=engine)
+        error = raised.value
+        refusals.append((error.engine, error.reason, error.capable, error.rejections))
+    assert refusals[0] == refusals[1]
+    assert refusals[0][2] == ("event",)

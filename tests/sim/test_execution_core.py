@@ -1,11 +1,12 @@
-"""Tests for the one sweep execution core (:func:`repro.sim.sweep._iter_indexed_outcomes`).
+"""Tests for the one sweep execution core (:func:`repro.sim.resilient.iter_resilient_outcomes`).
 
 Every sweep — with or without a :class:`~repro.sim.resilient.RetryPolicy` —
 runs through the same unit decomposition.  These tests pin what used to
 drift between the fail-fast and the retrying paths (the dtype option, the
 auto cost model, the dispatch-unit rule), the up-front dtype check on every
 engine, which units digest a cell ID, the fail-fast meaning of
-``retry=None``, and the fault-tolerant pool's wakeups.
+``retry=None`` (and the default policy a chaos plan implies), planning
+errors meeting the retry policy, and the fault-tolerant pool's wakeups.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ import repro.sim.job as job_module
 import repro.sim.planner as planner_module
 import repro.sim.resilient as resilient_module
 import repro.sim.sweep as sweep_module
+from repro.sim.chaos import FAULT_RAISE, ChaosPlan, ChaosRule
 from repro.sim.engine import numpy_available
 from repro.sim.resilient import RetryPolicy
 from repro.sim.sweep import (
@@ -334,3 +336,76 @@ class TestParentWakeups:
         assert len(outcomes) == spec.cell_count == 64
         assert calls["dispatch"] >= 2
         assert calls["wait"] <= 3 * calls["dispatch"] + 5, calls
+
+
+@needs_numpy
+class TestPlanningErrorsRunInTheirOwnUnit:
+    """``auto``/``ndbatch`` plan block candidates in the parent; a cell whose
+    planning raises joins no block and runs in its own unit, where the error
+    meets the retry policy like any other cell error."""
+
+    @staticmethod
+    def _spec(monkeypatch, engine):
+        def missing():
+            raise KeyError("no adversary for seed 5")
+
+        spec = _register_adversary(monkeypatch, "plan-error", missing)
+        return dataclasses.replace(
+            spec, system_sizes=((7, 3),), seeds=tuple(range(40)), engine=engine
+        )
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize(
+        "engine, quarantined_on, demoted_from",
+        [("auto", "auto", ""), ("ndbatch", "batch", "ndbatch")],
+    )
+    def test_planning_error_quarantines_one_cell(
+        self, monkeypatch, workers, engine, quarantined_on, demoted_from
+    ):
+        spec = self._spec(monkeypatch, engine)
+        failures = []
+        outcomes = run_sweep(
+            spec,
+            workers=workers,
+            retry=RetryPolicy(max_attempts=1),
+            on_failure=failures.append,
+        )
+        [failure] = failures
+        assert (failure.cell.seed, failure.error_type) == (5, "KeyError")
+        assert (failure.engine, failure.demoted_from) == (quarantined_on, demoted_from)
+        healthy = dataclasses.replace(
+            spec, seeds=tuple(seed for seed in spec.seeds if seed != 5)
+        )
+        assert len(outcomes) == 39
+        assert outcomes == run_sweep(healthy, workers=1)
+        _assert_children_drain()
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("engine", ["auto", "ndbatch"])
+    def test_planning_error_raises_without_a_policy(self, monkeypatch, workers, engine):
+        spec = self._spec(monkeypatch, engine)
+        with pytest.raises(KeyError, match="no adversary for seed 5"):
+            run_sweep(spec, workers=workers)
+        _assert_children_drain()
+
+
+class TestChaosImpliesTheDefaultPolicy:
+    def test_chaos_raised_cell_is_quarantined_without_a_policy(self):
+        cells = list(
+            SweepSpec(
+                protocols=("async-crash",),
+                system_sizes=((7, 2),),
+                seeds=tuple(range(6)),
+                engine="batch",
+            ).cells()
+        )
+        poisoned = job_module.cell_id(cells[2])
+        plan = ChaosPlan(rules=(ChaosRule(fault=FAULT_RAISE, cells=(poisoned,)),))
+        failures = []
+        outcomes = dict(
+            resilient_module.iter_resilient_outcomes(
+                cells, "batch", 1, 256, retry=None, chaos=plan, on_failure=failures.append
+            )
+        )
+        assert sorted(outcomes) == [0, 1, 3, 4, 5]
+        assert [(f.cell_id, f.error_type) for f in failures] == [(poisoned, "ChaosError")]

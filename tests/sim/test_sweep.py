@@ -16,6 +16,7 @@ from repro.sim import NDBATCH_PROTOCOLS
 from repro.sim.batch import BATCH_PROTOCOLS
 from repro.sim.engine import numpy_available
 from repro.sim.metrics import CostSummary
+from repro.sim.resilient import iter_resilient_outcomes
 from repro.sim.runner import PROTOCOL_FACTORIES
 from repro.sim.sweep import (
     ADVERSARY_SPECS,
@@ -26,7 +27,6 @@ from repro.sim.sweep import (
     SweepCell,
     SweepSpec,
     _group_ndbatch_blocks,
-    _iter_indexed_outcomes,
     _plan_cell,
     _split_blocks,
     adversary_fits_protocol,
@@ -435,7 +435,7 @@ class TestPoolTeardown:
             engine=engine,
         )
         cells = list(spec.cells())
-        stream = _iter_indexed_outcomes(cells, engine, 2, max_block_size=2)
+        stream = iter_resilient_outcomes(cells, engine, 2, max_block_size=2)
         assert next(stream) is not None
         assert multiprocessing.active_children()  # the pool really ran
         stream.close()
