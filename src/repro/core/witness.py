@@ -101,12 +101,11 @@ class WitnessProcess(Process):
                 "(FixedRounds or KnownRangeRounds)"
             )
 
-        self._rbc = RbcMultiplexer(n=config.n, t=config.t, on_deliver=self._on_rbc_deliver)
+        self._rbc = RbcMultiplexer(n=config.n, t=config.t)
         # Per-iteration state, keyed by iteration number.
         self._delivered: Dict[int, Dict[int, float]] = {}
         self._reports: Dict[int, Dict[int, FrozenSet[int]]] = {}
         self._reported: Dict[int, bool] = {}
-        self._pending_ctx: Optional[ProcessContext] = None
 
     # ------------------------------------------------------------------
     # Protocol parameters
@@ -141,15 +140,16 @@ class WitnessProcess(Process):
         # The reliable-broadcast layer and the report exchange keep running
         # even after this process has decided, so that slower processes can
         # complete their final iteration (liveness of the overall execution).
+        # Only a delivered value or a new report can let the process advance;
+        # every other message leaves its iteration as it is.
         if self._rbc.handles(message):
-            self._pending_ctx = ctx
             try:
-                self._rbc.handle(ctx, sender, message)
+                delivery = self._rbc.handle(ctx, sender, message)
             except ValueError:
                 return  # malformed broadcast message from a Byzantine sender
-            finally:
-                self._pending_ctx = None
-            self._advance_while_possible(ctx)
+            if delivery is not None:
+                self._on_rbc_deliver(ctx, *delivery)
+                self._advance_while_possible(ctx)
             return
 
         if message.kind == REPORT_KIND and message.round is not None:
@@ -162,8 +162,9 @@ class WitnessProcess(Process):
             if not all(0 <= pid < self.config.n for pid in ids):
                 return
             reports = self._reports.setdefault(message.round, {})
-            reports.setdefault(sender, ids)
-            self._advance_while_possible(ctx)
+            if sender not in reports:
+                reports[sender] = ids
+                self._advance_while_possible(ctx)
 
     # ------------------------------------------------------------------
     # Internals
@@ -173,13 +174,14 @@ class WitnessProcess(Process):
         self.current_iteration = iteration
         self._rbc.broadcast(ctx, iteration, self.current_value)
 
-    def _on_rbc_deliver(self, iteration: int, originator: int, value: object) -> None:
+    def _on_rbc_deliver(
+        self, ctx: ProcessContext, iteration: int, originator: int, value: object
+    ) -> None:
         if not isinstance(value, (int, float)) or not isinstance(iteration, int):
             return
         delivered = self._delivered.setdefault(iteration, {})
         delivered.setdefault(originator, float(value))
-        ctx = self._pending_ctx
-        if ctx is not None and len(delivered) >= self.quorum_size:
+        if len(delivered) >= self.quorum_size:
             self._maybe_send_report(ctx, iteration)
 
     def _maybe_send_report(self, ctx: ProcessContext, iteration: int) -> None:

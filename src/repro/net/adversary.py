@@ -1288,21 +1288,22 @@ def round_fault_model(fault_plan: Optional[FaultPlan], n: int) -> RoundFaultMode
     silent: Set[int] = set()
     corrupted_inputs: Dict[int, float] = {}
 
-    def absorb(plan: FaultPlan) -> None:
+    # Pre-order over an explicit stack (a recursive closure is a reference
+    # cycle), so a later sub-plan overrides an earlier one's entry.
+    pending = [fault_plan]
+    while pending:
+        plan = pending.pop()
         if isinstance(plan, NoFaults):
-            return
+            continue
         if isinstance(plan, ComposedFaultPlan):
-            for sub_plan in plan.plans:
-                absorb(sub_plan)
-            return
-        if isinstance(plan, CrashFaultPlan):
+            pending.extend(reversed(plan.plans))
+        elif isinstance(plan, CrashFaultPlan):
             for pid, point in plan.crash_points.items():
                 if pid >= n or point.after_sends is None:
                     continue
                 crash_round, deliveries = divmod(point.after_sends, n)
                 crash_schedule[pid] = (crash_round + 1, deliveries)
-            return
-        if isinstance(plan, ByzantineFaultPlan):
+        elif isinstance(plan, ByzantineFaultPlan):
             for pid, behaviour in plan.behaviours.items():
                 if pid >= n:
                     continue
@@ -1323,13 +1324,11 @@ def round_fault_model(fault_plan: Optional[FaultPlan], n: int) -> RoundFaultMode
                         f"cannot adapt Byzantine behaviour {behaviour.describe()!r} to the "
                         "round level; build a RoundFaultModel directly"
                     )
-            return
-        raise ValueError(
-            f"cannot adapt fault plan {plan.describe()!r} to the round level; "
-            "build a RoundFaultModel directly"
-        )
-
-    absorb(fault_plan)
+        else:
+            raise ValueError(
+                f"cannot adapt fault plan {plan.describe()!r} to the round level; "
+                "build a RoundFaultModel directly"
+            )
     return RoundFaultModel(
         crash_schedule=crash_schedule,
         strategies=strategies,

@@ -19,7 +19,8 @@ communication-complexity experiments (bits sent per round / per execution).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import lru_cache
 from typing import Any, Optional, Tuple
 
 __all__ = ["Message", "message_bits", "KIND_BITS", "FLOAT_BITS"]
@@ -105,10 +106,42 @@ def message_bits(message: Message) -> int:
     The estimate includes the opcode, the round tag (``ceil(log2(round + 2))``
     bits, matching the "iteration ID tag" accounting used in the literature),
     the sub-protocol tag, and the payload.
+
+    Sizes of messages with a tuple payload (tags, reports) are remembered for
+    the last :data:`MESSAGE_BITS_CACHE_SIZE` distinct keys: the round, both
+    payloads and their types (:func:`_size_types`), since equal payloads can
+    differ in size (``1``, ``1.0`` and ``True``).  Others are charged directly.
     """
+    value, tag = message.value, message.tag
+    if type(value) is tuple or type(tag) is tuple:
+        types = (_size_types(value), _size_types(tag))
+        if None not in types:
+            return _remembered_bits(message.round, value, tag, types)
+    return _bits(message.round, value, tag)
+
+
+#: Distinct keys whose size :func:`message_bits` remembers.
+MESSAGE_BITS_CACHE_SIZE = 1024
+
+_SCALAR_TYPES = frozenset({type(None), bool, int, float, str})
+
+
+def _size_types(payload: Any) -> Any:
+    """The payload's type, its items' types for a tuple of scalars, else ``None``."""
+    kind = type(payload)
+    if kind is tuple:
+        kind = tuple(map(type, payload))
+        return kind if _SCALAR_TYPES.issuperset(kind) else None
+    return kind if kind in _SCALAR_TYPES else None
+
+
+@lru_cache(maxsize=MESSAGE_BITS_CACHE_SIZE)
+def _remembered_bits(round_number: Optional[int], value: Any, tag: Any, types: Any) -> int:
+    return _bits(round_number, value, tag)
+
+
+def _bits(round_number: Optional[int], value: Any, tag: Any) -> int:
     bits = KIND_BITS
-    if message.round is not None:
-        bits += max(1, math.ceil(math.log2(message.round + 2)))
-    bits += _payload_bits(message.tag)
-    bits += _payload_bits(message.value)
-    return bits
+    if round_number is not None:
+        bits += max(1, math.ceil(math.log2(round_number + 2)))
+    return bits + _payload_bits(tag) + _payload_bits(value)

@@ -337,10 +337,13 @@ class _Context(ProcessContext):
         return self._network.scheduler.now
 
     def send(self, recipient: int, message: Message) -> None:
-        self._network._send(self._process_id, recipient, message)
+        if not 0 <= recipient < self._network.n:
+            raise ValueError(f"invalid recipient {recipient}")
+        self._network._send_to(self._process_id, (recipient,), message)
 
     def multicast(self, message: Message) -> None:
-        self._network._multicast(self._process_id, message)
+        # A multicast is n point-to-point sends in increasing recipient order.
+        self._network._send_to(self._process_id, range(self._network.n), message)
 
     def output(self, value: Any) -> None:
         self._network._record_output(self._process_id, value)
@@ -440,7 +443,7 @@ class SimulatedNetwork:
         rng = random.Random(seed)
         for pid in range(self.n):
             delay = rng.uniform(0.0, start_jitter) if start_jitter > 0 else 0.0
-            self.scheduler.schedule_at(delay, self._make_starter(pid))
+            self.scheduler.call_at(delay, self._start, (pid,))
 
     def run(
         self,
@@ -484,6 +487,12 @@ class SimulatedNetwork:
         """The context of process ``pid`` (used by lockstep runners)."""
         return self._contexts[pid]
 
+    def close(self) -> None:
+        """Drop the pending deliveries and the contexts, which point back at
+        the network, so reference counting frees it; it cannot run again."""
+        self.scheduler.clear()
+        self._contexts = []
+
     def signal_round_timeout(self, round_number: int) -> None:
         """Tell every live process that synchronous round ``round_number`` ended.
 
@@ -499,23 +508,11 @@ class SimulatedNetwork:
     # Internals
     # ------------------------------------------------------------------
 
-    def _make_starter(self, pid: int) -> Callable[[], None]:
-        def starter() -> None:
-            if self._crashed[pid] or self._started[pid]:
-                return
-            self._started[pid] = True
-            self.processes[pid].on_start(self._contexts[pid])
-
-        return starter
-
-    def _send(self, sender: int, recipient: int, message: Message) -> None:
-        if not 0 <= recipient < self.n:
-            raise ValueError(f"invalid recipient {recipient}")
-        self._send_to(sender, (recipient,), message)
-
-    def _multicast(self, sender: int, message: Message) -> None:
-        # A multicast is n point-to-point sends in increasing recipient order.
-        self._send_to(sender, range(self.n), message)
+    def _start(self, pid: int) -> None:
+        if self._crashed[pid] or self._started[pid]:
+            return
+        self._started[pid] = True
+        self.processes[pid].on_start(self._contexts[pid])
 
     def _send_to(self, sender: int, recipients: Iterable[int], message: Message) -> None:
         """Send ``message`` to each of ``recipients`` in order.
@@ -531,8 +528,8 @@ class SimulatedNetwork:
         first = sent = self._sends_by_process[sender]
         crashes_before_send = self.fault_plan.crashes_before_send
         delay_of = self.delay_model.delay
-        schedule_at = self.scheduler.schedule_at
-        make_delivery = self._make_delivery
+        call_at = self.scheduler.call_at
+        deliver = self._deliver
         for recipient in recipients:
             if crashes_before_send(sender, sent, now):
                 self.crash(sender)
@@ -540,28 +537,25 @@ class SimulatedNetwork:
             delay = delay_of(sender, recipient, message, now)
             if not 0 < delay < math.inf:
                 raise ValueError("delay models must return finite, strictly positive delays")
-            schedule_at(now + delay, make_delivery(sender, recipient, message))
+            call_at(now + delay, deliver, (sender, recipient, message))
             sent += 1
         if sent > first:
             self._sends_by_process[sender] = sent
             self.stats.record_send(sender, message, sent - first)
 
-    def _make_delivery(self, sender: int, recipient: int, message: Message) -> Callable[[], None]:
-        def deliver() -> None:
-            if self._halted[recipient] or self._crashed[recipient]:
-                return
-            self.stats.record_delivery()
-            if self._keep_trace or self._delivery_observers:
-                record = DeliveryRecord(
-                    time=self.scheduler.now, sender=sender, recipient=recipient, message=message
-                )
-                if self._keep_trace:
-                    self.trace.append(record)
-                for observer in self._delivery_observers:
-                    observer(record)
-            self.processes[recipient].on_message(self._contexts[recipient], sender, message)
-
-        return deliver
+    def _deliver(self, sender: int, recipient: int, message: Message) -> None:
+        if self._halted[recipient] or self._crashed[recipient]:
+            return
+        self.stats.record_delivery()
+        if self._keep_trace or self._delivery_observers:
+            record = DeliveryRecord(
+                time=self.scheduler.now, sender=sender, recipient=recipient, message=message
+            )
+            if self._keep_trace:
+                self.trace.append(record)
+            for observer in self._delivery_observers:
+                observer(record)
+        self.processes[recipient].on_message(self._contexts[recipient], sender, message)
 
     def _record_output(self, pid: int, value: Any) -> None:
         process = self.processes[pid]

@@ -20,15 +20,15 @@ communication-complexity comparison reproduced in benchmark E5.
 
 The implementation is a *helper*, not a standalone process: a host protocol
 (see :class:`repro.core.witness.WitnessProcess`) owns an
-:class:`RbcMultiplexer`, forwards every ``RBC_*`` message to it, and receives
-deliveries through a callback.  Instances are identified by a ``tag`` — in the
-witness protocol the tag is ``(iteration, originator)``.
+:class:`RbcMultiplexer`, forwards every ``RBC_*`` message to it, and reads
+each delivery from the return value.  Instances are identified by a ``tag`` —
+in the witness protocol the tag is ``(iteration, originator)``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Optional, Set, Tuple
+from typing import Any, Dict, Optional, Set, Tuple
 
 from repro.net.interfaces import ProcessContext
 from repro.net.message import Message
@@ -44,11 +44,6 @@ RBC_KINDS = ("RBC_INIT", "RBC_ECHO", "RBC_READY")
 def echo_quorum(n: int, t: int) -> int:
     """Size of the echo quorum: strictly more than ``(n + t) / 2`` parties."""
     return (n + t) // 2 + 1
-
-
-#: Backwards-compatible alias (the quorum size is part of the public contract
-#: now that the round-level witness engine reproduces the broadcast's traffic).
-_echo_quorum = echo_quorum
 
 
 @dataclass
@@ -104,7 +99,7 @@ class BrachaInstance:
         if message.kind == "RBC_ECHO":
             voters = self._echoes.setdefault(message.value, set())
             voters.add(sender)
-            if len(voters) >= _echo_quorum(self.n, self.t):
+            if len(voters) >= echo_quorum(self.n, self.t):
                 self._send_ready(ctx, message.value)
             return None
 
@@ -134,10 +129,10 @@ class BrachaInstance:
 class RbcMultiplexer:
     """Manages many concurrent :class:`BrachaInstance` objects keyed by tag.
 
-    The host protocol calls :meth:`broadcast` to start its own broadcasts,
+    The host protocol calls :meth:`broadcast` to start its own broadcasts and
     forwards every message whose kind is in :data:`RBC_KINDS` to
-    :meth:`handle`, and receives ``(tag, originator, value)`` deliveries
-    through the callback supplied at construction.
+    :meth:`handle`, which returns each ``(context_tag, originator, value)``
+    delivery.  The multiplexer holds no reference to its host.
 
     Tags are expected to be ``(context, originator)`` tuples whose second
     component identifies the designated sender; this lets the multiplexer
@@ -145,26 +140,20 @@ class RbcMultiplexer:
     arrives, without any out-of-band setup.
     """
 
-    def __init__(
-        self,
-        n: int,
-        t: int,
-        on_deliver: Callable[[Any, int, Any], None],
-    ) -> None:
+    def __init__(self, n: int, t: int) -> None:
         if n <= 3 * t:
             raise ValueError(f"Bracha broadcast requires n > 3t (got n={n}, t={t})")
         self.n = n
         self.t = t
-        self._on_deliver = on_deliver
         self._instances: Dict[Any, BrachaInstance] = {}
 
     def _instance(self, tag: Any) -> BrachaInstance:
-        if tag not in self._instances:
-            originator = self._originator_of(tag)
-            self._instances[tag] = BrachaInstance(
-                n=self.n, t=self.t, tag=tag, originator=originator
+        instance = self._instances.get(tag)
+        if instance is None:
+            instance = self._instances[tag] = BrachaInstance(
+                n=self.n, t=self.t, tag=tag, originator=self._originator_of(tag)
             )
-        return self._instances[tag]
+        return instance
 
     @staticmethod
     def _originator_of(tag: Any) -> int:
@@ -183,13 +172,19 @@ class RbcMultiplexer:
         """Whether ``message`` belongs to the reliable-broadcast layer."""
         return message.kind in RBC_KINDS
 
-    def handle(self, ctx: ProcessContext, sender: int, message: Message) -> None:
-        """Route a broadcast-layer message to its instance; fire deliveries."""
-        instance = self._instance(message.tag)
-        delivered = instance.handle(ctx, sender, message)
-        if delivered is not None:
-            context_tag, originator = message.tag
-            self._on_deliver(context_tag, originator, delivered)
+    def handle(
+        self, ctx: ProcessContext, sender: int, message: Message
+    ) -> Optional[Tuple[Any, int, Any]]:
+        """Route a broadcast-layer message to its instance.
+
+        Returns ``(context_tag, originator, value)`` when the message makes
+        the instance deliver, ``None`` otherwise.
+        """
+        delivered = self._instance(message.tag).handle(ctx, sender, message)
+        if delivered is None:
+            return None
+        context_tag, originator = message.tag
+        return context_tag, originator, delivered
 
     @property
     def instance_count(self) -> int:

@@ -21,7 +21,7 @@ import heapq
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Tuple
+from typing import Any, Callable, List, Optional, Tuple
 
 __all__ = ["Event", "EventScheduler", "SchedulerError"]
 
@@ -34,9 +34,8 @@ class SchedulerError(RuntimeError):
 class Event:
     """A single scheduled event: its timestamp, sequence number and action.
 
-    Events are never compared.  The queue holds ``(time, sequence, event)``
-    tuples, so the heap orders them by ``(time, sequence)``: events
-    scheduled earlier at the same timestamp run first.
+    Events are never compared: the heap orders its entries by ``(time,
+    sequence)``, so events scheduled earlier at the same timestamp run first.
     """
 
     time: float
@@ -52,9 +51,10 @@ class Event:
 class EventScheduler:
     """A deterministic event queue with simulated time.
 
-    The queue is a binary heap of ``(time, sequence, event)`` tuples.  The
-    sequence numbers are unique, so ``heapq`` orders entries by comparing a
-    float and an int and never reaches the event itself.
+    The queue is a binary heap of ``(time, sequence, action, args)`` entries,
+    or ``(time, sequence, None, event)`` for an :class:`Event`.  One counter
+    numbers every entry, so ``heapq`` orders entries by comparing a float and
+    an int and never reaches the rest.
 
     Examples
     --------
@@ -69,7 +69,7 @@ class EventScheduler:
     """
 
     def __init__(self) -> None:
-        self._queue: List[Tuple[float, int, Event]] = []
+        self._queue: List[Tuple[float, int, Optional[Callable[..., None]], Any]] = []
         self._sequence = itertools.count()
         self._now = 0.0
         self._executed = 0
@@ -120,14 +120,27 @@ class EventScheduler:
         ``time`` must be finite and not earlier than :attr:`now`.
         """
         if not self._now <= time < math.inf:
-            raise SchedulerError(
-                f"cannot schedule an event at time {time}; current time is {self._now} "
-                "and times must be finite"
-            )
+            raise self._time_error(time)
         sequence = next(self._sequence)
         event = Event(time, sequence, action)
-        heapq.heappush(self._queue, (time, sequence, event))
+        heapq.heappush(self._queue, (time, sequence, None, event))
         return event
+
+    def call_at(self, time: float, action: Callable[..., None], args: tuple) -> None:
+        """:meth:`schedule_at` for ``action(*args)``, with no :class:`Event` to cancel."""
+        if not self._now <= time < math.inf:
+            raise self._time_error(time)
+        heapq.heappush(self._queue, (time, next(self._sequence), action, args))
+
+    def clear(self) -> None:
+        """Drop every pending entry."""
+        self._queue.clear()
+
+    def _time_error(self, time: float) -> SchedulerError:
+        return SchedulerError(
+            f"cannot schedule an event at time {time}; current time is {self._now} "
+            "and times must be finite"
+        )
 
     # ------------------------------------------------------------------
     # Execution
@@ -135,16 +148,7 @@ class EventScheduler:
 
     def step(self) -> bool:
         """Execute the next non-cancelled event.  Returns ``False`` if idle."""
-        queue = self._queue
-        while queue:
-            time, _, event = heapq.heappop(queue)
-            if event.cancelled:
-                continue
-            self._now = time
-            self._executed += 1
-            event.action()
-            return True
-        return False
+        return self.run(max_events=1) == 1
 
     def run(
         self,
@@ -171,16 +175,23 @@ class EventScheduler:
         int
             The number of events executed by this call.
         """
+        queue = self._queue
         executed_before = self._executed
-        while self._queue:
-            if max_events is not None and self._executed - executed_before >= max_events:
-                break
+        limit = math.inf if max_events is None else executed_before + max_events
+        while queue and self._executed < limit:
             if until_time is not None:
                 next_time = self._peek_time()
                 if next_time is None or next_time > until_time:
                     break
-            if not self.step():
-                break
+            time, _, action, args = heapq.heappop(queue)
+            if action is None:
+                # An Event: a cancelled one neither counts nor advances time.
+                if args.cancelled:
+                    continue
+                action, args = args.action, ()
+            self._now = time
+            self._executed += 1
+            action(*args)
             if stop_when is not None and stop_when():
                 break
         return self._executed - executed_before
@@ -188,6 +199,6 @@ class EventScheduler:
     def _peek_time(self) -> Optional[float]:
         """Timestamp of the next non-cancelled event, or ``None`` if idle."""
         queue = self._queue
-        while queue and queue[0][2].cancelled:
+        while queue and queue[0][2] is None and queue[0][3].cancelled:
             heapq.heappop(queue)
         return queue[0][0] if queue else None

@@ -177,9 +177,11 @@ def run_async_network(
     network.start(start_jitter=start_jitter, seed=start_seed)
     events = network.run(max_events=max_events)
     wall = time.perf_counter() - started
-    return _collect_result(
+    result = _collect_result(
         protocol, "des", problem, network.processes, network.stats, events, wall
     )
+    network.close()
+    return result
 
 
 def run_lockstep(
@@ -207,9 +209,11 @@ def run_lockstep(
         network.signal_round_timeout(round_number)
     events += network.scheduler.run(stop_when=network.all_honest_output)
     wall = time.perf_counter() - started
-    return _collect_result(
+    result = _collect_result(
         protocol, "lockstep", problem, network.processes, network.stats, events, wall
     )
+    network.close()
+    return result
 
 
 def run_asyncio_runtime(

@@ -4,7 +4,15 @@ from __future__ import annotations
 
 import pytest
 
-from repro.net.message import FLOAT_BITS, KIND_BITS, Message, message_bits
+from repro.net.message import (
+    FLOAT_BITS,
+    KIND_BITS,
+    MESSAGE_BITS_CACHE_SIZE,
+    Message,
+    _payload_bits,
+    _remembered_bits,
+    message_bits,
+)
 
 
 class TestMessage:
@@ -75,3 +83,37 @@ class TestMessageBits:
             pass
 
         assert message_bits(Message("X", value=Opaque())) == KIND_BITS + FLOAT_BITS
+
+
+class TestMessageBitsMemo:
+    """:func:`message_bits` remembers sizes without merging equal payloads."""
+
+    @pytest.mark.parametrize("tag, tag_bits", [(None, 0), ((0, 1), 8)])
+    def test_equal_payloads_of_different_types_keep_their_sizes(self, tag, tag_bits):
+        # 1, 1.0 and True compare and hash equal, so the three messages do
+        # too; each is charged for its own type, whichever comes first.
+        payloads = (1, 1.0, True)
+        for order in (payloads, payloads[::-1]):
+            for payload in order * 2:
+                expected = {int: 12, float: 74, bool: 11}[type(payload)] + tag_bits
+                message = Message("VALUE", round=1, value=payload, tag=tag)
+                assert message_bits(message) == expected
+
+    def test_equal_tuples_of_different_item_types_keep_their_sizes(self):
+        for value, tag in (((1,), None), ((1.0,), None), (None, (1, 2)), (None, (1.0, 2))):
+            message = Message("X", value=value, tag=tag)
+            assert message_bits(message) == KIND_BITS + _payload_bits(value) + _payload_bits(tag)
+
+    @pytest.mark.parametrize(
+        "payload",
+        [[1, 2.0], {1, 2.5}, {"a": 1, 2: [True]}, ([1],), frozenset({1, 9.0}), frozenset({9, 1.0})],
+    )
+    def test_containers_are_charged_what_payload_bits_charges(self, payload):
+        for _ in range(2):
+            assert message_bits(Message("X", value=payload)) == KIND_BITS + _payload_bits(payload)
+            assert message_bits(Message("X", tag=payload)) == KIND_BITS + _payload_bits(payload)
+
+    def test_memo_stays_bounded(self):
+        for index in range(100_000):
+            message_bits(Message("RBC_ECHO", value=float(index), tag=(index % 7, 3)))
+        assert _remembered_bits.cache_info().currsize == MESSAGE_BITS_CACHE_SIZE

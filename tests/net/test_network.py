@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import sys
 
 import pytest
 
@@ -17,6 +18,7 @@ from repro.net.adversary import (
 )
 from repro.net.interfaces import Process, ProcessContext
 from repro.net.message import Message, message_bits
+from repro.net.scheduler import SchedulerError
 from repro.net.network import (
     ConstantDelay,
     ExponentialRandomDelay,
@@ -178,6 +180,19 @@ class TestDelayModels:
         with pytest.raises(ValueError):
             network.run()
         assert all(math.isfinite(record.time) for record in network.trace)
+
+    def test_network_rejects_a_delivery_time_that_overflows(self):
+        # Every delay is finite, but a late start plus the delay overflows
+        # to inf: the scheduler refuses the time instead of queueing a
+        # delivery that would never run.
+        class HugeDelay(ConstantDelay):
+            def delay(self, sender, recipient, message, now):
+                return sys.float_info.max
+
+        network = SimulatedNetwork([EchoProcess() for _ in range(2)], delay_model=HugeDelay())
+        network.start(start_jitter=1e308)
+        with pytest.raises(SchedulerError):
+            network.run()
 
 
 class TestCrashFaults:

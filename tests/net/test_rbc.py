@@ -20,10 +20,7 @@ class RbcHost(Process):
         self.t = t
         self.value = value
         self.delivered: Dict[tuple, float] = {}
-        self.rbc = RbcMultiplexer(n, t, self._on_deliver)
-
-    def _on_deliver(self, context_tag, originator, value):
-        self.delivered[(context_tag, originator)] = value
+        self.rbc = RbcMultiplexer(n, t)
 
     def on_start(self, ctx: ProcessContext) -> None:
         if self.value is not None:
@@ -31,7 +28,10 @@ class RbcHost(Process):
 
     def on_message(self, ctx: ProcessContext, sender: int, message: Message) -> None:
         if self.rbc.handles(message):
-            self.rbc.handle(ctx, sender, message)
+            delivery = self.rbc.handle(ctx, sender, message)
+            if delivery is not None:
+                context_tag, originator, value = delivery
+                self.delivered[(context_tag, originator)] = value
 
 
 class EquivocatingSender(Process):
@@ -165,17 +165,17 @@ class TestInstanceStateMachine:
 class TestMultiplexer:
     def test_requires_n_greater_than_3t(self):
         with pytest.raises(ValueError):
-            RbcMultiplexer(6, 2, lambda *args: None)
+            RbcMultiplexer(6, 2)
 
     def test_rejects_malformed_tags(self):
-        multiplexer = RbcMultiplexer(4, 1, lambda *args: None)
+        multiplexer = RbcMultiplexer(4, 1)
         network = SimulatedNetwork([RbcHost(4, 1) for _ in range(4)])
         network.start()
         with pytest.raises(ValueError):
             multiplexer.handle(network.context_for(0), 1, Message("RBC_ECHO", value=1.0, tag=None))
 
     def test_handles_predicate(self):
-        multiplexer = RbcMultiplexer(4, 1, lambda *args: None)
+        multiplexer = RbcMultiplexer(4, 1)
         assert multiplexer.handles(Message("RBC_INIT"))
         assert multiplexer.handles(Message("RBC_ECHO"))
         assert multiplexer.handles(Message("RBC_READY"))

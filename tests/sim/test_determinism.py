@@ -9,22 +9,33 @@ simulator, the round-level batch engine, and the sweep worker pool.
 
 from __future__ import annotations
 
+import hashlib
+
 import pytest
 
 from repro.core.termination import FixedRounds
 from repro.net.adversary import (
     AntiConvergenceStrategy,
+    ByzantineFaultPlan,
     DelayRankOmission,
     RandomValueStrategy,
     RoundFaultModel,
     SeededDelay,
     StaggeredExclusionDelay,
 )
-from repro.net.network import UniformRandomDelay
+from repro.net.interfaces import Process, ProcessContext
+from repro.net.message import Message
+from repro.net.network import ExponentialRandomDelay, SimulatedNetwork, UniformRandomDelay
 from repro.sim import NDBATCH_PROTOCOLS, run_ndbatch_protocol
 from repro.sim.batch import BATCH_PROTOCOLS, run_batch_protocol
 from repro.sim.engine import numpy_available
-from repro.sim.runner import PROTOCOL_FACTORIES, SYNCHRONOUS_PROTOCOLS, run_protocol
+from repro.sim.runner import (
+    PROTOCOL_FACTORIES,
+    SYNCHRONOUS_PROTOCOLS,
+    _make_problem,
+    run_async_network,
+    run_protocol,
+)
 from repro.sim.sweep import ADVERSARY_SPECS, SweepSpec, run_sweep
 from repro.sim.workloads import rendezvous_positions, uniform_inputs
 
@@ -160,6 +171,242 @@ class TestEventEngineDeterminism:
             rounds_used=10,
             outputs=dict.fromkeys(range(5), 0.7466017677540366),
         )
+
+    #: sha256 prefixes of :func:`histories_of` for :meth:`execute`'s runs.
+    HISTORIES_RECORDED = {
+        "async-byzantine": "dba0794e054060c4",
+        "async-crash": "303565d342a3f66b",
+        "sync-byzantine": "b7984fc4b26db829",
+        "sync-crash": "973bcab3da768252",
+        "witness": "b7984fc4b26db829",
+    }
+
+    @pytest.mark.parametrize("protocol", sorted(PROTOCOL_FACTORIES))
+    def test_value_histories_match_recorded_digests(self, protocol):
+        assert histories_of(self.execute(protocol)) == self.HISTORIES_RECORDED[protocol]
+
+    #: Adversarial scenarios: ``(protocol, n, t, fault source, delays,
+    #: start_jitter)``.  The fault source is an :data:`ADVERSARY_SPECS` name
+    #: (its bundle's delay model, if any, wins over ``delays``) or
+    #: ``"rbc-equivocator"``; ``delays`` is ``None`` (unit delays),
+    #: ``"uniform"`` or ``"exponential"``.
+    SCENARIOS = {
+        # The witness-event bench workload's shape.
+        "witness-crash-staggered": ("witness", 10, 3, "crash-staggered", None, 0.0),
+        # RoundEchoByzantine senders, whose VALUE messages the witness
+        # protocol ignores.
+        "witness-byz-anti": ("witness", 7, 2, "byz-anti", "uniform", 0.5),
+        "witness-byz-equivocate": ("witness", 7, 2, "byz-equivocate", "uniform", 0.5),
+        # Byzantine reliable-broadcast originators that split their INITs.
+        "witness-rbc-equivocator": ("witness", 7, 2, "rbc-equivocator", "uniform", 0.5),
+        # A report-delay model: slow cross-camp REPORT messages.
+        "witness-partition": ("witness", 7, 2, "witness-partition", None, 0.5),
+        # Starts spread over 30 time units: processes 0 and 4 see n - t
+        # broadcasts delivered and n - t witnesses before their on_start, so
+        # they update (and decide) before they start.
+        "witness-late-start": ("witness", 10, 3, "none", "uniform", 30.0),
+        # Byzantine point-to-point values under heavy-tailed delays.
+        "async-byzantine-exponential": (
+            "async-byzantine", 11, 2, "byz-equivocate", "exponential", 0.5,
+        ),
+    }
+
+    #: :func:`schedule_of` plus the :func:`histories_of` digest per scenario.
+    SCENARIOS_RECORDED = {
+        "async-byzantine-exponential": dict(
+            events_executed=1210,
+            messages_sent=1210,
+            messages_delivered=1186,
+            bits_sent=90992,
+            messages_by_kind={"VALUE": 1210},
+            sends_by_process=dict.fromkeys(range(11), 110),
+            rounds_used=10,
+            outputs={**dict.fromkeys(range(8), 0.5920233182900292), 8: 0.5917224709427024},
+            histories="93a96a1c67246fe6",
+        ),
+        "witness-byz-anti": dict(
+            events_executed=4221,
+            messages_sent=4214,
+            messages_delivered=4214,
+            bits_sent=331751,
+            messages_by_kind={
+                "RBC_INIT": 350, "RBC_ECHO": 1750, "RBC_READY": 1750, "REPORT": 350,
+                "VALUE": 14,
+            },
+            sends_by_process={**dict.fromkeys(range(5), 840), 5: 7, 6: 7},
+            rounds_used=10,
+            outputs=dict.fromkeys(range(5), 0.9109759624491242),
+            histories="40fa69ffc2081727",
+        ),
+        "witness-byz-equivocate": dict(
+            events_executed=4221,
+            messages_sent=4214,
+            messages_delivered=4214,
+            bits_sent=331751,
+            messages_by_kind={
+                "RBC_INIT": 350, "RBC_ECHO": 1750, "RBC_READY": 1750, "REPORT": 350,
+                "VALUE": 14,
+            },
+            sends_by_process={**dict.fromkeys(range(5), 840), 5: 7, 6: 7},
+            rounds_used=10,
+            outputs=dict.fromkeys(range(5), 0.9109759624491242),
+            histories="40fa69ffc2081727",
+        ),
+        "witness-crash-staggered": dict(
+            events_executed=11552,
+            messages_sent=11545,
+            messages_delivered=8088,
+            bits_sent=933406,
+            messages_by_kind={
+                "RBC_INIT": 722, "RBC_ECHO": 5083, "RBC_READY": 5040, "REPORT": 700,
+            },
+            sends_by_process={
+                0: 1650, 1: 1650, **dict.fromkeys(range(2, 7), 1640), 7: 28, 8: 15, 9: 2,
+            },
+            rounds_used=10,
+            outputs=dict.fromkeys(range(7), 0.6743542529253728),
+            histories="dc496049114da40a",
+        ),
+        "witness-late-start": dict(
+            events_executed=18217,
+            messages_sent=18220,
+            messages_delivered=18207,
+            bits_sent=1490940,
+            messages_by_kind={
+                "RBC_INIT": 820, "RBC_ECHO": 8200, "RBC_READY": 8200, "REPORT": 1000,
+            },
+            sends_by_process={**dict.fromkeys(range(10), 1840), 0: 1750, 4: 1750},
+            rounds_used=10,
+            outputs=dict.fromkeys(range(10), 0.4407325991753527),
+            histories="0e2d33aa71369445",
+        ),
+        "witness-partition": dict(
+            events_executed=7839,
+            messages_sent=7840,
+            messages_delivered=7832,
+            bits_sent=628593,
+            messages_by_kind={
+                "RBC_INIT": 490, "RBC_ECHO": 3430, "RBC_READY": 3430, "REPORT": 490,
+            },
+            sends_by_process=dict.fromkeys(range(7), 1120),
+            rounds_used=10,
+            outputs=dict.fromkeys(range(7), 0.7466017677540366),
+            histories="b7984fc4b26db829",
+        ),
+        "witness-rbc-equivocator": dict(
+            events_executed=5047,
+            messages_sent=5040,
+            messages_delivered=5040,
+            bits_sent=401191,
+            messages_by_kind={
+                "RBC_INIT": 490, "RBC_ECHO": 2450, "RBC_READY": 1750, "REPORT": 350,
+            },
+            sends_by_process={**dict.fromkeys(range(5), 980), 5: 70, 6: 70},
+            rounds_used=10,
+            outputs=dict.fromkeys(range(5), 0.9109759624491242),
+            histories="40fa69ffc2081727",
+        ),
+    }
+
+    @classmethod
+    def scenario(cls, name):
+        """``(protocol, processes, problem, delay model, fault plan, jitter)``."""
+        protocol, n, t, faults, delays, jitter = cls.SCENARIOS[name]
+        inputs = uniform_inputs(n, seed=SEED)
+        if faults == "rbc-equivocator":
+            fault_plan = ByzantineFaultPlan({n - 1 - i: RbcEquivocator(n) for i in range(t)})
+            delay_model = None
+        else:
+            fault_plan, delay_model, _ = ADVERSARY_SPECS[faults](protocol, n, t, SEED)
+        if delay_model is None and delays == "uniform":
+            delay_model = UniformRandomDelay(low=0.2, high=1.8, seed=SEED)
+        elif delay_model is None and delays == "exponential":
+            delay_model = ExponentialRandomDelay(mean=1.0, floor=0.05, seed=SEED)
+        processes = PROTOCOL_FACTORIES[protocol](inputs, t, 1e-3)
+        problem = _make_problem(inputs, t, 1e-3, fault_plan)
+        return protocol, processes, problem, delay_model, fault_plan, jitter
+
+    @pytest.mark.parametrize("scenario", sorted(SCENARIOS))
+    def test_adversarial_schedule_matches_recorded_values(self, scenario):
+        protocol, processes, problem, delays, faults, jitter = self.scenario(scenario)
+        result = run_async_network(
+            protocol, processes, problem, delay_model=delays, fault_plan=faults,
+            start_jitter=jitter, start_seed=SEED,
+        )
+        recorded = dict(self.SCENARIOS_RECORDED[scenario])
+        assert histories_of(result) == recorded.pop("histories")
+        assert schedule_of(result) == recorded
+
+    #: ``(deliveries, trace digest)`` of a ``keep_trace=True`` run with one
+    #: delivery observer attached.
+    TRACE_RECORDED = {
+        "async-byzantine-exponential": (1186, "705bce11cecee6d3"),
+        "witness-crash-staggered": (8088, "8ea43aeed1e2a900"),
+        "witness-rbc-equivocator": (5040, "7adbe4fd671b5f1b"),
+    }
+
+    @pytest.mark.parametrize("scenario", sorted(TRACE_RECORDED))
+    def test_trace_and_observer_match_recorded_values(self, scenario):
+        _, processes, _, delays, faults, jitter = self.scenario(scenario)
+        network = SimulatedNetwork(
+            processes, delay_model=delays, fault_plan=faults, keep_trace=True
+        )
+        observed = []
+        network.add_delivery_observer(observed.append)
+        network.start(start_jitter=jitter, seed=SEED)
+        network.run()
+        assert observed == network.trace
+        assert len(observed) == network.stats.messages_delivered
+        assert (len(observed), trace_digest(network.trace)) == self.TRACE_RECORDED[scenario]
+
+
+def _digest(value) -> str:
+    """Short sha256 prefix of ``repr(value)`` (``repr`` round-trips floats)."""
+    return hashlib.sha256(repr(value).encode()).hexdigest()[:16]
+
+
+def histories_of(result) -> str:
+    """Digest of every honest process's value history and the trajectory."""
+    return _digest((sorted(result.value_histories.items()), result.trajectory))
+
+
+def trace_digest(trace) -> str:
+    """Digest of a delivery trace: times, endpoints and every message field."""
+    return _digest(
+        [
+            (r.time, r.sender, r.recipient, r.message.kind, r.message.round,
+             r.message.value, r.message.tag)
+            for r in trace
+        ]
+    )
+
+
+class RbcEquivocator(Process):
+    """Byzantine witness process: for each iteration it sees, it sends its
+    broadcast's ``RBC_INIT`` with ``0.0`` to the even recipients and ``1.0``
+    to the odd ones."""
+
+    def __init__(self, n: int) -> None:
+        self.n = n
+        self.iterations = set()
+
+    def on_start(self, ctx: ProcessContext) -> None:
+        self._equivocate(ctx, 1)
+
+    def on_message(self, ctx: ProcessContext, sender: int, message: Message) -> None:
+        if message.kind == "RBC_INIT" and isinstance(message.tag, tuple):
+            self._equivocate(ctx, message.tag[0])
+
+    def _equivocate(self, ctx: ProcessContext, iteration) -> None:
+        if iteration in self.iterations:
+            return
+        self.iterations.add(iteration)
+        for recipient in range(self.n):
+            ctx.send(
+                recipient,
+                Message(kind="RBC_INIT", value=float(recipient % 2),
+                        tag=(iteration, ctx.process_id)),
+            )
 
 
 class TestBatchEngineDeterminism:
