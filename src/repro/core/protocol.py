@@ -97,6 +97,7 @@ class _RoundProtocolBase(Process):
         self.value_history: List[float] = [self.current_value]
         self._received: Dict[int, Dict[int, float]] = {}
         self._halted_peers: Dict[int, float] = {}
+        self._started = False
         self._decided = False
 
         bounds = self.algorithm_bounds()
@@ -201,11 +202,14 @@ class AsyncRoundProcess(_RoundProtocolBase):
         return self.algorithm_bounds().sample_size
 
     def on_start(self, ctx: ProcessContext) -> None:
+        self._started = True
         self.total_rounds = self._rounds_upfront()
         if self.total_rounds == 0:
             self._decide(ctx, self.current_value)
             return
         ctx.multicast(Message(kind=VALUE_KIND, round=1, value=self.current_value))
+        # Values that arrived before the start may already fill round 1.
+        self._advance_while_possible(ctx)
 
     def on_message(self, ctx: ProcessContext, sender: int, message: Message) -> None:
         if self._decided:
@@ -219,6 +223,8 @@ class AsyncRoundProcess(_RoundProtocolBase):
         self._advance_while_possible(ctx)
 
     def _advance_while_possible(self, ctx: ProcessContext) -> None:
+        if not self._started:
+            return  # values are stored until on_start
         while not self._decided:
             sample = self._try_collect_sample(self.current_round)
             if sample is None:

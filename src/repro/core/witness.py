@@ -135,6 +135,9 @@ class WitnessProcess(Process):
             self._decide(ctx, self.current_value)
             return
         self._start_iteration(ctx, 1)
+        # Broadcasts and reports that arrived before the start may already
+        # complete iteration 1.
+        self._advance_while_possible(ctx)
 
     def on_message(self, ctx: ProcessContext, sender: int, message: Message) -> None:
         # The reliable-broadcast layer and the report exchange keep running
@@ -197,6 +200,8 @@ class WitnessProcess(Process):
         return sum(1 for ids in reports.values() if ids <= delivered_ids)
 
     def _advance_while_possible(self, ctx: ProcessContext) -> None:
+        if self.total_rounds is None:
+            return  # not started: messages are stored until on_start
         while not self._decided:
             iteration = self.current_iteration
             delivered = self._delivered.get(iteration, {})
@@ -210,7 +215,7 @@ class WitnessProcess(Process):
             self.current_value = midpoint_of_reduced(sample, self.config.t)
             self.rounds_completed = iteration
             self.value_history.append(self.current_value)
-            if iteration >= (self.total_rounds or 0):
+            if iteration >= self.total_rounds:
                 self._decide(ctx, self.current_value)
                 return
             self._start_iteration(ctx, iteration + 1)

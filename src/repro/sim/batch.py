@@ -30,11 +30,14 @@ directly; ``tests/sim/test_batch_equivalence.py`` checks this differentially
 against the event simulator on a seeded scenario grid.
 
 The engine supports the four direct protocols (``async-crash``,
-``async-byzantine``, ``sync-crash``, ``sync-byzantine``) under both upfront
-round policies (uniform fast loop) and adaptive ones
-(:class:`~repro.core.termination.SpreadEstimateRounds`, via per-process round
-counts with halt-echo substitution), plus the witness protocol in its
-round-level form (see below).
+``async-byzantine``, ``sync-crash``, ``sync-byzantine``) under every round
+policy, in one round loop (:func:`_run_rounds`): each value holder runs its
+own round count, known before round 1 under an upfront policy (the default,
+``FixedRounds``, ``KnownRangeRounds``) and derived from the holder's round-1
+multiset under an adaptive one
+(:class:`~repro.core.termination.SpreadEstimateRounds`, with halt-echo
+substitution).  It also runs the witness protocol in its round-level form
+(see below).
 
 Witness protocol at round level
 -------------------------------
@@ -129,7 +132,8 @@ BATCH_PROTOCOLS = tuple(sorted(BATCH_PROTOCOL_BOUNDS))
 _SYNCHRONOUS = frozenset({"sync-crash", "sync-byzantine"})
 
 
-#: Safety valve for adaptive policies: maximum rounds per batch execution.
+#: Safety valve for adaptive policies: the most rounds a holder may run when
+#: its count is not known upfront.  Upfront counts are never capped.
 MAX_ADAPTIVE_ROUNDS = 10_000
 
 
@@ -140,9 +144,8 @@ def _upfront_rounds(
 
     ``None`` signals an adaptive policy (e.g.
     :class:`~repro.core.termination.SpreadEstimateRounds`): each process
-    derives its own round count from the first multiset it collects, and the
-    engine switches to the per-process round-count loop with halt-echo
-    substitution (:func:`_run_adaptive`).
+    derives its own round count from the first multiset it collects (see
+    :func:`_run_rounds`).
     """
     try:
         return policy.required_rounds(bounds.contraction, epsilon, None)
@@ -153,38 +156,40 @@ def _upfront_rounds(
 class _RoundState:
     """Mutable per-execution state of one batch run."""
 
-    def __init__(
-        self,
-        n: int,
-        inputs: Sequence[float],
-        faults: RoundFaultModel,
-    ) -> None:
-        self.n = n
-        self.faults = faults
+    def __init__(self, problem: ProblemInstance, faults: RoundFaultModel) -> None:
+        self.n = problem.n
+        #: ``pid → (crash round, deliveries)``: the holder sends ``deliveries``
+        #: messages of its crash round's multicast and nothing after.
         self.crash_schedule = dict(faults.crash_schedule)
-        self.strategy_ids = set(faults.strategies)
+        self.strategies = faults.strategies
         self.silent_ids = set(faults.silent)
         # Value holders run the honest update rule: honest processes,
         # crash-faulty processes until they crash, and corrupted-input
         # Byzantine processes (honest behaviour, forged input).
         self.holders = [
             pid
-            for pid in range(n)
-            if pid not in self.strategy_ids and pid not in self.silent_ids
+            for pid in range(self.n)
+            if pid not in self.strategies and pid not in self.silent_ids
         ]
-        self.values: Dict[int, float] = {pid: float(inputs[pid]) for pid in self.holders}
+        self.values: Dict[int, float] = {
+            pid: float(problem.inputs[pid]) for pid in self.holders
+        }
         for pid, forged in faults.corrupted_inputs.items():
             if pid in self.values:
                 self.values[pid] = float(forged)
-        faulty = set(faults.faulty_ids(n))
-        self.honest = [pid for pid in range(n) if pid not in faulty]
+        self.honest = problem.honest
         self.histories: Dict[int, List[float]] = {
             pid: [self.values[pid]] for pid in self.holders
         }
 
-    def crash_round(self, pid: int) -> Optional[int]:
-        point = self.crash_schedule.get(pid)
-        return point[0] if point is not None else None
+    def alive(self, round_number: int) -> List[int]:
+        """Holders that complete (and apply) round ``round_number``."""
+        crashes = self.crash_schedule
+        return [
+            pid
+            for pid in self.holders
+            if pid not in crashes or round_number < crashes[pid][0]
+        ]
 
     def sends_in_round(self, pid: int, round_number: int) -> int:
         """Point-to-point sends of holder ``pid``'s round-``round_number`` multicast."""
@@ -197,45 +202,6 @@ class _RoundState:
         if round_number == crash_round:
             return deliveries
         return 0
-
-    def reaches(self, sender: int, recipient: int, round_number: int) -> bool:
-        """Whether ``sender``'s round value can reach ``recipient`` this round."""
-        if sender in self.silent_ids:
-            return False
-        if sender in self.strategy_ids:
-            return True
-        # Multicasts send in increasing recipient order, so a mid-multicast
-        # crash reaches exactly the recipients below the delivery prefix.
-        return recipient < self.sends_in_round(sender, round_number)
-
-    def round_candidates(self, round_number: int) -> Tuple[List[int], List[Tuple[int, int]]]:
-        """Candidate senders this round: (reach everyone, partial prefixes).
-
-        The first list holds the senders whose round value reaches every
-        recipient; the second holds ``(sender, deliveries)`` pairs for
-        senders crashing mid-multicast this round, which reach only
-        recipients below ``deliveries``.  Computing this once per round keeps
-        the per-recipient work at ``O(m)`` instead of ``O(n)`` probing.
-        """
-        full: List[int] = []
-        partial: List[Tuple[int, int]] = []
-        for sender in range(self.n):
-            if sender in self.silent_ids:
-                continue
-            if sender in self.strategy_ids:
-                full.append(sender)
-                continue
-            sends = self.sends_in_round(sender, round_number)
-            if sends == self.n:
-                full.append(sender)
-            elif sends > 0:
-                partial.append((sender, sends))
-        return full, partial
-
-    def updates_in_round(self, pid: int, round_number: int) -> bool:
-        """Whether holder ``pid`` completes (and applies) round ``round_number``."""
-        crash = self.crash_round(pid)
-        return crash is None or round_number < crash
 
 
 def run_batch_protocol(
@@ -261,12 +227,14 @@ def run_batch_protocol(
     inputs, t, epsilon:
         Problem instance (``n = len(inputs)``).
     round_policy:
-        Optional policy.  Upfront policies (the default —
-        :func:`repro.core.termination.default_round_policy` — and
-        ``FixedRounds``/``KnownRangeRounds``) run the uniform fast loop whose
-        round counts are comparable across engines; adaptive policies
-        (``SpreadEstimateRounds``) run the per-process round-count loop with
-        halt-echo substitution (see :func:`_run_adaptive`).
+        Optional policy; defaults to
+        :func:`repro.core.termination.default_round_policy`.  Every direct
+        protocol runs one round loop (:func:`_run_rounds`): under an upfront
+        policy (the default, ``FixedRounds``, ``KnownRangeRounds``) every
+        process runs the same count, comparable across engines; under an
+        adaptive one (``SpreadEstimateRounds``) each process derives its own
+        count from its round-1 multiset, with halt-echo substitution.  The
+        witness protocol requires an upfront policy.
     fault_plan / fault_model:
         Faults, either as a message-level :class:`~repro.net.network.FaultPlan`
         (adapted via :func:`~repro.net.adversary.round_fault_model`) or
@@ -320,6 +288,10 @@ def run_batch_protocol(
             DelayRankOmission(delay_model) if delay_model is not None else SeededOmission(seed)
         )
     omission_policy.reset()
+    # The shipped policies honour the quorum contract by construction, so
+    # their answers skip the per-call validation in the hot loop; custom
+    # policies stay fully checked.
+    trusted_policy = type(omission_policy) in (SeededOmission, DelayRankOmission)
 
     problem = ProblemInstance(
         n=n,
@@ -330,65 +302,94 @@ def run_batch_protocol(
         byzantine=fault_model.byzantine_ids(n),
     )
     policy = round_policy or default_round_policy(bounds, inputs, epsilon)
+    state = _RoundState(problem, fault_model)
 
     if protocol == "witness":
         return _run_witness(
             problem,
             bounds,
             policy,
-            fault_model,
+            state,
             omission_policy,
+            trusted_policy,
             explicit_quorum_adversary,
             epsilon,
             started,
             fault_plan=fault_plan,
         )
+    return _run_rounds(
+        protocol,
+        problem,
+        bounds,
+        policy,
+        state,
+        omission_policy,
+        trusted_policy,
+        epsilon,
+        started,
+    )
 
-    total_rounds = _upfront_rounds(policy, bounds, epsilon)
 
-    state = _RoundState(n, inputs, fault_model)
-    stats = NetworkStats()
+def _run_rounds(
+    protocol: str,
+    problem: ProblemInstance,
+    bounds: AlgorithmBounds,
+    policy: RoundPolicy,
+    state: _RoundState,
+    omission_policy: OmissionPolicy,
+    trusted_policy: bool,
+    epsilon: float,
+    started: float,
+) -> ExecutionResult:
+    """The direct protocols' round loop, for every round policy.
+
+    Every value holder runs its own round count.  An upfront policy gives
+    every holder the policy's count before round 1 (``0`` outputs the inputs
+    and sends nothing).  An adaptive policy
+    (:class:`~repro.core.termination.SpreadEstimateRounds`) lets each holder
+    derive its count from the multiset it collects in round 1, as the event
+    engine does, so different holders may halt at different rounds; only such
+    counts are capped at :data:`MAX_ADAPTIVE_ROUNDS`.  A holder that halts
+    multicasts one ``HALT`` message carrying its final value when the policy
+    sets ``echo_on_halt``, and that value substitutes for the halted sender
+    in every later quorum — at round level the halted sender simply stays a
+    full candidate whose reported value is frozen, which is the schedule
+    where the adversary delivers the halt echo whenever it suits it.
+
+    Two engine-level caveats of adaptive counts (documented divergences from
+    the event simulator, which realises *one* arrival order):
+
+    * per-process round counts derive from the *policy-chosen* round-1 quorum,
+      so an execution's round counts may differ between engines even at equal
+      seeds (both are legal schedules);
+    * a crash-faulty process's crash point is measured in ``VALUE`` sends;
+      once it halts, its halt echo is delivered in full.
+    """
     synchronous = protocol in _SYNCHRONOUS
     quorum_size = bounds.sample_size
-    strategies = fault_model.strategies
-    # The shipped policies honour the quorum contract by construction, so
-    # their answers skip the per-call validation in the hot loop; custom
-    # policies stay fully checked.
-    trusted_policy = type(omission_policy) in (SeededOmission, DelayRankOmission)
-
-    if total_rounds is None:
-        return _run_adaptive(
-            protocol,
-            problem,
-            bounds,
-            policy,
-            state,
-            stats,
-            omission_policy,
-            synchronous,
-            quorum_size,
-            strategies,
-            trusted_policy,
-            epsilon,
-            started,
-        )
-
+    echo = policy.echo_on_halt
+    upfront = _upfront_rounds(policy, bounds, epsilon)
+    totals: Dict[int, Optional[int]] = dict.fromkeys(state.holders, upfront)
+    # Holders that have halted, with the value they output.
+    stopped: Dict[int, float] = dict(state.values) if upfront == 0 else {}
+    last_round = MAX_ADAPTIVE_ROUNDS if upfront is None else upfront
+    stats = NetworkStats()
     live = True
-    rounds_completed = 0
 
-    for round_number in range(1, total_rounds + 1):
-        _account_round_messages(stats, state, strategies, round_number)
-        # Full-information adversary: Byzantine strategies see every honest
-        # (and crash-faulty) current value before choosing what to report.
-        # (Skipped when no strategy will ever read it — this sits in the
-        # sweep hot loop.)
-        observed: Sequence[float] = sorted(state.values.values()) if strategies else ()
-
-        updaters = [
-            pid for pid in state.holders if state.updates_in_round(pid, round_number)
-        ]
-        full_candidates, partial_candidates = state.round_candidates(round_number)
-        full_candidate_set = frozenset(full_candidates)
+    for round_number in range(1, last_round + 1):
+        updaters = [pid for pid in state.alive(round_number) if pid not in stopped]
+        if not updaters:
+            break
+        _account_value_messages(stats, state, stopped, round_number)
+        # Full-information adversary: Byzantine strategies see every holder's
+        # current value before choosing what to report.  (Skipped when no
+        # strategy will ever read it — this sits in the sweep hot loop.)
+        observed: Sequence[float] = (
+            sorted(state.values.values()) if state.strategies else ()
+        )
+        full_candidates, partial_candidates = _round_candidates(
+            state, stopped, echo, round_number
+        )
         new_values: Dict[int, float] = {}
         for recipient in updaters:
             if partial_candidates:
@@ -396,21 +397,15 @@ def run_batch_protocol(
                     full_candidates
                     + [s for s, prefix in partial_candidates if recipient < prefix]
                 )
-                candidate_set = frozenset(candidates)
             else:
                 candidates = full_candidates
-                candidate_set = full_candidate_set
             if synchronous:
-                sample = _sync_sample(
-                    state, strategies, candidates, recipient, round_number, observed
-                )
+                sample = _sync_sample(state, candidates, recipient, round_number, observed)
             else:
                 sample = _async_sample(
                     state,
-                    strategies,
                     omission_policy,
                     candidates,
-                    candidate_set,
                     recipient,
                     round_number,
                     quorum_size,
@@ -422,33 +417,101 @@ def run_batch_protocol(
                     break
             stats.messages_delivered += len(sample)
             new_values[recipient] = approximation_step(sample, bounds)
+            if totals[recipient] is None:
+                # An adaptive count comes from the holder's own round-1
+                # multiset; the holder has already run one round, so the count
+                # is at least 1.
+                totals[recipient] = max(
+                    1, policy.required_rounds(bounds.contraction, epsilon, sample)
+                )
         if not live:
             break
-        rounds_completed = round_number
         state.values.update(new_values)
         for pid, value in new_values.items():
             state.histories[pid].append(value)
+            if totals[pid] == round_number:
+                stopped[pid] = value
+                if echo:
+                    _account_halt_echo(stats, state.n, pid, value)
 
-    decided = live
-    outputs: Dict[int, Optional[float]] = {
-        pid: (state.values[pid] if decided else None) for pid in state.honest
-    }
-    report = validate_outputs(problem, outputs)
-    value_histories = {pid: list(state.histories[pid]) for pid in state.honest}
-    wall = time.perf_counter() - started
-    return ExecutionResult(
-        protocol=protocol,
-        runtime="batch",
-        problem=problem,
-        report=report,
-        outputs=outputs,
-        stats=stats,
-        rounds_used=rounds_completed,
-        trajectory=spread_trajectory(value_histories),
-        value_histories=value_histories,
-        events_executed=0,
-        wall_time_seconds=wall,
-    )
+    return _result(protocol, problem, state, stopped, stats, started)
+
+
+def _round_candidates(
+    state: _RoundState,
+    stopped: Dict[int, float],
+    echo: bool,
+    round_number: int,
+) -> Tuple[List[int], List[Tuple[int, int]]]:
+    """Candidate senders of one round: (reach everyone, mid-multicast prefixes).
+
+    The first list holds the senders whose round value reaches every
+    recipient: Byzantine strategies, holders whose multicast completes, and
+    halted holders when the policy echoes final values on halt (the halt echo
+    substitutes for their round value).  The second holds ``(sender,
+    deliveries)`` pairs for holders crashing mid-multicast this round, which
+    reach only the recipients below ``deliveries`` (multicasts send in
+    increasing recipient order).  Computing this once per round keeps the
+    per-recipient work at ``O(m)`` instead of ``O(n)`` probing.
+    """
+    full: List[int] = []
+    partial: List[Tuple[int, int]] = []
+    for sender in range(state.n):
+        if sender in state.silent_ids:
+            continue
+        if sender in state.strategies:
+            full.append(sender)
+            continue
+        if sender in stopped:
+            if echo:
+                full.append(sender)
+            continue
+        sends = state.sends_in_round(sender, round_number)
+        if sends == state.n:
+            full.append(sender)
+        elif sends > 0:
+            partial.append((sender, sends))
+    return full, partial
+
+
+def _account_value_messages(
+    stats: NetworkStats,
+    state: _RoundState,
+    stopped: Dict[int, float],
+    round_number: int,
+) -> None:
+    """Charge one round's ``VALUE`` traffic to the statistics.
+
+    Counts are exact at message granularity (every running holder multicasts
+    ``n`` point-to-point messages, a crashing holder sends its delivery
+    prefix, a halted holder sends nothing, every strategy-driven Byzantine
+    process sends to all ``n``); the per-message bit size is the wire size of
+    one round-``r`` ``VALUE`` message.
+    """
+    per_message_bits = message_bits(Message(kind="VALUE", round=round_number, value=0.0))
+    sends = 0
+    for pid in state.holders:
+        if pid in stopped:
+            continue
+        count = state.sends_in_round(pid, round_number)
+        if count:
+            stats.sends_by_process[pid] = stats.sends_by_process.get(pid, 0) + count
+        sends += count
+    for pid in state.strategies:
+        stats.sends_by_process[pid] = stats.sends_by_process.get(pid, 0) + state.n
+        sends += state.n
+    stats.messages_sent += sends
+    stats.bits_sent += sends * per_message_bits
+    stats.messages_by_kind["VALUE"] = stats.messages_by_kind.get("VALUE", 0) + sends
+
+
+def _account_halt_echo(stats: NetworkStats, n: int, pid: int, value: float) -> None:
+    """Charge one ``HALT`` multicast (``n`` point-to-point sends)."""
+    bits = message_bits(Message(kind="HALT", value=value))
+    stats.messages_sent += n
+    stats.bits_sent += n * bits
+    stats.messages_by_kind["HALT"] = stats.messages_by_kind.get("HALT", 0) + n
+    stats.sends_by_process[pid] = stats.sends_by_process.get(pid, 0) + n
 
 
 def _witness_crash_schedule(
@@ -519,8 +582,9 @@ def _run_witness(
     problem: ProblemInstance,
     bounds: AlgorithmBounds,
     policy: RoundPolicy,
-    fault_model: RoundFaultModel,
+    state: _RoundState,
     omission_policy: OmissionPolicy,
+    trusted_policy: bool,
     explicit_quorum_adversary: bool,
     epsilon: float,
     started: float,
@@ -563,26 +627,24 @@ def _run_witness(
         )
     total_rounds = policy.required_rounds(bounds.contraction, epsilon, None)
     quorum_size = n - t
-
-    strategies = fault_model.strategies
-    silent = set(fault_model.silent)
-    holders = [
-        pid for pid in range(n) if pid not in strategies and pid not in silent
-    ]
+    strategies = state.strategies
     if fault_plan is not None:
         # Message-level crash points count raw sends; re-map them onto witness
         # iteration boundaries (the generic adapter's (round, deliveries) form
         # divides by n, the direct protocols' multicast size).
-        crash_schedule = _witness_crash_schedule(
+        crash_rounds = _witness_crash_schedule(
             _witness_raw_crash_points(fault_plan, n),
             n,
             t,
-            holders,
+            state.holders,
             sorted(strategies),
             total_rounds,
         )
+        state.crash_schedule = {
+            pid: (crash_round, 0) for pid, crash_round in crash_rounds.items()
+        }
     else:
-        for pid, (crash_round, deliveries) in fault_model.crash_schedule.items():
+        for pid, (crash_round, deliveries) in state.crash_schedule.items():
             if deliveries != 0:
                 raise EngineCapabilityError(
                     "batch",
@@ -592,38 +654,24 @@ def _run_witness(
                     f"+{deliveries})",
                     ("event",),
                 )
-        crash_schedule = {
-            pid: point[0] for pid, point in fault_model.crash_schedule.items()
-        }
-    values: Dict[int, float] = {pid: float(problem.inputs[pid]) for pid in holders}
-    for pid, forged in fault_model.corrupted_inputs.items():
-        if pid in values:
-            values[pid] = float(forged)
-    histories: Dict[int, List[float]] = {pid: [values[pid]] for pid in holders}
-    trusted_policy = type(omission_policy) in (SeededOmission, DelayRankOmission)
 
     stats = NetworkStats()
     decided = True
-    rounds_completed = 0
 
     for round_number in range(1, total_rounds + 1):
-        alive = [
-            pid
-            for pid in holders
-            if pid not in crash_schedule or round_number < crash_schedule[pid]
-        ]
+        alive = state.alive(round_number)
         participants = sorted(alive + list(strategies))
 
         # Committed per-iteration Byzantine values (reliable broadcast makes
         # equivocation impossible); non-finite commitments degrade to the
         # sender's broadcast never delivering, like the message boundary of
         # the protocol skeletons.
-        observed: Sequence[float] = sorted(values[pid] for pid in alive)
-        round_values: Dict[int, float] = {pid: values[pid] for pid in alive}
+        observed: Sequence[float] = sorted(state.values[pid] for pid in alive)
+        round_values: Dict[int, float] = {pid: state.values[pid] for pid in alive}
         for pid in strategies:
-            committed = strategies[pid].value(round_number, pid, observed)
-            if isinstance(committed, (int, float)) and math.isfinite(committed):
-                round_values[pid] = float(committed)
+            committed = _finite(strategies[pid].value(round_number, pid, observed))
+            if committed is not None:
+                round_values[pid] = committed
 
         traffic = witness_round_traffic(n, t, round_number, participants)
         for kind, count in traffic.by_kind.items():
@@ -637,11 +685,7 @@ def _run_witness(
             )
         # At quiescence every send reaches every recipient that has not
         # crashed by this iteration (silent/Byzantine processes still listen).
-        crashed_recipients = sum(
-            1
-            for pid in crash_schedule
-            if pid in values and round_number >= crash_schedule[pid]
-        )
+        crashed_recipients = len(state.holders) - len(alive)
         stats.messages_delivered += (traffic.messages // n) * (n - crashed_recipients)
 
         candidates = sorted(pid for pid in participants if pid in round_values)
@@ -658,12 +702,12 @@ def _run_witness(
             shared_sample = [round_values[pid] for pid in candidates]
             new_values = dict.fromkeys(alive, approximation_step(shared_sample, bounds))
         else:
-            core = _witness_quorum(
+            core = _quorum(
                 omission_policy, round_number, n, candidates, quorum_size, trusted_policy
             )
             new_values = {}
             for recipient in alive:
-                extra = _witness_quorum(
+                extra = _quorum(
                     omission_policy,
                     round_number,
                     recipient,
@@ -675,45 +719,60 @@ def _run_witness(
                 new_values[recipient] = approximation_step(
                     [round_values[pid] for pid in chosen], bounds
                 )
-        values.update(new_values)
+        state.values.update(new_values)
         for pid, value in new_values.items():
-            histories[pid].append(value)
-        rounds_completed = round_number
+            state.histories[pid].append(value)
 
-    honest = problem.honest
-    outputs: Dict[int, Optional[float]] = {
-        pid: (values[pid] if decided else None) for pid in honest
-    }
+    final = state.values if decided else {}
+    return _result("witness", problem, state, final, stats, started)
+
+
+def _result(
+    protocol: str,
+    problem: ProblemInstance,
+    state: _RoundState,
+    final: Dict[int, float],
+    stats: NetworkStats,
+    started: float,
+) -> ExecutionResult:
+    """The execution's result; an honest process outputs its ``final`` value, if any.
+
+    Honest processes never crash, so each one's history holds its input and
+    one value per round it completed, and ``rounds_used`` is the most rounds
+    any of them completed, as on the event engine.
+    """
+    outputs: Dict[int, Optional[float]] = {pid: final.get(pid) for pid in state.honest}
+    value_histories = {pid: state.histories[pid] for pid in state.honest}
     report = validate_outputs(problem, outputs)
-    value_histories = {pid: list(histories[pid]) for pid in honest}
-    wall = time.perf_counter() - started
     return ExecutionResult(
-        protocol="witness",
+        protocol=protocol,
         runtime="batch",
         problem=problem,
         report=report,
         outputs=outputs,
         stats=stats,
-        rounds_used=rounds_completed,
+        rounds_used=max(len(history) for history in value_histories.values()) - 1,
         trajectory=spread_trajectory(value_histories),
         value_histories=value_histories,
         events_executed=0,
-        wall_time_seconds=wall,
+        wall_time_seconds=time.perf_counter() - started,
     )
 
 
-def _witness_quorum(
+def _quorum(
     omission_policy: OmissionPolicy,
     round_number: int,
     recipient: int,
     candidates: List[int],
     quorum_size: int,
     trusted_policy: bool,
-) -> Sequence[int]:
-    """One validated quorum query of the witness round form."""
-    chosen = list(
-        omission_policy.quorum(round_number, recipient, candidates, quorum_size)
-    )
+) -> List[int]:
+    """The omission policy's quorum for ``recipient``, checked unless trusted.
+
+    A quorum is ``quorum_size`` distinct senders, all of them candidates; a
+    policy that breaks this contract raises ``ValueError``.
+    """
+    chosen = list(omission_policy.quorum(round_number, recipient, candidates, quorum_size))
     if not trusted_policy:
         chosen_set = set(chosen)
         if len(chosen) != quorum_size or len(chosen_set) != quorum_size:
@@ -723,269 +782,18 @@ def _witness_quorum(
             )
         if not chosen_set <= set(candidates):
             raise ValueError(
-                f"omission policy {omission_policy.describe()} chose senders outside "
-                "the candidate set"
+                f"omission policy {omission_policy.describe()} chose senders outside the "
+                "candidate set"
             )
     return chosen
 
 
-def _run_adaptive(
-    protocol: str,
-    problem: ProblemInstance,
-    bounds: AlgorithmBounds,
-    policy: RoundPolicy,
-    state: _RoundState,
-    stats: NetworkStats,
-    omission_policy: OmissionPolicy,
-    synchronous: bool,
-    quorum_size: int,
-    strategies: Dict[int, object],
-    trusted_policy: bool,
-    epsilon: float,
-    started: float,
-) -> ExecutionResult:
-    """Adaptive-policy loop: per-process round counts with halt-echo substitution.
-
-    Mirrors the event engine's handling of adaptive policies
-    (:class:`~repro.core.termination.SpreadEstimateRounds`): each process
-    derives its own round count from the multiset it collects in round 1, so
-    different processes may halt at different rounds.  A process that halts
-    multicasts one ``HALT`` message carrying its final value (when the policy
-    sets ``echo_on_halt``), and that value substitutes for the halted sender
-    in every later quorum — at round level the halted sender simply stays a
-    full candidate whose reported value is frozen, which is the schedule where
-    the adversary delivers the halt echo whenever it suits it.
-
-    Two engine-level caveats (documented divergences from the event
-    simulator, which realises *one* arrival order):
-
-    * per-process round counts derive from the *policy-chosen* round-1 quorum,
-      so an execution's round counts may differ between engines even at equal
-      seeds (both are legal schedules);
-    * a crash-faulty process's crash point is measured in ``VALUE`` sends;
-      once it halts, its halt echo is delivered in full.
-    """
-    n = state.n
-    echo = policy.echo_on_halt
-    totals: Dict[int, Optional[int]] = {pid: None for pid in state.holders}
-    stopped: Dict[int, float] = {}
-    completed: Dict[int, int] = {pid: 0 for pid in state.holders}
-    live = True
-
-    round_number = 0
-    while live and round_number < MAX_ADAPTIVE_ROUNDS:
-        round_number += 1
-        updaters = [
-            pid
-            for pid in state.holders
-            if pid not in stopped
-            and state.updates_in_round(pid, round_number)
-            and (totals[pid] is None or round_number <= totals[pid])
-        ]
-        if not updaters:
-            break
-        _account_adaptive_messages(stats, state, strategies, stopped, totals, round_number)
-        observed: Sequence[float] = sorted(state.values.values()) if strategies else ()
-        full_candidates, partial_candidates = _adaptive_candidates(
-            state, stopped, echo, totals, round_number
-        )
-        full_candidate_set = frozenset(full_candidates)
-        new_values: Dict[int, float] = {}
-        samples: Dict[int, List[float]] = {}
-        for recipient in updaters:
-            if partial_candidates:
-                candidates = sorted(
-                    full_candidates
-                    + [s for s, prefix in partial_candidates if recipient < prefix]
-                )
-                candidate_set = frozenset(candidates)
-            else:
-                candidates = full_candidates
-                candidate_set = full_candidate_set
-            if synchronous:
-                sample = _sync_sample(
-                    state, strategies, candidates, recipient, round_number, observed
-                )
-            else:
-                sample = _async_sample(
-                    state,
-                    strategies,
-                    omission_policy,
-                    candidates,
-                    candidate_set,
-                    recipient,
-                    round_number,
-                    quorum_size,
-                    observed,
-                    trusted_policy,
-                )
-                if sample is None:
-                    live = False
-                    break
-            stats.messages_delivered += len(sample)
-            samples[recipient] = sample
-            new_values[recipient] = approximation_step(sample, bounds)
-        if not live:
-            break
-        state.values.update(new_values)
-        for pid, value in new_values.items():
-            state.histories[pid].append(value)
-            completed[pid] = round_number
-        if round_number == 1:
-            # Each process computes its own round count from its own round-1
-            # multiset; it has already run one round, so the effective count
-            # is at least 1 (matching the event engine, where the policy is
-            # consulted at the end of the first completed round).
-            for pid in updaters:
-                totals[pid] = max(
-                    1, policy.required_rounds(bounds.contraction, epsilon, samples[pid])
-                )
-        for pid in updaters:
-            if totals[pid] == round_number:
-                stopped[pid] = state.values[pid]
-                if echo:
-                    _account_halt_echo(stats, state, pid, state.values[pid])
-
-    outputs: Dict[int, Optional[float]] = {
-        pid: stopped.get(pid) for pid in state.honest
-    }
-    report = validate_outputs(problem, outputs)
-    value_histories = {pid: list(state.histories[pid]) for pid in state.honest}
-    rounds_used = max((completed[pid] for pid in state.honest), default=0)
-    wall = time.perf_counter() - started
-    return ExecutionResult(
-        protocol=protocol,
-        runtime="batch",
-        problem=problem,
-        report=report,
-        outputs=outputs,
-        stats=stats,
-        rounds_used=rounds_used,
-        trajectory=spread_trajectory(value_histories),
-        value_histories=value_histories,
-        events_executed=0,
-        wall_time_seconds=wall,
-    )
-
-
-def _adaptive_candidates(
-    state: _RoundState,
-    stopped: Dict[int, float],
-    echo: bool,
-    totals: Dict[int, Optional[int]],
-    round_number: int,
-) -> Tuple[List[int], List[Tuple[int, int]]]:
-    """Candidate senders of one adaptive round: (full, mid-multicast prefixes).
-
-    Like :meth:`_RoundState.round_candidates` but aware of halting: a stopped
-    sender is a full candidate when the policy echoes final values on halt
-    (the halt echo substitutes for its round value) and absent otherwise.
-    """
-    full: List[int] = []
-    partial: List[Tuple[int, int]] = []
-    for sender in range(state.n):
-        if sender in state.silent_ids:
-            continue
-        if sender in state.strategy_ids:
-            full.append(sender)
-            continue
-        if sender in stopped:
-            if echo:
-                full.append(sender)
-            continue
-        sender_total = totals.get(sender)
-        if sender_total is not None and round_number > sender_total:
-            continue
-        sends = state.sends_in_round(sender, round_number)
-        if sends == state.n:
-            full.append(sender)
-        elif sends > 0:
-            partial.append((sender, sends))
-    return full, partial
-
-
-def _account_adaptive_messages(
-    stats: NetworkStats,
-    state: _RoundState,
-    strategies: Dict[int, object],
-    stopped: Dict[int, float],
-    totals: Dict[int, Optional[int]],
-    round_number: int,
-) -> None:
-    """Charge one adaptive round's ``VALUE`` traffic (halted processes are silent)."""
-    per_message_bits = message_bits(Message(kind="VALUE", round=round_number, value=0.0))
-    sends = 0
-    for pid in state.holders:
-        if pid in stopped:
-            continue
-        pid_total = totals.get(pid)
-        if pid_total is not None and round_number > pid_total:
-            continue
-        count = state.sends_in_round(pid, round_number)
-        if count:
-            stats.sends_by_process[pid] = stats.sends_by_process.get(pid, 0) + count
-        sends += count
-    for pid in strategies:
-        stats.sends_by_process[pid] = stats.sends_by_process.get(pid, 0) + state.n
-        sends += state.n
-    stats.messages_sent += sends
-    stats.bits_sent += sends * per_message_bits
-    stats.messages_by_kind["VALUE"] = stats.messages_by_kind.get("VALUE", 0) + sends
-
-
-def _account_halt_echo(
-    stats: NetworkStats, state: _RoundState, pid: int, value: float
-) -> None:
-    """Charge one ``HALT`` multicast (``n`` point-to-point sends)."""
-    bits = message_bits(Message(kind="HALT", value=value))
-    stats.messages_sent += state.n
-    stats.bits_sent += state.n * bits
-    stats.messages_by_kind["HALT"] = stats.messages_by_kind.get("HALT", 0) + state.n
-    stats.sends_by_process[pid] = stats.sends_by_process.get(pid, 0) + state.n
-
-
-def _account_round_messages(
-    stats: NetworkStats,
-    state: _RoundState,
-    strategies: Dict[int, object],
-    round_number: int,
-) -> None:
-    """Charge this round's value traffic to the statistics.
-
-    Counts are exact at message granularity (every live holder multicasts
-    ``n`` point-to-point messages, a crashing holder sends its delivery
-    prefix, every strategy-driven Byzantine process sends to all ``n``); the
-    per-message bit size is the wire size of one round-``r`` ``VALUE``
-    message.
-    """
-    per_message_bits = message_bits(Message(kind="VALUE", round=round_number, value=0.0))
-    sends = 0
-    for pid in state.holders:
-        count = state.sends_in_round(pid, round_number)
-        if count:
-            stats.sends_by_process[pid] = stats.sends_by_process.get(pid, 0) + count
-        sends += count
-    for pid in strategies:
-        stats.sends_by_process[pid] = stats.sends_by_process.get(pid, 0) + state.n
-        sends += state.n
-    stats.messages_sent += sends
-    stats.bits_sent += sends * per_message_bits
-    stats.messages_by_kind["VALUE"] = stats.messages_by_kind.get("VALUE", 0) + sends
-
-
-def _injected_value(
-    strategies: Dict[int, object],
-    sender: int,
-    round_number: int,
-    recipient: int,
-    observed: Sequence[float],
-) -> Optional[float]:
-    """Value a Byzantine strategy reports, or ``None`` when it is unusable.
+def _finite(value: object) -> Optional[float]:
+    """A Byzantine payload as delivered, or ``None`` when it is unusable.
 
     Mirrors the message boundary of the protocol skeletons: a NaN/inf payload
     is dropped rather than delivered, so here it degrades to an omission.
     """
-    value = strategies[sender].value(round_number, recipient, observed)
     if not isinstance(value, (int, float)) or not math.isfinite(value):
         return None
     return float(value)
@@ -993,15 +801,13 @@ def _injected_value(
 
 def _async_sample(
     state: _RoundState,
-    strategies: Dict[int, object],
     omission_policy: OmissionPolicy,
     candidates: List[int],
-    candidate_set: frozenset,
     recipient: int,
     round_number: int,
     quorum_size: int,
     observed: Sequence[float],
-    trusted_policy: bool = False,
+    trusted_policy: bool,
 ) -> Optional[List[float]]:
     """The quorum multiset an asynchronous process collects, or ``None``.
 
@@ -1011,26 +817,16 @@ def _async_sample(
     """
     if len(candidates) < quorum_size:
         return None
-    chosen = list(omission_policy.quorum(round_number, recipient, candidates, quorum_size))
-    if not trusted_policy:
-        chosen_set = set(chosen)
-        if len(chosen) != quorum_size or len(chosen_set) != quorum_size:
-            raise ValueError(
-                f"omission policy {omission_policy.describe()} returned {len(chosen)} "
-                f"senders, expected {quorum_size} distinct"
-            )
-        if not chosen_set <= candidate_set:
-            raise ValueError(
-                f"omission policy {omission_policy.describe()} chose senders outside the "
-                "candidate set"
-            )
-    if not strategies:
+    chosen = _quorum(
+        omission_policy, round_number, recipient, candidates, quorum_size, trusted_policy
+    )
+    if not state.strategies:
         # Fast path: every candidate is a value holder, values are finite by
         # invariant, no injection can occur.
         return [state.values[sender] for sender in chosen]
     sample: List[float] = []
     for sender in chosen:
-        value = _sender_value(state, strategies, sender, round_number, recipient, observed)
+        value = _sender_value(state, sender, round_number, recipient, observed)
         if value is not None:
             sample.append(value)
     # A dropped (non-finite) Byzantine payload behaves like an omission: the
@@ -1043,7 +839,7 @@ def _async_sample(
                 break
             if sender in chosen_lookup:
                 continue
-            value = _sender_value(state, strategies, sender, round_number, recipient, observed)
+            value = _sender_value(state, sender, round_number, recipient, observed)
             if value is not None:
                 sample.append(value)
     if len(sample) < quorum_size:
@@ -1053,7 +849,6 @@ def _async_sample(
 
 def _sync_sample(
     state: _RoundState,
-    strategies: Dict[int, object],
     candidates: List[int],
     recipient: int,
     round_number: int,
@@ -1066,19 +861,19 @@ def _sync_sample(
     for sender in range(state.n):
         value = None
         if sender in candidate_set:
-            value = _sender_value(state, strategies, sender, round_number, recipient, observed)
+            value = _sender_value(state, sender, round_number, recipient, observed)
         sample.append(own if value is None else value)
     return sample
 
 
 def _sender_value(
     state: _RoundState,
-    strategies: Dict[int, object],
     sender: int,
     round_number: int,
     recipient: int,
     observed: Sequence[float],
 ) -> Optional[float]:
-    if sender in strategies:
-        return _injected_value(strategies, sender, round_number, recipient, observed)
+    """What ``sender`` reports to ``recipient`` this round (``None``: omitted)."""
+    if sender in state.strategies:
+        return _finite(state.strategies[sender].value(round_number, recipient, observed))
     return state.values[sender]

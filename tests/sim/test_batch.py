@@ -25,6 +25,7 @@ from repro.net.adversary import (
     round_fault_model,
 )
 from repro.net.network import ConstantDelay
+from repro.sim import batch
 from repro.sim.batch import BATCH_PROTOCOLS, run_batch_protocol
 from repro.sim.engine import EngineCapabilityError
 
@@ -330,6 +331,52 @@ class TestAdaptivePolicies:
         # round counts).
         lengths = {len(history) for history in result.value_histories.values()}
         assert lengths, "no histories recorded"
+
+    def test_halted_sender_stays_a_candidate_through_its_echo(self):
+        # Process 0's round-1 quorum holds five equal values, so it halts
+        # after the two slack rounds while the others, whose quorums span the
+        # input range, run on.  Its halt echo stands in for its round value:
+        # it stays a candidate of every later quorum and sends no more VALUEs.
+        seen = {}
+
+        class Recording(OmissionPolicy):
+            def quorum(self, round_number, recipient, candidates, m):
+                seen[round_number, recipient] = list(candidates)
+                return candidates[-m:] if recipient == 0 else candidates[:m]
+
+        n = 7
+        result = run_batch_protocol(
+            "async-crash", [0.0, 1.0, 0.5, 0.5, 0.5, 0.5, 0.5], t=2, epsilon=0.05,
+            round_policy=SpreadEstimateRounds(), omission_policy=Recording(),
+        )
+        rounds = {pid: len(history) - 1 for pid, history in result.value_histories.items()}
+        assert rounds == {0: 2, **dict.fromkeys(range(1, n), 6)}
+        assert max(round_number for round_number, _ in seen) == 6
+        assert all(candidates == list(range(n)) for candidates in seen.values())
+        assert result.stats.messages_by_kind == {
+            "VALUE": 2 * n * n + 4 * (n - 1) * n, "HALT": n * n,
+        }
+
+    def test_round_cap_binds_adaptive_policies_only(self, monkeypatch):
+        # MAX_ADAPTIVE_ROUNDS caps counts that are not known upfront, and
+        # only those.
+        monkeypatch.setattr(batch, "MAX_ADAPTIVE_ROUNDS", 3)
+        inputs = [i / 6 for i in range(7)]
+        fixed = run_batch_protocol(
+            "async-crash", inputs, t=2, epsilon=1e-3, round_policy=FixedRounds(5)
+        )
+        assert fixed.rounds_used == 5
+        assert fixed.report.all_decided
+        assert {len(history) for history in fixed.value_histories.values()} == {6}
+
+        adaptive = run_batch_protocol(
+            "async-crash", inputs, t=2, epsilon=1e-3, round_policy=SpreadEstimateRounds()
+        )
+        # The policy asks for more than three rounds, so the cap stops every
+        # process before it decides.
+        assert adaptive.rounds_used == 3
+        assert not adaptive.report.all_decided
+        assert {len(history) for history in adaptive.value_histories.values()} == {4}
 
 
 class TestOmissionPolicies:

@@ -13,7 +13,7 @@ import hashlib
 
 import pytest
 
-from repro.core.termination import FixedRounds
+from repro.core.termination import FixedRounds, KnownRangeRounds, SpreadEstimateRounds
 from repro.net.adversary import (
     AntiConvergenceStrategy,
     ByzantineFaultPlan,
@@ -202,8 +202,9 @@ class TestEventEngineDeterminism:
         # A report-delay model: slow cross-camp REPORT messages.
         "witness-partition": ("witness", 7, 2, "witness-partition", None, 0.5),
         # Starts spread over 30 time units: processes 0 and 4 see n - t
-        # broadcasts delivered and n - t witnesses before their on_start, so
-        # they update (and decide) before they start.
+        # broadcasts delivered and n - t witnesses before their on_start.
+        # They store them and complete iteration 1 only once started, so
+        # every process runs all ten iterations.
         "witness-late-start": ("witness", 10, 3, "none", "uniform", 30.0),
         # Byzantine point-to-point values under heavy-tailed delays.
         "async-byzantine-exponential": (
@@ -268,17 +269,17 @@ class TestEventEngineDeterminism:
             histories="dc496049114da40a",
         ),
         "witness-late-start": dict(
-            events_executed=18217,
-            messages_sent=18220,
-            messages_delivered=18207,
-            bits_sent=1490940,
+            events_executed=22001,
+            messages_sent=22000,
+            messages_delivered=21991,
+            bits_sent=1804350,
             messages_by_kind={
-                "RBC_INIT": 820, "RBC_ECHO": 8200, "RBC_READY": 8200, "REPORT": 1000,
+                "RBC_INIT": 1000, "RBC_ECHO": 10000, "RBC_READY": 10000, "REPORT": 1000,
             },
-            sends_by_process={**dict.fromkeys(range(10), 1840), 0: 1750, 4: 1750},
+            sends_by_process=dict.fromkeys(range(10), 2200),
             rounds_used=10,
             outputs=dict.fromkeys(range(10), 0.4407325991753527),
-            histories="0e2d33aa71369445",
+            histories="24555465b3284d3a",
         ),
         "witness-partition": dict(
             events_executed=7839,
@@ -419,6 +420,448 @@ class TestBatchEngineDeterminism:
             return run_batch_protocol(protocol, inputs, t=t, epsilon=1e-3, seed=SEED)
 
         assert metrics_of(execute()) == metrics_of(execute())
+
+    #: Round policies of :meth:`execute`: upfront counts (the protocol
+    #: default, zero rounds, a public input range) and an adaptive one.
+    POLICIES = {
+        "default": lambda: None,
+        "fixed-0": lambda: FixedRounds(0),
+        "known-range": lambda: KnownRangeRounds(0, 1),
+        "spread-estimate": SpreadEstimateRounds,
+    }
+
+    @classmethod
+    def execute(cls, protocol, policy, adversary):
+        n, t = (11, 2) if protocol == "async-byzantine" else (7, 2)
+        fault_plan, delay_model, _ = ADVERSARY_SPECS[adversary](protocol, n, t, SEED)
+        return run_batch_protocol(
+            protocol, uniform_inputs(n, seed=SEED), t=t, epsilon=1e-3, seed=SEED,
+            round_policy=cls.POLICIES[policy](), fault_plan=fault_plan,
+            delay_model=delay_model,
+        )
+
+    #: :func:`schedule_of` (``events_executed`` is always 0) plus the
+    #: :func:`histories_of` digest of :meth:`execute` per ``(protocol,
+    #: policy, adversary)``: every direct protocol under every policy with no
+    #: faults, staggered mid-multicast crashes and, for the Byzantine
+    #: protocols, anti-convergence senders; the witness form under its
+    #: default policy with no faults, Byzantine senders and a report-delay
+    #: model.  Two runs of the same code agree even after a change that
+    #: moves the round loop's sampling or accounting; these literals do not.
+    RECORDED = {
+        ("async-byzantine", "default", "none"): dict(
+            messages_sent=1210, messages_delivered=990, bits_sent=90992,
+            messages_by_kind={"VALUE": 1210},
+            sends_by_process=dict.fromkeys(range(11), 110),
+            rounds_used=10,
+            outputs=dict.fromkeys(range(11), 0.49955122436028054),
+            histories="6e854ca4d29ec4e6",
+        ),
+        ("async-byzantine", "default", "crash-staggered"): dict(
+            messages_sent=1012, messages_delivered=819, bits_sent=76076,
+            messages_by_kind={"VALUE": 1012},
+            sends_by_process={**dict.fromkeys(range(9), 110), 9: 12, 10: 10},
+            rounds_used=10,
+            outputs=dict.fromkeys(range(9), 0.49955122436028054),
+            histories="d1165d71e5b38a90",
+        ),
+        ("async-byzantine", "default", "byz-anti"): dict(
+            messages_sent=1210, messages_delivered=810, bits_sent=90992,
+            messages_by_kind={"VALUE": 1210},
+            sends_by_process=dict.fromkeys(range(11), 110),
+            rounds_used=10,
+            outputs={
+                **dict.fromkeys((0, 1, 2, 3, 5, 7), 0.5612573742819036), 4: 0.5611827192459871,
+                6: 0.5611827192459871, 8: 0.5611827192459871,
+            },
+            histories="b6ddbaa08606bc70",
+        ),
+        ("async-byzantine", "fixed-0", "none"): dict(
+            messages_sent=0, messages_delivered=0, bits_sent=0,
+            messages_by_kind={},
+            sends_by_process={},
+            rounds_used=0,
+            outputs={
+                0: 0.9664535356921388, 1: 0.4407325991753527, 2: 0.007491470058587191,
+                3: 0.9109759624491242, 4: 0.939268997363764, 5: 0.5822275730589491,
+                6: 0.6715634814879851, 7: 0.08393822683708396, 8: 0.7664809327917963,
+                9: 0.23680977536311776, 10: 0.030814021726609964,
+            },
+            histories="174a620054be6824",
+        ),
+        ("async-byzantine", "fixed-0", "crash-staggered"): dict(
+            messages_sent=0, messages_delivered=0, bits_sent=0,
+            messages_by_kind={},
+            sends_by_process={},
+            rounds_used=0,
+            outputs={
+                0: 0.9664535356921388, 1: 0.4407325991753527, 2: 0.007491470058587191,
+                3: 0.9109759624491242, 4: 0.939268997363764, 5: 0.5822275730589491,
+                6: 0.6715634814879851, 7: 0.08393822683708396, 8: 0.7664809327917963,
+            },
+            histories="e6b2812e86b1327b",
+        ),
+        ("async-byzantine", "fixed-0", "byz-anti"): dict(
+            messages_sent=0, messages_delivered=0, bits_sent=0,
+            messages_by_kind={},
+            sends_by_process={},
+            rounds_used=0,
+            outputs={
+                0: 0.9664535356921388, 1: 0.4407325991753527, 2: 0.007491470058587191,
+                3: 0.9109759624491242, 4: 0.939268997363764, 5: 0.5822275730589491,
+                6: 0.6715634814879851, 7: 0.08393822683708396, 8: 0.7664809327917963,
+            },
+            histories="e6b2812e86b1327b",
+        ),
+        ("async-byzantine", "known-range", "none"): dict(
+            messages_sent=1210, messages_delivered=990, bits_sent=90992,
+            messages_by_kind={"VALUE": 1210},
+            sends_by_process=dict.fromkeys(range(11), 110),
+            rounds_used=10,
+            outputs=dict.fromkeys(range(11), 0.49955122436028054),
+            histories="6e854ca4d29ec4e6",
+        ),
+        ("async-byzantine", "known-range", "crash-staggered"): dict(
+            messages_sent=1012, messages_delivered=819, bits_sent=76076,
+            messages_by_kind={"VALUE": 1012},
+            sends_by_process={**dict.fromkeys(range(9), 110), 9: 12, 10: 10},
+            rounds_used=10,
+            outputs=dict.fromkeys(range(9), 0.49955122436028054),
+            histories="d1165d71e5b38a90",
+        ),
+        ("async-byzantine", "known-range", "byz-anti"): dict(
+            messages_sent=1210, messages_delivered=810, bits_sent=90992,
+            messages_by_kind={"VALUE": 1210},
+            sends_by_process=dict.fromkeys(range(11), 110),
+            rounds_used=10,
+            outputs={
+                **dict.fromkeys((0, 1, 2, 3, 5, 7), 0.5612573742819036), 4: 0.5611827192459871,
+                6: 0.5611827192459871, 8: 0.5611827192459871,
+            },
+            histories="b6ddbaa08606bc70",
+        ),
+        ("async-byzantine", "spread-estimate", "none"): dict(
+            messages_sent=1694, messages_delivered=1287, bits_sent=127292,
+            messages_by_kind={"VALUE": 1573, "HALT": 121},
+            sends_by_process=dict.fromkeys(range(11), 154),
+            rounds_used=13,
+            outputs=dict.fromkeys(range(11), 0.49955122436028054),
+            histories="b76e4de589e019cc",
+        ),
+        ("async-byzantine", "spread-estimate", "crash-staggered"): dict(
+            messages_sent=1408, messages_delivered=1062, bits_sent=105776,
+            messages_by_kind={"VALUE": 1309, "HALT": 99},
+            sends_by_process={**dict.fromkeys(range(9), 154), 9: 12, 10: 10},
+            rounds_used=13,
+            outputs=dict.fromkeys(range(9), 0.49955122436028054),
+            histories="7c16e4bc8b93bcc4",
+        ),
+        ("async-byzantine", "spread-estimate", "byz-anti"): dict(
+            messages_sent=1672, messages_delivered=1053, bits_sent=125708,
+            messages_by_kind={"VALUE": 1573, "HALT": 99},
+            sends_by_process={**dict.fromkeys(range(9), 154), 9: 143, 10: 143},
+            rounds_used=13,
+            outputs={
+                **dict.fromkeys((1, 2, 3, 5, 6, 7), 0.5612293786434348), 0: 0.5612200467639453,
+                4: 0.5612200467639453, 8: 0.5612200467639453,
+            },
+            histories="f73f482fa18529d2",
+        ),
+        ("async-crash", "default", "none"): dict(
+            messages_sent=343, messages_delivered=245, bits_sent=25676,
+            messages_by_kind={"VALUE": 343},
+            sends_by_process=dict.fromkeys(range(7), 49),
+            rounds_used=7,
+            outputs=dict.fromkeys(range(7), 0.6260075351913781),
+            histories="48e021a9279f63ff",
+        ),
+        ("async-crash", "default", "crash-staggered"): dict(
+            messages_sent=259, messages_delivered=180, bits_sent=19376,
+            messages_by_kind={"VALUE": 259},
+            sends_by_process={**dict.fromkeys(range(5), 49), 5: 12, 6: 2},
+            rounds_used=7,
+            outputs=dict.fromkeys(range(5), 0.6261732286652711),
+            histories="4fd120cdcd370835",
+        ),
+        ("async-crash", "fixed-0", "none"): dict(
+            messages_sent=0, messages_delivered=0, bits_sent=0,
+            messages_by_kind={},
+            sends_by_process={},
+            rounds_used=0,
+            outputs={
+                0: 0.9664535356921388, 1: 0.4407325991753527, 2: 0.007491470058587191,
+                3: 0.9109759624491242, 4: 0.939268997363764, 5: 0.5822275730589491,
+                6: 0.6715634814879851,
+            },
+            histories="cce3e07eec52cad7",
+        ),
+        ("async-crash", "fixed-0", "crash-staggered"): dict(
+            messages_sent=0, messages_delivered=0, bits_sent=0,
+            messages_by_kind={},
+            sends_by_process={},
+            rounds_used=0,
+            outputs={
+                0: 0.9664535356921388, 1: 0.4407325991753527, 2: 0.007491470058587191,
+                3: 0.9109759624491242, 4: 0.939268997363764,
+            },
+            histories="e083c8da4ed16088",
+        ),
+        ("async-crash", "known-range", "none"): dict(
+            messages_sent=343, messages_delivered=245, bits_sent=25676,
+            messages_by_kind={"VALUE": 343},
+            sends_by_process=dict.fromkeys(range(7), 49),
+            rounds_used=7,
+            outputs=dict.fromkeys(range(7), 0.6260075351913781),
+            histories="48e021a9279f63ff",
+        ),
+        ("async-crash", "known-range", "crash-staggered"): dict(
+            messages_sent=259, messages_delivered=180, bits_sent=19376,
+            messages_by_kind={"VALUE": 259},
+            sends_by_process={**dict.fromkeys(range(5), 49), 5: 12, 6: 2},
+            rounds_used=7,
+            outputs=dict.fromkeys(range(5), 0.6261732286652711),
+            histories="4fd120cdcd370835",
+        ),
+        ("async-crash", "spread-estimate", "none"): dict(
+            messages_sent=490, messages_delivered=315, bits_sent=36652,
+            messages_by_kind={"VALUE": 441, "HALT": 49},
+            sends_by_process=dict.fromkeys(range(7), 70),
+            rounds_used=9,
+            outputs=dict.fromkeys(range(7), 0.6260075351913781),
+            histories="43f0070c055ec26b",
+        ),
+        ("async-crash", "spread-estimate", "crash-staggered"): dict(
+            messages_sent=364, messages_delivered=230, bits_sent=27216,
+            messages_by_kind={"VALUE": 329, "HALT": 35},
+            sends_by_process={**dict.fromkeys(range(5), 70), 5: 12, 6: 2},
+            rounds_used=9,
+            outputs=dict.fromkeys(range(5), 0.6261732286652711),
+            histories="8649cc2af9b34ec1",
+        ),
+        ("sync-byzantine", "default", "none"): dict(
+            messages_sent=490, messages_delivered=490, bits_sent=36848,
+            messages_by_kind={"VALUE": 490},
+            sends_by_process=dict.fromkeys(range(7), 70),
+            rounds_used=10,
+            outputs=dict.fromkeys(range(7), 0.7466017677540366),
+            histories="b7984fc4b26db829",
+        ),
+        ("sync-byzantine", "default", "crash-staggered"): dict(
+            messages_sent=364, messages_delivered=357, bits_sent=27356,
+            messages_by_kind={"VALUE": 364},
+            sends_by_process={**dict.fromkeys(range(5), 70), 5: 12, 6: 2},
+            rounds_used=10,
+            outputs=dict.fromkeys(range(5), 0.7466017677540366),
+            histories="6792683e6e82fe7c",
+        ),
+        ("sync-byzantine", "default", "byz-anti"): dict(
+            messages_sent=490, messages_delivered=350, bits_sent=36848,
+            messages_by_kind={"VALUE": 490},
+            sends_by_process=dict.fromkeys(range(7), 70),
+            rounds_used=10,
+            outputs={
+                **dict.fromkeys((0, 2, 4), 0.4592337162538557), 1: 0.46017020264607594,
+                3: 0.46017020264607594,
+            },
+            histories="49377a4dfec88bdf",
+        ),
+        ("sync-byzantine", "fixed-0", "none"): dict(
+            messages_sent=0, messages_delivered=0, bits_sent=0,
+            messages_by_kind={},
+            sends_by_process={},
+            rounds_used=0,
+            outputs={
+                0: 0.9664535356921388, 1: 0.4407325991753527, 2: 0.007491470058587191,
+                3: 0.9109759624491242, 4: 0.939268997363764, 5: 0.5822275730589491,
+                6: 0.6715634814879851,
+            },
+            histories="cce3e07eec52cad7",
+        ),
+        ("sync-byzantine", "fixed-0", "crash-staggered"): dict(
+            messages_sent=0, messages_delivered=0, bits_sent=0,
+            messages_by_kind={},
+            sends_by_process={},
+            rounds_used=0,
+            outputs={
+                0: 0.9664535356921388, 1: 0.4407325991753527, 2: 0.007491470058587191,
+                3: 0.9109759624491242, 4: 0.939268997363764,
+            },
+            histories="e083c8da4ed16088",
+        ),
+        ("sync-byzantine", "fixed-0", "byz-anti"): dict(
+            messages_sent=0, messages_delivered=0, bits_sent=0,
+            messages_by_kind={},
+            sends_by_process={},
+            rounds_used=0,
+            outputs={
+                0: 0.9664535356921388, 1: 0.4407325991753527, 2: 0.007491470058587191,
+                3: 0.9109759624491242, 4: 0.939268997363764,
+            },
+            histories="e083c8da4ed16088",
+        ),
+        ("sync-byzantine", "known-range", "none"): dict(
+            messages_sent=490, messages_delivered=490, bits_sent=36848,
+            messages_by_kind={"VALUE": 490},
+            sends_by_process=dict.fromkeys(range(7), 70),
+            rounds_used=10,
+            outputs=dict.fromkeys(range(7), 0.7466017677540366),
+            histories="b7984fc4b26db829",
+        ),
+        ("sync-byzantine", "known-range", "crash-staggered"): dict(
+            messages_sent=364, messages_delivered=357, bits_sent=27356,
+            messages_by_kind={"VALUE": 364},
+            sends_by_process={**dict.fromkeys(range(5), 70), 5: 12, 6: 2},
+            rounds_used=10,
+            outputs=dict.fromkeys(range(5), 0.7466017677540366),
+            histories="6792683e6e82fe7c",
+        ),
+        ("sync-byzantine", "known-range", "byz-anti"): dict(
+            messages_sent=490, messages_delivered=350, bits_sent=36848,
+            messages_by_kind={"VALUE": 490},
+            sends_by_process=dict.fromkeys(range(7), 70),
+            rounds_used=10,
+            outputs={
+                **dict.fromkeys((0, 2, 4), 0.4592337162538557), 1: 0.46017020264607594,
+                3: 0.46017020264607594,
+            },
+            histories="49377a4dfec88bdf",
+        ),
+        ("sync-byzantine", "spread-estimate", "none"): dict(
+            messages_sent=686, messages_delivered=637, bits_sent=51548,
+            messages_by_kind={"VALUE": 637, "HALT": 49},
+            sends_by_process=dict.fromkeys(range(7), 98),
+            rounds_used=13,
+            outputs=dict.fromkeys(range(7), 0.7466017677540366),
+            histories="0b206c786dde6447",
+        ),
+        ("sync-byzantine", "spread-estimate", "crash-staggered"): dict(
+            messages_sent=504, messages_delivered=462, bits_sent=37856,
+            messages_by_kind={"VALUE": 469, "HALT": 35},
+            sends_by_process={**dict.fromkeys(range(5), 98), 5: 12, 6: 2},
+            rounds_used=13,
+            outputs=dict.fromkeys(range(5), 0.7466017677540366),
+            histories="c7acc949e3f56e14",
+        ),
+        ("sync-byzantine", "spread-estimate", "byz-anti"): dict(
+            messages_sent=672, messages_delivered=455, bits_sent=50540,
+            messages_by_kind={"VALUE": 637, "HALT": 35},
+            sends_by_process={**dict.fromkeys(range(5), 98), 5: 91, 6: 91},
+            rounds_used=13,
+            outputs={
+                **dict.fromkeys((0, 2, 4), 0.4592337162538557), 1: 0.4593507770528832,
+                3: 0.4593507770528832,
+            },
+            histories="6489d01464070a84",
+        ),
+        ("sync-crash", "default", "none"): dict(
+            messages_sent=245, messages_delivered=245, bits_sent=18277,
+            messages_by_kind={"VALUE": 245},
+            sends_by_process=dict.fromkeys(range(7), 35),
+            rounds_used=5,
+            outputs=dict.fromkeys(range(7), 0.6167871353146999),
+            histories="973bcab3da768252",
+        ),
+        ("sync-crash", "default", "crash-staggered"): dict(
+            messages_sent=189, messages_delivered=182, bits_sent=14091,
+            messages_by_kind={"VALUE": 189},
+            sends_by_process={**dict.fromkeys(range(5), 35), 5: 12, 6: 2},
+            rounds_used=5,
+            outputs=dict.fromkeys(range(5), 0.6097120141291401),
+            histories="4d296dfe20dbd95b",
+        ),
+        ("sync-crash", "fixed-0", "none"): dict(
+            messages_sent=0, messages_delivered=0, bits_sent=0,
+            messages_by_kind={},
+            sends_by_process={},
+            rounds_used=0,
+            outputs={
+                0: 0.9664535356921388, 1: 0.4407325991753527, 2: 0.007491470058587191,
+                3: 0.9109759624491242, 4: 0.939268997363764, 5: 0.5822275730589491,
+                6: 0.6715634814879851,
+            },
+            histories="cce3e07eec52cad7",
+        ),
+        ("sync-crash", "fixed-0", "crash-staggered"): dict(
+            messages_sent=0, messages_delivered=0, bits_sent=0,
+            messages_by_kind={},
+            sends_by_process={},
+            rounds_used=0,
+            outputs={
+                0: 0.9664535356921388, 1: 0.4407325991753527, 2: 0.007491470058587191,
+                3: 0.9109759624491242, 4: 0.939268997363764,
+            },
+            histories="e083c8da4ed16088",
+        ),
+        ("sync-crash", "known-range", "none"): dict(
+            messages_sent=245, messages_delivered=245, bits_sent=18277,
+            messages_by_kind={"VALUE": 245},
+            sends_by_process=dict.fromkeys(range(7), 35),
+            rounds_used=5,
+            outputs=dict.fromkeys(range(7), 0.6167871353146999),
+            histories="973bcab3da768252",
+        ),
+        ("sync-crash", "known-range", "crash-staggered"): dict(
+            messages_sent=189, messages_delivered=182, bits_sent=14091,
+            messages_by_kind={"VALUE": 189},
+            sends_by_process={**dict.fromkeys(range(5), 35), 5: 12, 6: 2},
+            rounds_used=5,
+            outputs=dict.fromkeys(range(5), 0.6097120141291401),
+            histories="4d296dfe20dbd95b",
+        ),
+        ("sync-crash", "spread-estimate", "none"): dict(
+            messages_sent=441, messages_delivered=392, bits_sent=32928,
+            messages_by_kind={"VALUE": 392, "HALT": 49},
+            sends_by_process=dict.fromkeys(range(7), 63),
+            rounds_used=8,
+            outputs=dict.fromkeys(range(7), 0.6167871353146999),
+            histories="7c7a49b89aaad6c9",
+        ),
+        ("sync-crash", "spread-estimate", "crash-staggered"): dict(
+            messages_sent=329, messages_delivered=287, bits_sent=24556,
+            messages_by_kind={"VALUE": 294, "HALT": 35},
+            sends_by_process={**dict.fromkeys(range(5), 63), 5: 12, 6: 2},
+            rounds_used=8,
+            outputs=dict.fromkeys(range(5), 0.6097120141291401),
+            histories="c11c256776944be6",
+        ),
+        ("witness", "default", "none"): dict(
+            messages_sent=7840, messages_delivered=7840, bits_sent=627613,
+            messages_by_kind={
+                "RBC_INIT": 490, "RBC_ECHO": 3430, "RBC_READY": 3430, "REPORT": 490,
+            },
+            sends_by_process=dict.fromkeys(range(7), 1120),
+            rounds_used=10,
+            outputs=dict.fromkeys(range(7), 0.7466017677540366),
+            histories="b7984fc4b26db829",
+        ),
+        ("witness", "default", "byz-anti"): dict(
+            messages_sent=7840, messages_delivered=7840, bits_sent=627613,
+            messages_by_kind={
+                "RBC_INIT": 490, "RBC_ECHO": 3430, "RBC_READY": 3430, "REPORT": 490,
+            },
+            sends_by_process=dict.fromkeys(range(7), 1120),
+            rounds_used=10,
+            outputs=dict.fromkeys(range(5), 0.6900007982695584),
+            histories="85d11e4751dbf73f",
+        ),
+        ("witness", "default", "witness-partition"): dict(
+            messages_sent=7840, messages_delivered=7840, bits_sent=627613,
+            messages_by_kind={
+                "RBC_INIT": 490, "RBC_ECHO": 3430, "RBC_READY": 3430, "REPORT": 490,
+            },
+            sends_by_process=dict.fromkeys(range(7), 1120),
+            rounds_used=10,
+            outputs=dict.fromkeys(range(7), 0.7466017677540366),
+            histories="b7984fc4b26db829",
+        ),
+    }
+
+    @pytest.mark.parametrize("key", sorted(RECORDED), ids=":".join)
+    def test_results_match_recorded_values(self, key):
+        recorded = dict(self.RECORDED[key])
+        result = self.execute(*key)
+        assert histories_of(result) == recorded.pop("histories")
+        assert schedule_of(result) == dict(events_executed=0, **recorded)
 
 
 @pytest.mark.skipif(not numpy_available(), reason="the vectorised engine requires numpy")
